@@ -5,6 +5,7 @@ from .padic import (
     PadicContext,
     PadicNumber,
     ContextMismatchError,
+    PrecisionLossError,
     teichmuller,
     one_unit_part,
     log_one_unit,

@@ -123,6 +123,17 @@ def _check_budget(precision: int, terms: int):
         raise PrecisionBudgetError("precision and terms must be positive")
 
 
+def _check_terms(p: int, terms: int, primes_bound: int):
+    """The eigensystem checks read a_l for every prime l <= primes_bound and
+    a_p, so the truncation must reach the largest of them."""
+    needed = max(primes_up_to(primes_bound) + [p])
+    if terms < needed:
+        raise ValueError(
+            f"terms = {terms} is below {needed}, the largest coefficient index "
+            f"the eigensystem checks read (primes up to {primes_bound} and p = {p})"
+        )
+
+
 def analyze_point(
     p: int,
     k: int,
@@ -133,6 +144,7 @@ def analyze_point(
 ) -> CriticalPointReport:
     """Analyze the critical Eisenstein point at (p, k, eps = omega^i)."""
     _check_budget(precision, terms)
+    _check_terms(p, terms, primes_bound)
     ctx = PadicContext(p, precision)
     w = WeightPoint.classical(p, k, i)
     w.validate_critical()

@@ -84,8 +84,5 @@ class TeichCharacter:
         self._check_same_prime(other)
         return TeichCharacter(self.p, self.exponent + other.exponent)
 
-    def compose(self, other: "TeichCharacter") -> "TeichCharacter":
-        return self * other
-
     def inverse(self) -> "TeichCharacter":
         return TeichCharacter(self.p, -self.exponent)

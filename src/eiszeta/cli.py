@@ -1,7 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 success, 2 inadmissible parameters, 3 precision budget
-exceeded, 4 internal check failure.
+exceeded (a ceiling, or a computation left with no surviving digits),
+4 internal check failure.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .kubota import (
     lp_interpolation,
     lp_series,
 )
-from .padic import PadicContext, format_padic
+from .padic import PadicContext, PrecisionLossError, format_padic
 from .qexp import (
     TwinConventionError,
     dump_lines,
@@ -42,7 +43,10 @@ EXIT_INTERNAL = 4
 
 def _parse_s(text: str) -> object:
     if "/" in text:
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"--s {text} has a zero denominator") from None
     return int(text)
 
 
@@ -178,7 +182,7 @@ def main(argv=None) -> int:
     except (AdmissibilityError, PoleError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INADMISSIBLE
-    except PrecisionBudgetError as e:
+    except (PrecisionBudgetError, PrecisionLossError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BUDGET
     except TwinConventionError as e:

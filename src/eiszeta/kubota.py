@@ -187,9 +187,15 @@ def lp_interpolation(n: int, j: int, ctx: PadicContext) -> LValue:
                   precision_achieved=prec)
 
 
-@lru_cache(maxsize=None)
+LOG_GAMMA_CACHE_SIZE = 4096
+LP_MEMO_SIZE = 1024
+
+
+@lru_cache(maxsize=LOG_GAMMA_CACHE_SIZE)
 def _log_gamma_a(p: int, precision: int, a: int) -> PadicNumber:
-    """log<a> cached per (p, N, a); a in 1..p-1."""
+    """log<a> cached per (p, N, a); a in 1..p-1.  Least recently used first
+    out beyond LOG_GAMMA_CACHE_SIZE = 4096 entries, which holds every a of
+    any one prime below 4096 at one N."""
     ctx = PadicContext(p, precision)
     return log_one_unit(one_unit_part(PadicNumber.from_int(a, ctx)))
 
@@ -209,9 +215,26 @@ def lp_series(s, j: int, ctx: PadicContext) -> LValue:
 
     Binomial coefficients C(1-s, m) are built iteratively in Q_p; achieved
     precision is reported from honest propagation rather than assumed.
+
+    Integer arguments are memoised per (s, j mod p-1, ctx) in a bounded
+    least-recently-used cache of LP_MEMO_SIZE = 1024 entries, so a value
+    needed twice (the twin zeta value of a point and of its theta-twin
+    check, or the twin shared by (k, i) and (k, -i) in a scan) is summed
+    once.  The cached LValue is immutable, and the same as a fresh
+    evaluation in every field.  Fraction and PadicNumber arguments are
+    always evaluated afresh, and so is bool, which would otherwise hit the
+    entry of the integer it equals and report it as its argument.
     """
+    j = _require_even_branch(j, ctx.p)
+    if type(s) is int:
+        return _lp_series_memo(s, j, ctx)
+    return _lp_series_eval(s, j, ctx)
+
+
+def _lp_series_eval(s, j: int, ctx: PadicContext) -> LValue:
+    """The series evaluation behind :func:`lp_series`, for an even branch j
+    already reduced mod p-1."""
     p, N = ctx.p, ctx.precision
-    j = _require_even_branch(j, p)
     arg = s
     s = _as_padic_integer(s, ctx)
     one = PadicNumber.from_int(1, ctx)
@@ -257,6 +280,9 @@ def lp_series(s, j: int, ctx: PadicContext) -> LValue:
     prec = min(value.abs_precision, N)
     return LValue(value=value, branch=j, argument=arg, route="series",
                   precision_achieved=prec)
+
+
+_lp_series_memo = lru_cache(maxsize=LP_MEMO_SIZE)(_lp_series_eval)
 
 
 def zeta_weight(w: WeightPoint, ctx: PadicContext) -> LValue:

@@ -30,6 +30,7 @@ __all__ = [
     "PadicContext",
     "PadicNumber",
     "ContextMismatchError",
+    "PrecisionLossError",
     "teichmuller",
     "one_unit_part",
     "log_one_unit",
@@ -43,6 +44,10 @@ __all__ = [
 
 class ContextMismatchError(ValueError):
     """Operands live in incompatible p-adic contexts."""
+
+
+class PrecisionLossError(ArithmeticError):
+    """A result would keep no digit of precision."""
 
 
 class PadicContext:
@@ -79,15 +84,6 @@ class PadicContext:
     def zero(self, abs_prec: int | None = None) -> "PadicNumber":
         return PadicNumber._zero(self, self.precision if abs_prec is None else abs_prec)
 
-    def one(self) -> "PadicNumber":
-        return PadicNumber.from_int(1, self)
-
-    def from_int(self, x: int) -> "PadicNumber":
-        return PadicNumber.from_int(x, self)
-
-    def from_rational(self, x) -> "PadicNumber":
-        return PadicNumber.from_rational(x, self)
-
 
 def _vp(n: int, p: int) -> int:
     """p-adic valuation of a nonzero integer."""
@@ -115,11 +111,13 @@ class PadicNumber:
 
     @classmethod
     def _raw(cls, ctx, val, unit, rel):
-        self = object.__new__(cls)
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "_val", val)
-        object.__setattr__(self, "_unit", unit)
-        object.__setattr__(self, "_rel", rel)
+        # the slot setters (bound below the class) skip the refusing
+        # __setattr__ without the cost of four object.__setattr__ lookups
+        self = _new(cls)
+        _set_ctx(self, ctx)
+        _set_val(self, val)
+        _set_unit(self, unit)
+        _set_rel(self, rel)
         return self
 
     def __setattr__(self, name, value):
@@ -216,14 +214,14 @@ class PadicNumber:
     # -- arithmetic --------------------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, PadicNumber):
+        if type(other) is PadicNumber or isinstance(other, PadicNumber):
             return other
         if isinstance(other, (int, Fraction)):
             return PadicNumber.from_rational(other, self.ctx)
         return None
 
     def _check_ctx(self, other: "PadicNumber"):
-        if self.ctx != other.ctx:
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ContextMismatchError(
                 f"operands belong to different contexts: {self.ctx} vs {other.ctx}"
             )
@@ -292,7 +290,7 @@ class PadicNumber:
         if self._unit is None:
             bound = self._val - other._val
             if bound < 1:
-                raise ArithmeticError("quotient has no surviving precision")
+                raise PrecisionLossError("quotient has no surviving precision")
             return PadicNumber._zero(self.ctx, bound)
         rel = min(self._rel, other._rel)
         inv = pow(other._unit, -1, self.ctx.p**rel)
@@ -333,16 +331,6 @@ class PadicNumber:
 
     # -- conversions -------------------------------------------------------
 
-    def restrict(self, ctx: PadicContext) -> "PadicNumber":
-        """Reinterpret in a context with the same p and lower working precision."""
-        if ctx.p != self.ctx.p:
-            raise ContextMismatchError("restrict requires the same prime")
-        if ctx.precision > self.ctx.precision:
-            raise ValueError("cannot restrict to a finer precision than carried")
-        if self._unit is None:
-            return PadicNumber._zero(ctx, min(self._val, ctx.precision))
-        return PadicNumber._make(ctx, self._val, self._unit, self._rel)
-
     def cap_absolute(self, absprec: int) -> "PadicNumber":
         """Forget digits beyond p^absprec (no-op when already coarser)."""
         if self._unit is None:
@@ -358,6 +346,13 @@ class PadicNumber:
         if self._val < 0:
             raise ValueError("value has negative valuation")
         return self._unit * self.ctx.p**self._val
+
+
+_new = object.__new__
+_set_ctx = PadicNumber.ctx.__set__
+_set_val = PadicNumber._val.__set__
+_set_unit = PadicNumber._unit.__set__
+_set_rel = PadicNumber._rel.__set__
 
 
 def _congruent(a: PadicNumber, b: PadicNumber) -> bool:
@@ -400,12 +395,17 @@ def agreement_precision(a: PadicNumber, b: PadicNumber) -> int:
 # -- Teichmuller lift and one-unit functions -------------------------------
 
 
-@lru_cache(maxsize=None)
+TEICH_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=TEICH_CACHE_SIZE)
 def _teich_unit(p: int, precision: int, a: int) -> int:
     """The (p-1)-th root of unity congruent to a mod p, as an integer mod p^N.
 
     Iterating x -> x^p gains at least one correct digit per step, so N
-    iterations reach the fixed point exactly."""
+    iterations reach the fixed point exactly.  Cached per (p, N, a mod p),
+    least recently used first out beyond TEICH_CACHE_SIZE = 4096 entries,
+    which holds every residue of any one prime below 4096 at one N."""
     mod = p**precision
     x = a % mod
     for _ in range(precision):

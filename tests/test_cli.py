@@ -112,3 +112,35 @@ def test_internal_check_failure_exit_code(monkeypatch, capsys):
                "--precision", "10", "--qexp-terms", "20"])
     assert rc == 4
     assert "internal check failure" in capsys.readouterr().err
+
+
+def _one_line_error(capsys):
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and "\n" not in err
+    return err
+
+
+def test_lp_zero_denominator_rejected(capsys):
+    rc = main(["lp", "--p", "7", "--branch", "2", "--s", "1/0"])
+    assert rc == 2
+    assert "zero denominator" in _one_line_error(capsys)
+
+
+def test_qexp_terms_below_primes_bound_rejected(capsys):
+    rc = main(["analyze", "--p", "5", "--k", "4", "--eps-exponent", "0",
+               "--qexp-terms", "5"])
+    assert rc == 2
+    assert "terms = 5" in _one_line_error(capsys)
+
+
+def test_qexp_terms_below_p_rejected(capsys):
+    rc = main(["analyze", "--p", "37", "--k", "4", "--eps-exponent", "0",
+               "--precision", "5", "--qexp-terms", "20"])
+    assert rc == 2
+    assert "p = 37" in _one_line_error(capsys)
+
+
+def test_no_surviving_precision_is_budget_exit_code(capsys):
+    rc = main(["lp", "--p", "5", "--branch", "2", "--s", "1", "--precision", "2"])
+    assert rc == 3
+    assert "no surviving precision" in _one_line_error(capsys)

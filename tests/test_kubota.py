@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from eiszeta import kubota, padic
 from eiszeta.bernoulli import bernoulli_number
 from eiszeta.kubota import (
     AdmissibilityError,
@@ -237,3 +238,63 @@ class TestIrregular:
             hits = irregular_scan(p, PadicContext(p, 10))
             assert [j for j, _ in hits] == branches
             assert all(len(wit.elevated) == 1 for _, wit in hits)
+
+
+def _lvalue_fields(lv):
+    v = lv.value
+    return (v.valuation, v.min_valuation, v.digits(), v.abs_precision,
+            lv.precision_achieved, lv.argument, type(lv.argument), lv.branch, lv.route)
+
+
+class TestSeriesMemo:
+    # (p, N, j, s): trivial branch away from the pole, s = 1 on nontrivial
+    # branches (the nearby-evaluation path), negative, large and equal-mod-(p-1)
+    # branch spellings, and an irregular branch
+    SAMPLE = [
+        (5, 12, 0, 0), (5, 12, 0, 2), (5, 12, 0, -3), (5, 12, 0, 6),
+        (5, 12, 2, 1), (5, 12, 6, 1), (5, 12, 2, -1), (5, 12, -2, 3),
+        (7, 10, 4, 1), (7, 10, 0, 8), (7, 10, 2, 5**9), (11, 8, 6, -7),
+        (37, 6, 32, 3), (37, 6, 32, 1),
+    ]
+
+    def test_memoised_values_match_cold_evaluation(self):
+        memo = kubota._lp_series_memo
+        memo.cache_clear()
+        warm = {}
+        for p, N, j, s in self.SAMPLE * 2:  # the second pass is served by the memo
+            warm[(p, N, j, s)] = _lvalue_fields(lp_series(s, j, PadicContext(p, N)))
+        assert memo.cache_info().hits >= len(self.SAMPLE)
+        for p, N, j, s in self.SAMPLE:
+            memo.cache_clear()
+            cold = lp_series(s, j, PadicContext(p, N))
+            assert _lvalue_fields(cold) == warm[(p, N, j, s)], (p, N, j, s)
+
+    def test_pole_is_not_memoised(self):
+        memo = kubota._lp_series_memo
+        memo.cache_clear()
+        ctx = PadicContext(5, 12)
+        for j in (0, 4, 0):  # 4 is the trivial branch again mod p-1
+            with pytest.raises(PoleError):
+                lp_series(1, j, ctx)
+        assert memo.cache_info().currsize == 0
+
+    def test_non_int_arguments_bypass_the_memo(self):
+        memo = kubota._lp_series_memo
+        ctx = PadicContext(5, 12)
+        memo.cache_clear()
+        from_int = lp_series(1, 2, ctx)
+        size = memo.cache_info().currsize
+        as_bool = lp_series(True, 2, ctx)
+        assert as_bool.argument is True
+        assert from_int.argument == 1 and type(from_int.argument) is int
+        assert lp_series(Fraction(3), 2, ctx).argument == Fraction(3)
+        assert isinstance(lp_series(PadicNumber.from_int(3, ctx), 2, ctx).argument,
+                          PadicNumber)
+        assert memo.cache_info().currsize == size
+        # the int entry was not overwritten by the bool call
+        assert lp_series(1, 2, ctx).argument is not True
+
+    def test_every_cache_is_bounded(self):
+        for cache in (padic._teich_unit, kubota._log_gamma_a, kubota._lp_series_memo):
+            maxsize = cache.cache_parameters()["maxsize"]
+            assert maxsize is not None and 0 < maxsize <= 4096

@@ -53,11 +53,14 @@ class TestContext:
             CTX.p = 7
 
     def test_numbers_immutable(self):
-        x = PadicNumber.from_int(7, CTX)
-        with pytest.raises(AttributeError):
-            x.unit = 3
-        with pytest.raises(AttributeError):
-            x._val = 1
+        # values are built through the raw slot setters, which must not open
+        # a way around the refusing __setattr__
+        x = PadicNumber.from_int(7, CTX) * PadicNumber.from_rational(Fraction(1, 3), CTX)
+        for name, value in (("unit", 3), ("ctx", PadicContext(7, 20)), ("_val", 1),
+                            ("_unit", 2), ("_rel", 3)):
+            with pytest.raises(AttributeError):
+                setattr(x, name, value)
+        assert x == PadicNumber.from_rational(Fraction(7, 3), CTX)
 
 
 class TestRingOps:
@@ -81,8 +84,19 @@ class TestRingOps:
         assert (PadicNumber.from_int(5, CTX) ** 3 * u).valuation == 3
 
     def test_context_mismatch(self):
-        with pytest.raises(ContextMismatchError):
-            PadicNumber.from_int(1, CTX) + PadicNumber.from_int(1, PadicContext(7, 20))
+        # another prime, or the same prime at another working precision
+        a = PadicNumber.from_int(2, CTX)
+        for other in (PadicContext(7, 20), PadicContext(5, 12)):
+            b = PadicNumber.from_int(3, other)
+            for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: a / b):
+                with pytest.raises(ContextMismatchError):
+                    op()
+
+    def test_equal_contexts_need_not_be_identical(self):
+        a = PadicNumber.from_int(2, CTX)
+        b = PadicNumber.from_int(3, PadicContext(5, 20))
+        assert a * b == PadicNumber.from_int(6, CTX)
+        assert (a + b).abs_precision == 20
 
     def test_division_by_zero_to_precision(self):
         z = CTX.zero()
