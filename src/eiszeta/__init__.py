@@ -41,7 +41,6 @@ from .qexp import (
     hecke_Tl,
     hecke_Up,
     theta_pow,
-    multiply,
     verify_eigensystem,
     theta_twin_check,
     TwinConventionError,

@@ -178,27 +178,18 @@ def analyze_point(
     ordinary = eisenstein_ordinary(w, terms, ctx)
 
     checks = []
-    rep = verify_eigensystem(crit, primes_bound)
-    checks.append(
-        CheckResult(
-            "eigensystem_crit",
-            rep.all_passed,
-            "critical series is an eigenform for all checked operators"
-            if rep.all_passed
-            else f"failures: {[(c.operator, c.first_fail_index) for c in rep.failing()]}",
+    for name, label, series in (("crit", "critical", crit), ("ord", "ordinary", ordinary)):
+        rep = verify_eigensystem(series, primes_bound)
+        checks.append(
+            CheckResult(
+                f"eigensystem_{name}",
+                rep.all_passed,
+                f"{label} series is an eigenform for all checked operators"
+                if rep.all_passed
+                else f"failures: {[(c.operator, c.first_fail_index) for c in rep.failing()]}",
+            )
         )
-    )
-    rep = verify_eigensystem(ordinary, primes_bound)
-    checks.append(
-        CheckResult(
-            "eigensystem_ord",
-            rep.all_passed,
-            "ordinary series is an eigenform for all checked operators"
-            if rep.all_passed
-            else f"failures: {[(c.operator, c.first_fail_index) for c in rep.failing()]}",
-        )
-    )
-    twin_rep = theta_twin_check(p, k, i, terms, ctx)
+    twin_rep = theta_twin_check(crit)
     checks.append(
         CheckResult(
             "theta_twin",
@@ -354,15 +345,46 @@ def scan_records(
     Emits one ``irregular_branch`` record per zero-carrying branch of each
     prime, then (unless suppressed) one ``point`` record per admissible
     critical point in the requested window.
+
+    The arguments are validated before the stream is returned, so a caller
+    can reject a scan before opening its output: the budget, the i-mode, and
+    for each point in stream order the checks :func:`analyze_point` makes
+    before any arithmetic (the truncation reaches every coefficient the
+    eigensystem checks read, the weight is critical).
     """
     if i_mode not in ("all", "branch"):
         raise ValueError("i_mode must be 'all' or 'branch'")
     if i_mode == "branch" and target_branch is None:
         raise ValueError("branch-targeted scans need a target branch")
     _check_budget(precision, terms)
+    with_points = not irregular_only and k_from is not None and k_to is not None
+    ks = range(k_from, k_to + 1) if with_points else ()
+    for p, points in _scan_plan(p_from, p_to, ks, i_mode, target_branch):
+        for k, i in points:
+            _check_terms(p, terms, primes_bound)
+            WeightPoint.classical(p, k, i).validate_critical()
+    return _scan_stream(_scan_plan(p_from, p_to, ks, i_mode, target_branch),
+                        precision, terms, primes_bound)
+
+
+def _scan_plan(p_from, p_to, ks, i_mode, target_branch):
+    """(p, [(k, i), ...]) for each prime of a scan, in stream order."""
     for p in primes_up_to(p_to):
         if p < max(p_from, 3):
             continue
+        points = []
+        for k in ks:
+            if i_mode == "all":
+                exps = admissible_exponents(p, k)
+            else:
+                i = (2 - k - target_branch) % (p - 1)
+                exps = [i] if i in admissible_exponents(p, k) else []
+            points += [(k, i) for i in exps]
+        yield p, points
+
+
+def _scan_stream(plan, precision, terms, primes_bound) -> Iterator[dict]:
+    for p, points in plan:
         for j in irregular_branches(p):
             yield {
                 "type": "irregular_branch",
@@ -370,19 +392,11 @@ def scan_records(
                 "branch": j,
                 "bernoulli_numerator_divisible": True,
             }
-        if irregular_only or k_from is None or k_to is None:
-            continue
-        for k in range(k_from, k_to + 1):
-            if i_mode == "all":
-                exps = admissible_exponents(p, k)
-            else:
-                i = (2 - k - target_branch) % (p - 1)
-                exps = [i] if i in admissible_exponents(p, k) else []
-            for i in exps:
-                report = analyze_point(
-                    p, k, i, precision=precision, terms=terms, primes_bound=primes_bound
-                )
-                yield {"type": "point", **report_to_dict(report)}
+        for k, i in points:
+            report = analyze_point(
+                p, k, i, precision=precision, terms=terms, primes_bound=primes_bound
+            )
+            yield {"type": "point", **report_to_dict(report)}
 
 
 def write_scan(records: Iterator[dict], stream) -> int:

@@ -73,9 +73,6 @@ class TeichCharacter:
         # omega(a)^i = omega(a^i mod p): one Hensel fixed point instead of i products
         return teichmuller(pow(a, self.exponent, self.p), ctx)
 
-    def __call__(self, a: int, ctx: PadicContext) -> PadicNumber:
-        return self.value(a, ctx)
-
     def _check_same_prime(self, other: "TeichCharacter"):
         if self.p != other.p:
             raise ValueError("characters live at different primes")

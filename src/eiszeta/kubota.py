@@ -47,6 +47,7 @@ from .padic import (
     exp_small,
     log_one_unit,
     one_unit_part,
+    pow_zp,
 )
 from .primes import is_prime
 
@@ -112,10 +113,6 @@ class WeightPoint:
             s_zero = self.s == 0
         return self.branch == 0 and s_zero
 
-    @property
-    def is_classical(self) -> bool:
-        return self.k is not None and self.k >= 1
-
     def validate_critical(self) -> None:
         """Constraints for a critical Eisenstein point of weight z^k eps."""
         if self.k is None:
@@ -143,7 +140,7 @@ class WeightPoint:
             pw = PadicNumber.from_rational(Fraction(a) ** self.s, ctx)
             return pw * TeichCharacter(self.p, self.branch - self.s).value(a, ctx)
         u = one_unit_part(PadicNumber.from_int(a, ctx))
-        return chi.value(a, ctx) * exp_small(self.s * log_one_unit(u))
+        return chi.value(a, ctx) * pow_zp(u, self.s)
 
     def describe(self) -> str:
         if self.k is not None:

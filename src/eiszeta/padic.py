@@ -320,9 +320,7 @@ class PadicNumber:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.ctx.p != other.ctx.p:
-            raise ContextMismatchError("cannot compare values for different primes")
-        return _congruent(self, other)
+        return agreement_precision(self, other) >= min(self.abs_precision, other.abs_precision)
 
     __hash__ = None  # equality is precision-dependent
 
@@ -353,22 +351,6 @@ _set_ctx = PadicNumber.ctx.__set__
 _set_val = PadicNumber._val.__set__
 _set_unit = PadicNumber._unit.__set__
 _set_rel = PadicNumber._rel.__set__
-
-
-def _congruent(a: PadicNumber, b: PadicNumber) -> bool:
-    """a == b modulo p^min(abs precisions); primes must already agree."""
-    p = a.ctx.p
-    absprec = min(a.abs_precision, b.abs_precision)
-    if a._unit is None and b._unit is None:
-        return True
-    if a._unit is None or b._unit is None:
-        x = b if a._unit is None else a
-        return x._val >= absprec
-    base = min(a._val, b._val)
-    if absprec - base < 1:
-        return True
-    rep = a._unit * p ** (a._val - base) - b._unit * p ** (b._val - base)
-    return rep % p ** (absprec - base) == 0
 
 
 def agreement_precision(a: PadicNumber, b: PadicNumber) -> int:

@@ -33,7 +33,6 @@ __all__ = [
     "hecke_Tl",
     "hecke_Up",
     "theta_pow",
-    "multiply",
     "verify_eigensystem",
     "theta_twin_check",
     "OperatorCheck",
@@ -212,23 +211,6 @@ def theta_pow(f: QExpansion, r: int) -> QExpansion:
     return QExpansion(f.ctx, f.weight + 2 * r, f.char_exponent, coeffs)
 
 
-def multiply(f: QExpansion, g: QExpansion) -> QExpansion:
-    """Product of truncated series, to the shorter truncation."""
-    if f.ctx != g.ctx:
-        raise ValueError("operands belong to different contexts")
-    M = min(f.truncation, g.truncation)
-    zero = PadicNumber.from_int(0, f.ctx)
-    coeffs = []
-    for n in range(M + 1):
-        acc = zero
-        for u in range(n + 1):
-            acc = acc + f.coeffs[u] * g.coeffs[n - u]
-        coeffs.append(acc)
-    p = f.ctx.p
-    return QExpansion(f.ctx, f.weight + g.weight,
-                      (f.char_exponent + g.char_exponent) % (p - 1), tuple(coeffs))
-
-
 # -- verification -------------------------------------------------------------
 
 
@@ -291,59 +273,40 @@ class TwinCheckReport:
             and self.eigenvalue_dictionary_ok
 
 
-def theta_twin_check(p: int, k: int, i: int, M: int, ctx: PadicContext) -> TwinCheckReport:
-    """Build the critical series at (k, i) and the ordinary series at the twin
-    weight under both character conventions (eps^(-1), the stated twin, and
-    eps), apply theta^(k-1), and compare coefficientwise.
+def theta_twin_check(crit: QExpansion) -> TwinCheckReport:
+    """Check the critical series ``crit`` against the ordinary series at its
+    twin weight under both character conventions (eps^(-1), the stated twin,
+    and eps): apply theta^(k-1) to the ordinary series and compare
+    coefficientwise.  p, k, i and M are read off the tags of ``crit``.
 
     The two conventions coincide exactly when eps is quadratic or trivial.
     If neither matches, something is broken internally and the check aborts
     loudly instead of reporting a verdict.
     """
-    crit = eisenstein_critical(p, k, i, M, ctx)
-    i = i % (p - 1)
-    conventions = [("inverse", (-i) % (p - 1)), ("direct", i)]
-    coincide = conventions[0][1] == conventions[1][1]
-    matched = []
-    mism: dict[str, int | None] = {}
-    constant_ok = False
-    dictionary_ok = False
-    for label, i_star in conventions:
+    ctx, k, i, M = crit.ctx, crit.weight, crit.char_exponent, crit.truncation
+    p = ctx.p
+    conventions = {"inverse": (-i) % (p - 1), "direct": i}
+    lifted, first_bad = {}, {}  # keyed by the twin's character exponent
+    for i_star in dict.fromkeys(conventions.values()):
         tw = WeightPoint.classical(p, 2 - k, i_star)
-        ordinary = eisenstein_ordinary(tw, M, ctx)
-        lifted = theta_pow(ordinary, k - 1)
-        bad = lifted.first_mismatch(crit, start=1)
-        mism[label] = bad
-        if bad is None:
-            matched.append(label)
-            constant_ok = lifted.coeff(0).is_zero_to_precision and \
-                crit.coeff(0).is_zero_to_precision
-            # eigenvalue dictionary: l^(k-1) a_l(ord) = a_l(crit), p^(k-1)*1 = a_p(crit)
-            ok = True
-            for l in primes_up_to(min(20, M)):
-                if l == p:
-                    lhs = PadicNumber.from_int(p, ctx) ** (k - 1) * ordinary.coeff(p)
-                else:
-                    lhs = PadicNumber.from_int(l, ctx) ** (k - 1) * ordinary.coeff(l)
-                if not (lhs == crit.coeff(l)):
-                    ok = False
-                    break
-            dictionary_ok = ok
-        if coincide:
-            mism[conventions[1][0]] = bad
-            break
+        lifted[i_star] = theta_pow(eisenstein_ordinary(tw, M, ctx), k - 1)
+        first_bad[i_star] = lifted[i_star].first_mismatch(crit, start=1)
+    mism = {label: first_bad[e] for label, e in conventions.items()}
+    matched = tuple(label for label, bad in mism.items() if bad is None)
     if not matched:
         raise TwinConventionError(
             f"theta^(k-1) matches neither twin convention at (p,k,i)=({p},{k},{i}); "
             f"first mismatches: {mism}"
         )
-    if coincide and matched:
-        matched = ["inverse", "direct"]
+    twin = lifted[conventions[matched[-1]]]
+    constant_ok = twin.coeff(0).is_zero_to_precision and crit.coeff(0).is_zero_to_precision
+    # eigenvalue dictionary: l^(k-1) a_l(ord) = a_l(crit), p^(k-1)*1 = a_p(crit)
+    dictionary_ok = all(twin.coeff(l) == crit.coeff(l) for l in primes_up_to(min(20, M)))
     return TwinCheckReport(
         p=p, k=k, i=i, truncation=M,
-        matched=tuple(matched),
+        matched=matched,
         first_mismatch=mism,
-        conventions_coincide=coincide,
+        conventions_coincide=len(lifted) == 1,
         constant_term_annihilated=constant_ok,
         eigenvalue_dictionary_ok=dictionary_ok,
     )

@@ -189,7 +189,7 @@ def test_criterion_5_theta_twin_identity():
     checked = 0
     for p, k, i in cases:
         ctx = PadicContext(p, 20)
-        rep = theta_twin_check(p, k, i, 200, ctx)
+        rep = theta_twin_check(eisenstein_critical(p, k, i, 200, ctx))
         assert rep.passed, (p, k, i)
         assert rep.conventions_coincide  # eps^2 = 1 on this grid
         assert rep.constant_term_annihilated

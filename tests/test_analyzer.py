@@ -36,6 +36,24 @@ class TestAnalyzePoint:
         with pytest.raises(AdmissibilityError, match="parity"):
             analyze_point(5, 4, 1)
 
+    def test_critical_series_built_once(self, monkeypatch):
+        # the theta-twin check compares the series the analyzer already built
+        import eiszeta.analyzer as analyzer_mod
+        import eiszeta.qexp as qexp_mod
+
+        real = qexp_mod.eisenstein_critical
+        calls = []
+
+        def spy(*args):
+            calls.append(args[:3])
+            return real(*args)
+
+        monkeypatch.setattr(analyzer_mod, "eisenstein_critical", spy)
+        monkeypatch.setattr(qexp_mod, "eisenstein_critical", spy)
+        r = analyze_point(7, 5, 1, precision=10, terms=30)
+        assert r.check("theta_twin").passed
+        assert calls == [(7, 5, 1)]
+
     def test_budget(self):
         with pytest.raises(PrecisionBudgetError):
             analyze_point(5, 4, 0, precision=10**6)

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from eiszeta.cli import main
 
 
@@ -144,3 +146,26 @@ def test_no_surviving_precision_is_budget_exit_code(capsys):
     rc = main(["lp", "--p", "5", "--branch", "2", "--s", "1", "--precision", "2"])
     assert rc == 3
     assert "no surviving precision" in _one_line_error(capsys)
+
+
+SCAN_FAILURES = [
+    (["--p-from", "5", "--p-to", "7", "--k-from", "4", "--k-to", "4",
+      "--precision", "0"], 3, "precision and terms must be positive"),
+    (["--p-from", "5", "--p-to", "7", "--k-from", "4", "--k-to", "4",
+      "--i-mode", "branch"], 2, "branch-targeted scans need a target branch"),
+    (["--p-from", "5", "--p-to", "41", "--k-from", "4", "--k-to", "4",
+      "--qexp-terms", "30", "--precision", "4"], 2, "p = 31"),
+]
+
+
+@pytest.mark.parametrize("argv,code,message", SCAN_FAILURES)
+def test_rejected_scan_leaves_out_untouched(tmp_path, capsys, argv, code, message):
+    # the arguments are checked before --out is opened, so an existing file
+    # survives byte for byte
+    out = tmp_path / "scan.jsonl"
+    before = b'{"type":"previous run"}\n'
+    out.write_bytes(before)
+    rc = main(["scan", *argv, "--out", str(out)])
+    assert rc == code
+    assert message in _one_line_error(capsys)
+    assert out.read_bytes() == before

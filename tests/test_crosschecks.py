@@ -106,9 +106,9 @@ def test_strengthened_kummer_congruence():
 
 def test_twin_identity_more_primes():
     # quadratic-character twins beyond the acceptance grid
-    from eiszeta.qexp import theta_twin_check
+    from eiszeta.qexp import eisenstein_critical, theta_twin_check
 
     for p, k, i in ((11, 5, 5), (11, 4, 0), (13, 4, 6), (13, 7, 1)):
         ctx = PadicContext(p, 14)
-        rep = theta_twin_check(p, k, i, 120, ctx)
+        rep = theta_twin_check(eisenstein_critical(p, k, i, 120, ctx))
         assert rep.passed, (p, k, i)

@@ -1,0 +1,52 @@
+"""Byte-identity of default outputs: sha256 digests of small scans and
+`eiszeta qexp` dumps.  The digests were recorded before the q-series of an
+analysed point was built once instead of twice, and any change that alters a
+reported digit, precision, verdict or record layout changes them."""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from eiszeta.analyzer import scan_records, write_scan
+from eiszeta.cli import main
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+SCAN_DIGESTS = {
+    "all": "e9a23efaa87a194a411e455935a149233ee6928f0ef9d169b4c9ffc8d802bbc8",
+    "branch": "41aec443deb72cac1cee8f0f69553aa5de5fe67a0ea85fcabbb6c9c1e7811931",
+}
+
+QEXP_DIGESTS = {
+    ("crit", 5, 4, 0): "f30d600f3d31b2eb284e6a04870c1e46f993ec409d42741a55b9d0f10be5bfd6",
+    ("ord", 5, 4, 0): "b1b3c0f02fa5ebc3f5502d4a7507fd5c216a275c2d0aeddab54c4040a8cc4eaf",
+    ("twin", 5, 4, 0): "3df13121ff947763b2ae66cbc0b4851956620d3461cb106b6906219e8ea3150a",
+    ("crit", 7, 5, 1): "2006942437a04dec3ee87b2bba8f627e0f54132f0f1bb91f4c42df8ca95ac767",
+    ("ord", 7, 5, 1): "9729530b00c90ef46c5c95882e2a529df38169f2c5edd49bc5090168c18abf01",
+    ("twin", 7, 5, 1): "d42360f1d6a6fa83c73b00d1fb8f28e772c5ffb03d444df3636e1e42e1a88db0",
+    ("ord", 5, 0, 0): "b2adbd9074b8083769b7cf60476a753423a8564931dac79ab4303840348dc29e",
+}
+
+
+@pytest.mark.parametrize("i_mode", sorted(SCAN_DIGESTS))
+def test_scan_output_digest(i_mode):
+    buf = io.StringIO()
+    records = scan_records(5, 13, k_from=3, k_to=4, i_mode=i_mode, target_branch=2,
+                           precision=12, terms=40, primes_bound=8)
+    write_scan(records, buf)
+    assert _sha256(buf.getvalue()) == SCAN_DIGESTS[i_mode]
+
+
+@pytest.mark.parametrize("which,p,k,i", sorted(QEXP_DIGESTS))
+def test_qexp_dump_digest(which, p, k, i):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = main(["qexp", "--p", str(p), "--k", str(k), "--eps-exponent", str(i),
+                   "--which", which, "--terms", "60", "--precision", "12"])
+    assert rc == 0
+    assert _sha256(buf.getvalue()) == QEXP_DIGESTS[(which, p, k, i)]

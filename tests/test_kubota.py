@@ -60,6 +60,17 @@ class TestWeightPoint:
         tw = w.twin()
         assert tw.value_at(2, ctx) == PadicNumber.from_rational(Fraction(1, 4), ctx)
 
+    def test_value_at_padic_coordinate_matches_integer(self):
+        # a PadicNumber coordinate goes through omega^j(a) <a>^s; at an
+        # integer s it must agree with the exact route a^s omega^(j-s)(a)
+        for p, j in ((5, 2), (7, 4), (11, 0)):
+            ctx = PadicContext(p, 12)
+            for s in (0, 1, 3, -2, 7, 25):
+                exact = WeightPoint.intrinsic(p, j, s)
+                padic = WeightPoint.intrinsic(p, j, PadicNumber.from_int(s, ctx))
+                for a in (1, 2, 3, p - 1, p + 1, 2 * p + 3):
+                    assert padic.value_at(a, ctx) == exact.value_at(a, ctx), (p, j, s, a)
+
     def test_trivial_weight_detection(self):
         assert WeightPoint.classical(5, 0, 0).is_trivial
         assert not WeightPoint.classical(5, 4, 0).is_trivial

@@ -114,6 +114,23 @@ class TestRingOps:
         a = PadicNumber.from_int(3, PadicContext(5, 4))
         b = PadicNumber.from_int(3 + 5**4, PadicContext(5, 4))
         assert a == b  # indistinguishable mod 5^4
+        ctx = a.ctx
+        # one operand zero to precision: equal iff the other vanishes to the
+        # smaller of the two absolute precisions
+        z3 = ctx.zero(3)
+        assert PadicNumber.from_int(5**3, ctx) == z3
+        assert z3 == PadicNumber.from_int(5**3, ctx)
+        assert PadicNumber.from_int(2 * 5**2, ctx) != z3
+        assert PadicNumber.from_int(2 * 5**2, ctx).cap_absolute(2) == z3
+        # both zero to precision: always equal
+        assert ctx.zero(1) == ctx.zero(4)
+        # negative valuation: x = 76/25 is known modulo 5^2
+        x = PadicNumber.from_rational(Fraction(76, 25), ctx)
+        assert x.abs_precision == 2
+        assert x == PadicNumber.from_rational(Fraction(76, 25) + 5**2, ctx)
+        assert x != PadicNumber.from_rational(Fraction(76, 25) + 5, ctx)
+        assert x == x.cap_absolute(0)
+        assert x != z3 and z3 != x
 
     @given(
         st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4),

@@ -15,13 +15,26 @@ from eiszeta.qexp import (
     eisenstein_ordinary,
     hecke_Tl,
     hecke_Up,
-    multiply,
     theta_pow,
     theta_twin_check,
     verify_eigensystem,
 )
 
 CTX = PadicContext(5, 16)
+
+
+def _multiply(f, g):
+    """Product of truncated series, to the shorter truncation."""
+    M = min(f.truncation, g.truncation)
+    coeffs = []
+    for n in range(M + 1):
+        acc = PadicNumber.from_int(0, f.ctx)
+        for u in range(n + 1):
+            acc = acc + f.coeffs[u] * g.coeffs[n - u]
+        coeffs.append(acc)
+    p = f.ctx.p
+    return QExpansion(f.ctx, f.weight + g.weight,
+                      (f.char_exponent + g.char_exponent) % (p - 1), tuple(coeffs))
 
 
 def _crit_54():
@@ -173,9 +186,9 @@ class TestTheta:
         gc = tuple(PadicNumber.from_int(rng.randrange(1, 5**5), CTX) for _ in range(25))
         f = QExpansion(CTX, 2, 0, fc)
         g = QExpansion(CTX, 4, 2, gc)
-        lhs = theta_pow(multiply(f, g), 1)
-        rhs_a = multiply(theta_pow(f, 1), g)
-        rhs_b = multiply(f, theta_pow(g, 1))
+        lhs = theta_pow(_multiply(f, g), 1)
+        rhs_a = _multiply(theta_pow(f, 1), g)
+        rhs_b = _multiply(f, theta_pow(g, 1))
         for n in range(25):
             assert lhs.coeff(n) == rhs_a.coeff(n) + rhs_b.coeff(n), n
 
@@ -211,7 +224,7 @@ class TestVerifyEigensystem:
 
 class TestThetaTwin:
     def test_trivial_character_conventions_coincide(self):
-        rep = theta_twin_check(5, 4, 0, 200, CTX)
+        rep = theta_twin_check(eisenstein_critical(5, 4, 0, 200, CTX))
         assert rep.passed
         assert rep.conventions_coincide
         assert set(rep.matched) == {"inverse", "direct"}
@@ -221,14 +234,14 @@ class TestThetaTwin:
     def test_quadratic_character_conventions_coincide(self):
         # i = (p-1)/2 is its own inverse
         ctx = PadicContext(7, 12)
-        rep = theta_twin_check(7, 5, 3, 150, ctx)
+        rep = theta_twin_check(eisenstein_critical(7, 5, 3, 150, ctx))
         assert rep.passed
         assert rep.conventions_coincide
 
     def test_non_quadratic_character_selects_direct(self):
         # eps^2 != 1: only the eps convention realizes the identity
         ctx = PadicContext(7, 12)
-        rep = theta_twin_check(7, 5, 1, 100, ctx)
+        rep = theta_twin_check(eisenstein_critical(7, 5, 1, 100, ctx))
         assert rep.passed
         assert not rep.conventions_coincide
         assert rep.matched == ("direct",)
@@ -250,7 +263,23 @@ class TestThetaTwin:
 
         monkeypatch.setattr(qexp_mod, "eisenstein_ordinary", corrupted)
         with pytest.raises(TwinConventionError):
-            theta_twin_check(5, 4, 0, 30, CTX)
+            theta_twin_check(eisenstein_critical(5, 4, 0, 30, CTX))
+
+    @pytest.mark.parametrize("p,k,i,n", [(5, 4, 0, 12), (7, 5, 1, 9), (7, 5, 3, 30)])
+    def test_corrupted_critical_series_names_the_index(self, p, k, i, n):
+        # the check compares the series it is given: one wrong coefficient of
+        # the critical side fails both conventions at exactly that index
+        from eiszeta.qexp import TwinConventionError
+
+        ctx = PadicContext(p, 12)
+        crit = eisenstein_critical(p, k, i, 30, ctx)
+        coeffs = list(crit.coeffs)
+        coeffs[n] = coeffs[n] + PadicNumber.from_int(1, ctx)
+        bad = QExpansion(ctx, crit.weight, crit.char_exponent, tuple(coeffs))
+        with pytest.raises(TwinConventionError) as err:
+            theta_twin_check(bad)
+        assert f"'direct': {n}" in str(err.value)
+        assert "'inverse': " in str(err.value)
 
 
 class TestDump:
