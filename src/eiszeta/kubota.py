@@ -44,6 +44,7 @@ from .characters import TeichCharacter
 from .padic import (
     PadicContext,
     PadicNumber,
+    PrecisionLossError,
     exp_small,
     log_one_unit,
     one_unit_part,
@@ -134,13 +135,12 @@ class WeightPoint:
         """w(a) = omega^j(a) <a>^s for a coprime to p."""
         if a % self.p == 0:
             raise ValueError("weight characters are evaluated away from p")
-        chi = TeichCharacter(self.p, self.branch)
         if isinstance(self.s, int):
             # exact route: a^k * omega^(j-k)(a)
             pw = PadicNumber.from_rational(Fraction(a) ** self.s, ctx)
             return pw * TeichCharacter(self.p, self.branch - self.s).value(a, ctx)
         u = one_unit_part(PadicNumber.from_int(a, ctx))
-        return chi.value(a, ctx) * pow_zp(u, self.s)
+        return TeichCharacter(self.p, self.branch).value(a, ctx) * pow_zp(u, self.s)
 
     def describe(self) -> str:
         if self.k is not None:
@@ -185,7 +185,6 @@ def lp_interpolation(n: int, j: int, ctx: PadicContext) -> LValue:
 
 
 LOG_GAMMA_CACHE_SIZE = 4096
-LP_MEMO_SIZE = 1024
 
 
 @lru_cache(maxsize=LOG_GAMMA_CACHE_SIZE)
@@ -212,25 +211,8 @@ def lp_series(s, j: int, ctx: PadicContext) -> LValue:
 
     Binomial coefficients C(1-s, m) are built iteratively in Q_p; achieved
     precision is reported from honest propagation rather than assumed.
-
-    Integer arguments are memoised per (s, j mod p-1, ctx) in a bounded
-    least-recently-used cache of LP_MEMO_SIZE = 1024 entries, so a value
-    needed twice (the twin zeta value of a point and of its theta-twin
-    check, or the twin shared by (k, i) and (k, -i) in a scan) is summed
-    once.  The cached LValue is immutable, and the same as a fresh
-    evaluation in every field.  Fraction and PadicNumber arguments are
-    always evaluated afresh, and so is bool, which would otherwise hit the
-    entry of the integer it equals and report it as its argument.
     """
     j = _require_even_branch(j, ctx.p)
-    if type(s) is int:
-        return _lp_series_memo(s, j, ctx)
-    return _lp_series_eval(s, j, ctx)
-
-
-def _lp_series_eval(s, j: int, ctx: PadicContext) -> LValue:
-    """The series evaluation behind :func:`lp_series`, for an even branch j
-    already reduced mod p-1."""
     p, N = ctx.p, ctx.precision
     arg = s
     s = _as_padic_integer(s, ctx)
@@ -243,7 +225,10 @@ def _lp_series_eval(s, j: int, ctx: PadicContext) -> LValue:
         # s = 1 exactly on a nontrivial branch: the series becomes 0/0, but
         # the function is analytic there.  Evaluate nearby and use
         # |L(1 + p^h) - L(1)| <= p^(-h-1); the precision cost is reported.
-        h = max(N // 2, 1)
+        # At N = 1 every 1 + p^h is again s = 1 modulo p^N.
+        if N < 2:
+            raise PrecisionLossError("s = 1 on a nontrivial branch needs precision >= 2")
+        h = N // 2
         near = lp_series(1 + p**h, j, ctx)
         value = near.value.cap_absolute(min(near.value.abs_precision, h + 1))
         return LValue(value=value, branch=j, argument=arg, route="series",
@@ -277,9 +262,6 @@ def _lp_series_eval(s, j: int, ctx: PadicContext) -> LValue:
     prec = min(value.abs_precision, N)
     return LValue(value=value, branch=j, argument=arg, route="series",
                   precision_achieved=prec)
-
-
-_lp_series_memo = lru_cache(maxsize=LP_MEMO_SIZE)(_lp_series_eval)
 
 
 def zeta_weight(w: WeightPoint, ctx: PadicContext) -> LValue:

@@ -132,7 +132,8 @@ class PadicNumber:
     @classmethod
     def _make(cls, ctx, val: int, unit: int, rel: int) -> "PadicNumber":
         """Normalize (val, unit, rel) into canonical form, demoting to zero
-        when no unit digit survives."""
+        when no unit digit survives; PrecisionLossError when not even the
+        zero keeps a digit of absolute precision."""
         p = ctx.p
         rel = min(rel, ctx.precision)
         if rel <= 0:
@@ -142,6 +143,8 @@ class PadicNumber:
             return cls._zero(ctx, val)
         unit %= p**rel
         if unit == 0:
+            if val + rel < 1:
+                raise PrecisionLossError("cancellation left no digit of precision")
             return cls._zero(ctx, val + rel)
         shift = _vp(unit, p)
         if shift:
@@ -274,7 +277,9 @@ class PadicNumber:
         if a._unit is None or b._unit is None:
             return PadicNumber._zero(a.ctx, a._val + b._val)
         rel = min(a._rel, b._rel)
-        return PadicNumber._make(a.ctx, a._val + b._val, a._unit * b._unit, rel)
+        # units coprime to p multiply (and divide, and power) to such a unit,
+        # so the result skips _make's normalisation
+        return PadicNumber._raw(a.ctx, a._val + b._val, a._unit * b._unit % a.ctx.p**rel, rel)
 
     __rmul__ = __mul__
 
@@ -293,8 +298,9 @@ class PadicNumber:
                 raise PrecisionLossError("quotient has no surviving precision")
             return PadicNumber._zero(self.ctx, bound)
         rel = min(self._rel, other._rel)
-        inv = pow(other._unit, -1, self.ctx.p**rel)
-        return PadicNumber._make(self.ctx, self._val - other._val, self._unit * inv, rel)
+        mod = self.ctx.p**rel
+        inv = pow(other._unit, -1, mod)
+        return PadicNumber._raw(self.ctx, self._val - other._val, self._unit * inv % mod, rel)
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -314,7 +320,7 @@ class PadicNumber:
         if e < 0:
             return (PadicNumber.from_int(1, self.ctx) / self) ** (-e)
         mod = self.ctx.p**self._rel
-        return PadicNumber._make(self.ctx, self._val * e, pow(self._unit, e, mod), self._rel)
+        return PadicNumber._raw(self.ctx, self._val * e, pow(self._unit, e, mod), self._rel)
 
     def __eq__(self, other):
         other = self._coerce(other)

@@ -54,6 +54,24 @@ class TestAnalyzePoint:
         assert r.check("theta_twin").passed
         assert calls == [(7, 5, 1)]
 
+    @pytest.mark.parametrize("p,k,i", [(37, 4, 28), (7, 5, 1), (157, 4, 2)])
+    def test_two_l_series_evaluations_per_point(self, monkeypatch, p, k, i):
+        # zeta_p(twin) for the verdict and zeta_p(w) for the ordinary a_0;
+        # the theta-twin check needs none
+        import eiszeta.kubota as kubota_mod
+
+        real = kubota_mod.lp_series
+        calls = []
+
+        def spy(s, j, ctx):
+            calls.append((s, j))
+            return real(s, j, ctx)
+
+        monkeypatch.setattr(kubota_mod, "lp_series", spy)
+        r = analyze_point(p, k, i)
+        assert r.all_checks_passed
+        assert len(calls) == 2, calls
+
     def test_budget(self):
         with pytest.raises(PrecisionBudgetError):
             analyze_point(5, 4, 0, precision=10**6)

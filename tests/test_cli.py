@@ -1,8 +1,11 @@
 """Command line surface and exit codes."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eiszeta.cli import main
 
@@ -101,15 +104,15 @@ def test_internal_check_failure_exit_code(monkeypatch, capsys):
     from eiszeta.padic import PadicNumber
     from eiszeta.qexp import QExpansion
 
-    real = qexp_mod.eisenstein_ordinary
+    real = qexp_mod._ordinary
 
-    def corrupted(w, M, ctx):
-        f = real(w, M, ctx)
+    def corrupted(w, M, ctx, a0):
+        f = real(w, M, ctx, a0)
         coeffs = list(f.coeffs)
         coeffs[2] = coeffs[2] + PadicNumber.from_int(1, ctx)
         return QExpansion(ctx, f.weight, f.char_exponent, tuple(coeffs))
 
-    monkeypatch.setattr(qexp_mod, "eisenstein_ordinary", corrupted)
+    monkeypatch.setattr(qexp_mod, "_ordinary", corrupted)
     rc = main(["analyze", "--p", "5", "--k", "4", "--eps-exponent", "0",
                "--precision", "10", "--qexp-terms", "20"])
     assert rc == 4
@@ -146,6 +149,57 @@ def test_no_surviving_precision_is_budget_exit_code(capsys):
     rc = main(["lp", "--p", "5", "--branch", "2", "--s", "1", "--precision", "2"])
     assert rc == 3
     assert "no surviving precision" in _one_line_error(capsys)
+
+
+LOW_PRECISION = [
+    ["lp", "--p", "5", "--branch", "2", "--s", "1", "--precision", "1"],
+    ["analyze", "--p", "5", "--k", "2", "--eps-exponent", "2", "--precision", "1"],
+    ["qexp", "--p", "5", "--k", "7", "--eps-exponent", "5", "--terms", "0",
+     "--which", "twin", "--precision", "1"],
+    ["analyze", "--p", "3", "--k", "3", "--eps-exponent", "1", "--precision", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", LOW_PRECISION)
+def test_low_precision_is_budget_exit_code(capsys, argv):
+    # s = 1 on a nontrivial branch at N = 1, and arithmetic that cancels
+    # every digit, are lost precision rather than bad parameters
+    assert main(argv) == 3
+    _one_line_error(capsys)
+
+
+_SMALL = st.integers(-3, 8)
+# "--s=-1/2": argparse would read a bare "-1/2" as an option
+_S = st.one_of(
+    st.integers(-30, 30).map(str),
+    st.builds("{}/{}".format, st.integers(-30, 30), st.integers(-3, 12)),
+)
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["analyze", "lp", "qexp"]))
+    argv = [command, "--p", str(draw(st.sampled_from([1, 2, 3, 4, 5, 7, 9, 11, 13]))),
+            "--precision", str(draw(st.integers(-1, 4)))]
+    if command == "lp":
+        return argv + ["--branch", str(draw(_SMALL)), f"--s={draw(_S)}",
+                       "--route", draw(st.sampled_from(["series", "interpolation", "both"]))]
+    argv += ["--k", str(draw(_SMALL)), "--eps-exponent", str(draw(_SMALL))]
+    terms = str(draw(st.integers(-1, 40)))
+    if command == "analyze":
+        return argv + ["--qexp-terms", terms, "--format", draw(st.sampled_from(["json", "text"]))]
+    return argv + ["--terms", terms, "--which", draw(st.sampled_from(["crit", "ord", "twin"]))]
+
+
+@given(_argv())
+@settings(max_examples=200, deadline=None)
+def test_every_argv_ends_in_a_documented_exit_code(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 2, 3, 4), argv
+    if rc:
+        assert len(err.getvalue().splitlines()) == 1, (argv, err.getvalue())
 
 
 SCAN_FAILURES = [

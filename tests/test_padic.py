@@ -10,6 +10,7 @@ from eiszeta.padic import (
     ContextMismatchError,
     PadicContext,
     PadicNumber,
+    PrecisionLossError,
     agreement_precision,
     exp_small,
     format_padic,
@@ -109,6 +110,12 @@ class TestRingOps:
         assert d.valuation == 5
         assert d.abs_precision == 20
         assert d.rel_precision == 15
+        # cancelling every digit of a value known only modulo p^0
+        x = PadicNumber.from_rational(Fraction(1, 5), PadicContext(5, 1))
+        with pytest.raises(PrecisionLossError):
+            x - x
+        with pytest.raises(ValueError):  # an argument error stays one
+            PadicNumber.from_int(1, CTX).cap_absolute(0)
 
     def test_equality_is_modulo_min_precision(self):
         a = PadicNumber.from_int(3, PadicContext(5, 4))
@@ -147,6 +154,31 @@ class TestRingOps:
         assert a * b == PadicNumber.from_rational(x * y, CTX)
         if y != 0:
             assert a / b == PadicNumber.from_rational(Fraction(x, y), CTX)
+
+    @given(
+        st.sampled_from([3, 5, 7]),
+        st.tuples(st.integers(-6, 6), st.integers(0, 10**9), st.integers(1, 2),
+                  st.integers(1, 8)),
+        st.tuples(st.integers(-6, 6), st.integers(0, 10**9), st.integers(1, 2),
+                  st.integers(1, 8)),
+        st.integers(1, 7),
+    )
+    @settings(max_examples=150)
+    def test_products_of_nonzero_values_are_canonical(self, p, x, y, e):
+        # *, / and ** build their result directly; it must equal the
+        # normalisation _make gives the same (val, unit, rel)
+        ctx = PadicContext(p, 6)
+        a, b = (PadicNumber._make(ctx, v, q * p + r, rel) for v, q, r, rel in (x, y))
+        rel = min(a.rel_precision, b.rel_precision)
+        inv = pow(b.unit, -1, p**rel)
+        cases = [
+            (a * b, PadicNumber._make(ctx, a.valuation + b.valuation, a.unit * b.unit, rel)),
+            (a / b, PadicNumber._make(ctx, a.valuation - b.valuation, a.unit * inv, rel)),
+            (a**e, PadicNumber._make(ctx, a.valuation * e, a.unit**e, a.rel_precision)),
+        ]
+        for got, want in cases:
+            assert (got.ctx, got.valuation, got.unit, got.rel_precision) == \
+                (want.ctx, want.valuation, want.unit, want.rel_precision)
 
     @given(st.integers(-10**9, 10**9), st.integers(-10**9, 10**9), st.integers(-10**9, 10**9))
     @settings(max_examples=60)

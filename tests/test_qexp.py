@@ -229,7 +229,6 @@ class TestThetaTwin:
         assert rep.conventions_coincide
         assert set(rep.matched) == {"inverse", "direct"}
         assert rep.constant_term_annihilated
-        assert rep.eigenvalue_dictionary_ok
 
     def test_quadratic_character_conventions_coincide(self):
         # i = (p-1)/2 is its own inverse
@@ -253,17 +252,30 @@ class TestThetaTwin:
         import eiszeta.qexp as qexp_mod
         from eiszeta.qexp import TwinConventionError
 
-        real = qexp_mod.eisenstein_ordinary
+        real = qexp_mod._ordinary
 
-        def corrupted(w, M, ctx):
-            f = real(w, M, ctx)
+        def corrupted(w, M, ctx, a0):
+            f = real(w, M, ctx, a0)
             coeffs = list(f.coeffs)
             coeffs[2] = coeffs[2] + PadicNumber.from_int(1, ctx)
             return QExpansion(ctx, f.weight, f.char_exponent, tuple(coeffs))
 
-        monkeypatch.setattr(qexp_mod, "eisenstein_ordinary", corrupted)
+        monkeypatch.setattr(qexp_mod, "_ordinary", corrupted)
         with pytest.raises(TwinConventionError):
             theta_twin_check(eisenstein_critical(5, 4, 0, 30, CTX))
+
+    def test_evaluates_no_l_value(self, monkeypatch):
+        # theta^(k-1) annihilates the twin's constant term zeta_p(twin)/2, so
+        # the check must not sum the L-series for it
+        from eiszeta import kubota
+
+        def refuse(*args):
+            raise AssertionError("theta_twin_check evaluated an L-value")
+
+        monkeypatch.setattr(kubota, "lp_series", refuse)
+        for p, k, i in ((5, 4, 0), (7, 5, 1), (7, 5, 3)):
+            ctx = PadicContext(p, 12)
+            assert theta_twin_check(eisenstein_critical(p, k, i, 60, ctx)).passed
 
     @pytest.mark.parametrize("p,k,i,n", [(5, 4, 0, 12), (7, 5, 1, 9), (7, 5, 3, 30)])
     def test_corrupted_critical_series_names_the_index(self, p, k, i, n):
