@@ -135,10 +135,8 @@ class TestSeries:
             assert lp_series(s, 2, ctx).value.valuation == 0
 
     def test_pole_rejected(self):
-        ctx = PadicContext(5, 12)
-        for j in (0, 4):  # 4 is the trivial branch again mod p-1
-            with pytest.raises(PoleError):
-                lp_series(1, j, ctx)
+        with pytest.raises(PoleError):
+            lp_series(1, 0, PadicContext(5, 12))
 
     def test_removable_point_on_nontrivial_branch(self):
         # s = 1 with j != 0 is a 0/0 of the series but a finite value;
@@ -158,12 +156,6 @@ class TestSeries:
         assert lv.value.valuation == 0
         with pytest.raises(ValueError):
             lp_series(Fraction(1, 5), 2, ctx)
-        # the argument is reported as given, whatever its type
-        assert lp_series(True, 2, ctx).argument is True
-        assert type(lp_series(1, 2, ctx).argument) is int
-        assert lp_series(Fraction(3), 2, ctx).argument == Fraction(3)
-        assert isinstance(lp_series(PadicNumber.from_int(3, ctx), 2, ctx).argument,
-                          PadicNumber)
 
     def test_kummer_congruence_samples(self):
         # fixed nonzero branch: values at n and n + (p-1) agree mod p
@@ -263,6 +255,28 @@ class TestIrregular:
 
 
 class TestSeriesMemo:
+    # lp_series keeps no per-argument state: a pole or an argument of another
+    # type leaves nothing behind that a later call could see
+
+    def test_pole_is_not_memoised(self):
+        ctx = PadicContext(5, 12)
+        for j in (0, 4, 0):  # 4 is the trivial branch again mod p-1
+            with pytest.raises(PoleError):
+                lp_series(1, j, ctx)
+        assert lp_series(1, 2, ctx).value.valuation == 0
+
+    def test_non_int_arguments_bypass_the_memo(self):
+        ctx = PadicContext(5, 12)
+        from_int = lp_series(1, 2, ctx)
+        as_bool = lp_series(True, 2, ctx)
+        assert as_bool.argument is True
+        assert from_int.argument == 1 and type(from_int.argument) is int
+        assert lp_series(Fraction(3), 2, ctx).argument == Fraction(3)
+        assert isinstance(lp_series(PadicNumber.from_int(3, ctx), 2, ctx).argument,
+                          PadicNumber)
+        # the int call after the bool call still reports an int
+        assert lp_series(1, 2, ctx).argument is not True
+
     def test_every_cache_is_bounded(self):
         for cache in (padic._teich_unit, kubota._log_gamma_a):
             maxsize = cache.cache_parameters()["maxsize"]
