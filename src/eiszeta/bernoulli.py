@@ -39,13 +39,13 @@ _cache: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
 _cache_lock = threading.Lock()
 
 
-def bernoulli_number(n: int, max_index: int = MAX_BERNOULLI_INDEX) -> Fraction:
+def bernoulli_number(n: int) -> Fraction:
     """B_n as an exact rational (B_1 = -1/2), by the binomial recurrence
     sum_{k=0}^{n} C(n+1,k) B_k = 0, memoized."""
     if n < 0:
         raise ValueError("Bernoulli index must be >= 0")
-    if n > max_index:
-        raise ValueError(f"Bernoulli index {n} exceeds the ceiling {max_index}")
+    if n > MAX_BERNOULLI_INDEX:
+        raise ValueError(f"Bernoulli index {n} exceeds the ceiling {MAX_BERNOULLI_INDEX}")
     with _cache_lock:
         while len(_cache) <= n:
             m = len(_cache)

@@ -72,14 +72,3 @@ class TeichCharacter:
             return PadicNumber.from_int(0, ctx)
         # omega(a)^i = omega(a^i mod p): one Hensel fixed point instead of i products
         return teichmuller(pow(a, self.exponent, self.p), ctx)
-
-    def _check_same_prime(self, other: "TeichCharacter"):
-        if self.p != other.p:
-            raise ValueError("characters live at different primes")
-
-    def __mul__(self, other: "TeichCharacter") -> "TeichCharacter":
-        self._check_same_prime(other)
-        return TeichCharacter(self.p, self.exponent + other.exponent)
-
-    def inverse(self) -> "TeichCharacter":
-        return TeichCharacter(self.p, -self.exponent)

@@ -1,6 +1,7 @@
 """Command line interface.
 
-Exit codes: 0 success, 2 inadmissible parameters, 3 precision budget
+Exit codes: 0 success, 2 inadmissible parameters (argv the parser rejects
+and a scan output that cannot be written among them), 3 precision budget
 exceeded (a ceiling, or a computation left with no surviving digits),
 4 internal check failure.
 """
@@ -50,8 +51,16 @@ def _parse_s(text: str) -> object:
     return int(text)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises on rejected argv instead of printing usage and exiting, so
+    `main` reports it in one line; subparsers inherit the class."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="eiszeta",
         description="critical Eisenstein points of the p-adic eigencurve and "
         "the Kubota-Leopoldt zeta function",
@@ -121,12 +130,11 @@ def _cmd_scan(args) -> int:
         irregular_only=args.irregular_only,
     )
     try:
-        out = open(args.out, "w")
-    except OSError as e:
+        with open(args.out, "w") as out:
+            n = write_scan(records, out)
+    except OSError as e:  # opening, writing or the final flush
         print(f"error: cannot write {args.out}: {e}", file=sys.stderr)
-        return 1
-    with out:
-        n = write_scan(records, out)
+        return EXIT_INADMISSIBLE
     print(f"wrote {n} records to {args.out}")
     return EXIT_OK
 
@@ -170,7 +178,6 @@ def _cmd_qexp(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     handlers = {
         "analyze": _cmd_analyze,
         "scan": _cmd_scan,
@@ -178,8 +185,9 @@ def main(argv=None) -> int:
         "qexp": _cmd_qexp,
     }
     try:
+        args = _build_parser().parse_args(argv)
         return handlers[args.command](args)
-    except (AdmissibilityError, PoleError, ValueError) as e:
+    except (argparse.ArgumentError, AdmissibilityError, PoleError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INADMISSIBLE
     except (PrecisionBudgetError, PrecisionLossError) as e:

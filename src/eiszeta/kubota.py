@@ -48,7 +48,6 @@ from .padic import (
     exp_small,
     log_one_unit,
     one_unit_part,
-    pow_zp,
 )
 from .primes import is_prime
 
@@ -136,11 +135,12 @@ class WeightPoint:
         if a % self.p == 0:
             raise ValueError("weight characters are evaluated away from p")
         if isinstance(self.s, int):
-            # exact route: a^k * omega^(j-k)(a)
-            pw = PadicNumber.from_rational(Fraction(a) ** self.s, ctx)
+            # exact route: a^k * omega^(j-k)(a), the power reduced mod p^N
+            pw = PadicNumber.from_int(pow(a, self.s, self.p**ctx.precision), ctx)
             return pw * TeichCharacter(self.p, self.branch - self.s).value(a, ctx)
-        u = one_unit_part(PadicNumber.from_int(a, ctx))
-        return TeichCharacter(self.p, self.branch).value(a, ctx) * pow_zp(u, self.s)
+        s = _as_padic_integer(self.s, ctx)
+        gamma = exp_small(s * _log_gamma_a(self.p, ctx.precision, a))  # <a>^s
+        return TeichCharacter(self.p, self.branch).value(a, ctx) * gamma
 
     def describe(self) -> str:
         if self.k is not None:
@@ -189,7 +189,7 @@ LOG_GAMMA_CACHE_SIZE = 4096
 
 @lru_cache(maxsize=LOG_GAMMA_CACHE_SIZE)
 def _log_gamma_a(p: int, precision: int, a: int) -> PadicNumber:
-    """log<a> cached per (p, N, a); a in 1..p-1.  Least recently used first
+    """log<a> cached per (p, N, a) for a coprime to p.  Least recently used first
     out beyond LOG_GAMMA_CACHE_SIZE = 4096 entries, which holds every a of
     any one prime below 4096 at one N."""
     ctx = PadicContext(p, precision)
@@ -236,6 +236,7 @@ def lp_series(s, j: int, ctx: PadicContext) -> LValue:
     # inner-sum length: tail terms have valuation >= m + v(B_m) >= m - 1
     M = N + 1
     binom = one
+    # c_m = C(1-s, m) B_m p^m, None where B_m = 0; trailing zeros trimmed
     coeffs: list[PadicNumber | None] = [PadicNumber.from_rational(bernoulli_number(0), ctx)]
     for m in range(1, M + 1):
         binom = binom * (t - PadicNumber.from_int(m - 1, ctx)) / PadicNumber.from_int(m, ctx)
@@ -244,19 +245,18 @@ def lp_series(s, j: int, ctx: PadicContext) -> LValue:
             coeffs.append(None)
             continue
         coeffs.append(binom * PadicNumber.from_rational(b * Fraction(p) ** m, ctx))
-    chi_j = TeichCharacter(p, j)
+    while coeffs[-1] is None:
+        coeffs.pop()
+    w = WeightPoint.intrinsic(p, j, t)  # a -> omega^j(a) <a>^(1-s)
     total = None
     for a in range(1, p):
+        # sum_m c_m a^(-m) by Horner; multiplying by the unit 1/a keeps every
+        # partial sum's precision, so this equals the termwise sum digit for digit
         inv_a = PadicNumber.from_rational(Fraction(1, a), ctx)
-        apow = one
-        inner = None
-        for m, c in enumerate(coeffs):
-            if c is not None:
-                term = c * apow
-                inner = term if inner is None else inner + term
-            apow = apow * inv_a
-        gamma = exp_small(t * _log_gamma_a(p, N, a))  # <a>^(1-s)
-        contrib = chi_j.value(a, ctx) * gamma * inner
+        inner = coeffs[-1]
+        for c in reversed(coeffs[:-1]):
+            inner = inner * inv_a if c is None else inner * inv_a + c
+        contrib = w.value_at(a, ctx) * inner
         total = contrib if total is None else total + contrib
     value = total / (PadicNumber.from_int(p, ctx) * s_minus_1)
     prec = min(value.abs_precision, N)

@@ -343,14 +343,6 @@ class PadicNumber:
             return self
         return PadicNumber._make(self.ctx, self._val, self._unit, absprec - self._val)
 
-    def integer_representative(self) -> int:
-        """Smallest nonnegative representative, defined for p-adic integers."""
-        if self._unit is None:
-            return 0
-        if self._val < 0:
-            raise ValueError("value has negative valuation")
-        return self._unit * self.ctx.p**self._val
-
 
 _new = object.__new__
 _set_ctx = PadicNumber.ctx.__set__

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from eiszeta.bernoulli import (
+    MAX_BERNOULLI_INDEX,
     bernoulli_number,
     bernoulli_polynomial,
     bernoulli_polynomial_at,
@@ -64,7 +65,7 @@ class TestBernoulliNumbers:
 
     def test_ceiling_guard(self):
         with pytest.raises(ValueError):
-            bernoulli_number(50, max_index=40)
+            bernoulli_number(MAX_BERNOULLI_INDEX + 1)
         with pytest.raises(ValueError):
             bernoulli_number(-1)
 

@@ -35,23 +35,6 @@ def test_conductors():
     assert TeichCharacter(5, 3).conductor == 5
 
 
-def test_group_law():
-    chi = TeichCharacter(7, 2)
-    assert chi.inverse().exponent == 4
-    assert (chi * chi.inverse()).is_trivial
-    assert TeichCharacter(7, 5) * TeichCharacter(7, 4) == TeichCharacter(7, 3)
-
-
-def test_inverse_of_nonzero_exponent():
-    for i in range(1, 6):
-        assert TeichCharacter(7, i).inverse().exponent == 7 - 1 - i
-
-
-def test_prime_mismatch():
-    with pytest.raises(ValueError):
-        TeichCharacter(5, 1) * TeichCharacter(7, 1)
-
-
 def test_parity():
     ctx7 = PadicContext(7, 8)
     chi = TeichCharacter(7, 3)

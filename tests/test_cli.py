@@ -177,7 +177,7 @@ _S = st.one_of(
 
 
 @st.composite
-def _argv(draw):
+def _accepted_argv(draw):
     command = draw(st.sampled_from(["analyze", "lp", "qexp"]))
     argv = [command, "--p", str(draw(st.sampled_from([1, 2, 3, 4, 5, 7, 9, 11, 13]))),
             "--precision", str(draw(st.integers(-1, 4)))]
@@ -191,8 +191,33 @@ def _argv(draw):
     return argv + ["--terms", terms, "--which", draw(st.sampled_from(["crit", "ord", "twin"]))]
 
 
-@given(_argv())
-@settings(max_examples=200, deadline=None)
+@st.composite
+def _rejected_argv(draw):
+    # an accepted argv broken so that argparse itself refuses it
+    argv = draw(_accepted_argv())
+    how = draw(st.sampled_from(["value", "drop", "extra", "command", "empty"]))
+    if how == "value":
+        # every generated option takes an int or a choice, and "x" is neither
+        options = [n for n, a in enumerate(argv) if a.startswith("--") and "=" not in a]
+        i = draw(st.sampled_from(options))
+        argv[i + 1] = "x"
+    elif how == "drop":
+        i = argv.index("--p")
+        del argv[i:i + 2]
+    elif how == "extra":
+        argv.append("--bogus")
+    elif how == "command":
+        argv[0] = "bogus"
+    else:
+        argv = []
+    return argv
+
+
+_argv = st.one_of(_accepted_argv(), _rejected_argv())
+
+
+@given(_argv)
+@settings(max_examples=400, deadline=None)
 def test_every_argv_ends_in_a_documented_exit_code(argv):
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
@@ -200,6 +225,47 @@ def test_every_argv_ends_in_a_documented_exit_code(argv):
     assert rc in (0, 2, 3, 4), argv
     if rc:
         assert len(err.getvalue().splitlines()) == 1, (argv, err.getvalue())
+
+
+PARSER_REJECTED = [
+    ["lp", "--p", "5", "--branch", "2", "--s", "-1/2"],
+    ["qexp", "--p", "5", "--k", "4", "--eps-exponent", "0", "--which", "bad"],
+    ["analyze", "--p", "x", "--k", "4", "--eps-exponent", "0"],
+    ["bogus"],
+    [],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_REJECTED)
+def test_parser_rejection_is_one_line_exit_2(capsys, argv):
+    # argparse's own refusals keep the one-line contract instead of a usage
+    # block and SystemExit
+    assert main(argv) == 2
+    _one_line_error(capsys)
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["lp", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: eiszeta lp")
+
+
+def _failing_write(records, out):
+    raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("failure", ["open", "write"])
+def test_unwritable_out_is_exit_2(tmp_path, capsys, monkeypatch, failure):
+    out = tmp_path / "scan.jsonl"
+    if failure == "open":
+        out = tmp_path / "missing_dir" / "scan.jsonl"
+    else:
+        monkeypatch.setattr("eiszeta.cli.write_scan", _failing_write)
+    rc = main(["scan", "--p-from", "5", "--p-to", "7", "--k-from", "3", "--k-to", "3",
+               "--precision", "10", "--qexp-terms", "20", "--out", str(out)])
+    assert rc == 2
+    assert "cannot write" in _one_line_error(capsys)
 
 
 SCAN_FAILURES = [

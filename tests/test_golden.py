@@ -1,16 +1,21 @@
-"""Byte-identity of default outputs: sha256 digests of small scans and
-`eiszeta qexp` dumps.  The digests were recorded before the q-series of an
-analysed point was built once instead of twice, and any change that alters a
-reported digit, precision, verdict or record layout changes them."""
+"""Byte-identity of default outputs: sha256 digests of small scans,
+`eiszeta qexp` dumps and a grid of `lp_series` values.  The scan and qexp
+digests were recorded before the q-series of an analysed point was built once
+instead of twice, the `lp_series` digest before the series summand was routed
+through `WeightPoint.value_at`; any change that alters a reported digit,
+precision, verdict or record layout changes them."""
 
 import contextlib
 import hashlib
 import io
+from fractions import Fraction
 
 import pytest
 
 from eiszeta.analyzer import scan_records, write_scan
 from eiszeta.cli import main
+from eiszeta.kubota import PoleError, lp_series
+from eiszeta.padic import PadicContext, PrecisionLossError, format_padic
 
 
 def _sha256(text: str) -> str:
@@ -50,3 +55,28 @@ def test_qexp_dump_digest(which, p, k, i):
                    "--which", which, "--terms", "60", "--precision", "12"])
     assert rc == 0
     assert _sha256(buf.getvalue()) == QEXP_DIGESTS[(which, p, k, i)]
+
+
+LP_SERIES_DIGEST = "a6fc46d80235adc53b295788c88bc3f1e0b4414c2a45a3d7dd2a8a25c4d7c7ba"
+
+
+def _lp_series_lines():
+    # every even branch of four primes at four precisions, over integer
+    # arguments (the pole, s = 1 and its neighbour 1 + p among them) and two
+    # fractions; the pole and a loss of every digit are part of the record
+    for p in (3, 5, 7, 37):
+        for N in (1, 2, 3, 12):
+            ctx = PadicContext(p, N)
+            for j in range(0, p - 1, 2):
+                for s in [*range(-3, 5), 1 + p, Fraction(1, 2), Fraction(-3, 2)]:
+                    try:
+                        lv = lp_series(s, j, ctx)
+                    except (PoleError, PrecisionLossError) as e:
+                        out = type(e).__name__
+                    else:
+                        out = f"{format_padic(lv.value)} {lv.precision_achieved}"
+                    yield f"{p} {N} {j} {s}: {out}\n"
+
+
+def test_lp_series_digest():
+    assert _sha256("".join(_lp_series_lines())) == LP_SERIES_DIGEST

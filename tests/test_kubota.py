@@ -63,13 +63,14 @@ class TestWeightPoint:
     def test_value_at_padic_coordinate_matches_integer(self):
         # a PadicNumber coordinate goes through omega^j(a) <a>^s; at an
         # integer s it must agree with the exact route a^s omega^(j-s)(a)
-        for p, j in ((5, 2), (7, 4), (11, 0)):
-            ctx = PadicContext(p, 12)
-            for s in (0, 1, 3, -2, 7, 25):
-                exact = WeightPoint.intrinsic(p, j, s)
-                padic = WeightPoint.intrinsic(p, j, PadicNumber.from_int(s, ctx))
-                for a in (1, 2, 3, p - 1, p + 1, 2 * p + 3):
-                    assert padic.value_at(a, ctx) == exact.value_at(a, ctx), (p, j, s, a)
+        for N in (1, 12):
+            for p, j in ((5, 2), (7, 4), (11, 0)):
+                ctx = PadicContext(p, N)
+                for s in (0, 1, 3, -1, -2, -5, -8, 7, 25):
+                    exact = WeightPoint.intrinsic(p, j, s)
+                    padic = WeightPoint.intrinsic(p, j, PadicNumber.from_int(s, ctx))
+                    for a in (1, 2, 3, p - 1, p + 1, 2 * p + 3):
+                        assert padic.value_at(a, ctx) == exact.value_at(a, ctx), (p, j, s, a, N)
 
     def test_trivial_weight_detection(self):
         assert WeightPoint.classical(5, 0, 0).is_trivial
@@ -149,6 +150,24 @@ class TestSeries:
         # at N = 1 every nearby argument 1 + p^h is again s = 1
         with pytest.raises(padic.PrecisionLossError):
             lp_series(1, 2, PadicContext(5, 1))
+
+    @pytest.mark.parametrize("p,j,s", [(5, 2, 3), (7, 4, -2), (37, 32, Fraction(1, 2)),
+                                       (7, 2, 1), (5, 0, 1 + 5)])
+    def test_summand_is_the_weight_character(self, monkeypatch, p, j, s):
+        # omega^j(a) <a>^(1-s) is the weight character at (branch j,
+        # coordinate 1-s): one value_at call per a in 1..p-1, also at s = 1,
+        # whose value is the one series sum at the neighbour 1 + p^h
+        ctx = PadicContext(p, 8)
+        calls = []
+        real = WeightPoint.value_at
+
+        def spy(w, a, ctx):
+            calls.append((w.branch, a))
+            return real(w, a, ctx)
+
+        monkeypatch.setattr(WeightPoint, "value_at", spy)
+        lp_series(s, j, ctx)
+        assert sorted(calls) == [(j, a) for a in range(1, p)]
 
     def test_non_integer_argument(self):
         ctx = PadicContext(5, 16)
