@@ -23,12 +23,13 @@ from .archorders import selmer_dims
 from .kubota import (
     LValue,
     WeightPoint,
+    check_irregular_prime,
     irregular_branches,
     lp_interpolation,
     zeta_weight,
 )
 from .padic import PadicContext, PadicNumber, agreement_precision
-from .primes import primes_up_to
+from .primes import is_prime, primes_up_to
 from .qexp import (
     eisenstein_critical,
     eisenstein_ordinary,
@@ -144,6 +145,7 @@ def analyze_point(
 ) -> CriticalPointReport:
     """Analyze the critical Eisenstein point at (p, k, eps = omega^i)."""
     _check_budget(precision, terms)
+    check_irregular_prime(p)
     _check_terms(p, terms, primes_bound)
     ctx = PadicContext(p, precision)
     w = WeightPoint.classical(p, k, i)
@@ -348,9 +350,10 @@ def scan_records(
 
     The arguments are validated before the stream is returned, so a caller
     can reject a scan before opening its output: the budget, the i-mode, and
-    for each point in stream order the checks :func:`analyze_point` makes
-    before any arithmetic (the truncation reaches every coefficient the
-    eigensystem checks read, the weight is critical).
+    in stream order the checks :func:`analyze_point` makes before any
+    arithmetic (each prime is within the Bernoulli ceiling; for each point,
+    the truncation reaches every coefficient the eigensystem checks read and
+    the weight is critical).
     """
     if i_mode not in ("all", "branch"):
         raise ValueError("i_mode must be 'all' or 'branch'")
@@ -360,6 +363,7 @@ def scan_records(
     with_points = not irregular_only and k_from is not None and k_to is not None
     ks = range(k_from, k_to + 1) if with_points else ()
     for p, points in _scan_plan(p_from, p_to, ks, i_mode, target_branch):
+        check_irregular_prime(p)
         for k, i in points:
             _check_terms(p, terms, primes_bound)
             WeightPoint.classical(p, k, i).validate_critical()
@@ -368,9 +372,13 @@ def scan_records(
 
 
 def _scan_plan(p_from, p_to, ks, i_mode, target_branch):
-    """(p, [(k, i), ...]) for each prime of a scan, in stream order."""
-    for p in primes_up_to(p_to):
-        if p < max(p_from, 3):
+    """(p, [(k, i), ...]) for each prime of a scan, in stream order.
+
+    Primes are found one at a time, not by a sieve up to p_to, so the
+    validation pass stops at the first prime past the Bernoulli ceiling
+    without allocating for the rest of the window."""
+    for p in range(max(p_from, 3), p_to + 1):
+        if not is_prime(p):
             continue
         points = []
         for k in ks:

@@ -10,8 +10,13 @@ Conventions, pinned here and exercised by the tests:
   B_{1,triv} = +1/2 while B_{n,triv} = B_n for n >= 2; that sign at n = 1 is
   exactly what the L-function interpolation identities require.
 
-Numbers are computed and cached as exact rationals; embedding into Q_p is the
-very last step, which keeps an exact divisibility oracle available for the
+B_n is computed and cached as an exact rational from the tangent numbers
+(Brent-Harvey, "Fast computation of Bernoulli, Tangent and Secant numbers",
+2011): Seidel's boustrophedon advances one row of the Entringer triangle per
+index using integer additions only, its last entry is the zigzag number
+A_{n-1}, and A_{2k-1} is the tangent number T_k, with
+B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)).  Embedding into Q_p is the very
+last step, which keeps an exact divisibility oracle available for the
 irregular-prime machinery.
 """
 
@@ -36,12 +41,15 @@ __all__ = [
 MAX_BERNOULLI_INDEX = 2000
 
 _cache: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
+# The last boustrophedon row, row len(_cache) - 2 of the Entringer triangle;
+# extended together with _cache under the same lock.
+_row: list[int] = [1]
 _cache_lock = threading.Lock()
 
 
 def bernoulli_number(n: int) -> Fraction:
-    """B_n as an exact rational (B_1 = -1/2), by the binomial recurrence
-    sum_{k=0}^{n} C(n+1,k) B_k = 0, memoized."""
+    """B_n as an exact rational (B_1 = -1/2), from the tangent number
+    T_k = A_{2k-1} of Seidel's boustrophedon, memoized."""
     if n < 0:
         raise ValueError("Bernoulli index must be >= 0")
     if n > MAX_BERNOULLI_INDEX:
@@ -49,12 +57,16 @@ def bernoulli_number(n: int) -> Fraction:
     with _cache_lock:
         while len(_cache) <= n:
             m = len(_cache)
+            # row m-1 = [0] + running sums of row m-2 reversed, in place
+            _row.reverse()
+            for i in range(1, len(_row)):
+                _row[i] += _row[i - 1]
+            _row.insert(0, 0)
             if m % 2 == 1:  # B_odd = 0 for odd >= 3
                 _cache.append(Fraction(0))
                 continue
-            s = Fraction(m + 1) * _cache[1]  # k = 1 term
-            s += sum(Fraction(comb(m + 1, k)) * _cache[k] for k in range(0, m, 2))
-            _cache.append(-s / (m + 1))
+            k = m // 2
+            _cache.append(Fraction((-1) ** (k - 1) * m * _row[-1], 4**k * (4**k - 1)))
         return _cache[n]
 
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .bernoulli import bernoulli_number, generalized_bernoulli
+from .bernoulli import MAX_BERNOULLI_INDEX, bernoulli_number, generalized_bernoulli
 from .characters import TeichCharacter
 from .padic import (
     PadicContext,
@@ -49,7 +49,7 @@ from .padic import (
     log_one_unit,
     one_unit_part,
 )
-from .primes import is_prime
+from .primes import is_prime, primes_up_to
 
 __all__ = [
     "AdmissibilityError",
@@ -59,6 +59,7 @@ __all__ = [
     "lp_interpolation",
     "lp_series",
     "zeta_weight",
+    "check_irregular_prime",
     "irregular_branches",
     "irregular_scan",
     "ZeroWitness",
@@ -297,11 +298,26 @@ class ZeroWitness:
     elevated: tuple[tuple[int, int], ...]  # (s, observed valuation bound)
 
 
+# irregular_branches(p) reads B_j up to j = p - 3
+MAX_IRREGULAR_PRIME = primes_up_to(MAX_BERNOULLI_INDEX + 3)[-1]
+
+
+def check_irregular_prime(p: int) -> None:
+    """Reject, before any arithmetic, a prime whose irregular branches would
+    need a Bernoulli number past MAX_BERNOULLI_INDEX."""
+    if p - 3 > MAX_BERNOULLI_INDEX:
+        raise ValueError(
+            f"p = {p} needs B_{p - 3}, past the Bernoulli ceiling "
+            f"{MAX_BERNOULLI_INDEX}; the largest supported prime is {MAX_IRREGULAR_PRIME}"
+        )
+
+
 def irregular_branches(p: int) -> list[int]:
     """Even branches j in {2,...,p-3} where zeta_p vanishes somewhere, by the
     exact criterion p | numerator(B_j)."""
     if not is_prime(p) or p < 3:
         raise ValueError(f"p = {p} must be an odd prime")
+    check_irregular_prime(p)
     return [j for j in range(2, p - 2, 2) if bernoulli_number(j).numerator % p == 0]
 
 

@@ -1,10 +1,13 @@
-"""Exact Bernoulli machinery, checked against an independent algorithm
-(Akiyama-Tanigawa) and the classical structure theorems."""
+"""Exact Bernoulli machinery, checked against independent algorithms
+(Akiyama-Tanigawa, the binomial recurrence) and the classical structure
+theorems."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 
+from eiszeta import bernoulli
 from eiszeta.bernoulli import (
     MAX_BERNOULLI_INDEX,
     bernoulli_number,
@@ -31,6 +34,19 @@ def akiyama_tanigawa(n: int) -> list[Fraction]:
     return out
 
 
+def binomial_recurrence(n: int) -> list[Fraction]:
+    """B_0..B_n from sum_{k=0}^{m} C(m+1,k) B_k = 0 (B_1 = -1/2)."""
+    out = [Fraction(1), Fraction(-1, 2)]
+    for m in range(2, n + 1):
+        if m % 2 == 1:
+            out.append(Fraction(0))
+            continue
+        s = Fraction(m + 1) * out[1]
+        s += sum(Fraction(comb(m + 1, k)) * out[k] for k in range(0, m, 2))
+        out.append(-s / (m + 1))
+    return out[: n + 1]
+
+
 class TestBernoulliNumbers:
     def test_base_cases(self):
         assert bernoulli_number(0) == 1
@@ -40,6 +56,24 @@ class TestBernoulliNumbers:
         oracle = akiyama_tanigawa(30)
         for n in range(31):
             assert bernoulli_number(n) == oracle[n], f"B_{n}"
+
+    def test_exact_against_binomial_recurrence(self):
+        oracle = binomial_recurrence(700)
+        for n in range(701):
+            assert bernoulli_number(n) == oracle[n], f"B_{n}"
+
+    def test_fill_order_does_not_matter(self, monkeypatch):
+        monkeypatch.setattr(bernoulli, "_cache", [Fraction(1), Fraction(-1, 2)])
+        monkeypatch.setattr(bernoulli, "_row", [1])
+        for n in range(701):
+            bernoulli_number(n)
+        ascending = list(bernoulli._cache)
+        monkeypatch.setattr(bernoulli, "_cache", [Fraction(1), Fraction(-1, 2)])
+        monkeypatch.setattr(bernoulli, "_row", [1])
+        top = bernoulli_number(700)
+        assert [bernoulli_number(n) for n in range(701)] == ascending
+        assert bernoulli._cache == ascending
+        assert top == ascending[700]
 
     def test_classical_values(self):
         assert bernoulli_number(2) == Fraction(1, 6)
@@ -52,7 +86,7 @@ class TestBernoulliNumbers:
 
     def test_von_staudt_clausen(self):
         # B_2n + sum over primes q with (q-1) | 2n of 1/q is an integer
-        for n2 in range(2, 62, 2):
+        for n2 in range(2, 702, 2):
             s = bernoulli_number(n2)
             for q in primes_up_to(n2 + 1):
                 if n2 % (q - 1) == 0:
@@ -69,21 +103,33 @@ class TestBernoulliNumbers:
         with pytest.raises(ValueError):
             bernoulli_number(-1)
 
-    def test_concurrent_calls_return_identical_values(self):
+    def test_concurrent_calls_return_identical_values(self, monkeypatch):
+        import sys
         import threading
 
+        # cold cache and row, so the threads race to extend both
+        monkeypatch.setattr(bernoulli, "_cache", [Fraction(1), Fraction(-1, 2)])
+        monkeypatch.setattr(bernoulli, "_row", [1])
         results = [None] * 8
 
         def worker(slot):
             results[slot] = bernoulli_number(220 + 2 * slot)
 
         threads = [threading.Thread(target=worker, args=(s,)) for s in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        oracle = binomial_recurrence(234)
         for slot in range(8):
-            assert results[slot] == bernoulli_number(220 + 2 * slot)
+            assert results[slot] == bernoulli_number(220 + 2 * slot) == oracle[220 + 2 * slot]
+        assert bernoulli._cache == oracle
 
 
 class TestBernoulliPolynomials:

@@ -145,6 +145,13 @@ def test_qexp_terms_below_p_rejected(capsys):
     assert "p = 37" in _one_line_error(capsys)
 
 
+def test_analyze_past_the_bernoulli_ceiling_rejected(capsys):
+    rc = main(["analyze", "--p", "2011", "--k", "4", "--eps-exponent", "0",
+               "--qexp-terms", "2011"])
+    assert rc == 2
+    assert "largest supported prime is 2003" in _one_line_error(capsys)
+
+
 def test_no_surviving_precision_is_budget_exit_code(capsys):
     rc = main(["lp", "--p", "5", "--branch", "2", "--s", "1", "--precision", "2"])
     assert rc == 3
@@ -275,6 +282,13 @@ SCAN_FAILURES = [
       "--i-mode", "branch"], 2, "branch-targeted scans need a target branch"),
     (["--p-from", "5", "--p-to", "41", "--k-from", "4", "--k-to", "4",
       "--qexp-terms", "30", "--precision", "4"], 2, "p = 31"),
+    # a prime past the Bernoulli ceiling is refused before any arithmetic,
+    # also when the primes before it are within the ceiling and the window
+    # reaches far beyond it
+    (["--p-from", "2011", "--p-to", "2011", "--irregular-only"], 2,
+     "p = 2011 needs B_2008"),
+    (["--p-from", "1999", "--p-to", "10000000", "--irregular-only"], 2,
+     "the largest supported prime is 2003"),
 ]
 
 

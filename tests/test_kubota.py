@@ -272,6 +272,30 @@ class TestIrregular:
             assert [j for j, _ in hits] == branches
             assert all(len(wit.elevated) == 1 for _, wit in hits)
 
+    def test_census_size_primes_against_power_sums(self):
+        # for even 2 <= j <= p-3, sum_{a<p} a^j = p B_j (mod p^2), so
+        # p | numerator(B_j) exactly when the power sum vanishes mod p^2;
+        # 691 | numerator(B_12) = -691 is the classical anchor
+        expected = {491: [292, 336, 338], 617: [20, 174, 338],
+                    647: [236, 242, 554], 691: [12, 200]}
+        for p, branches in expected.items():
+            q = p * p
+            sums = [0] * (p - 2)
+            for a in range(1, p):
+                a2, power = a * a % q, 1
+                for j in range(2, p - 2, 2):
+                    power = power * a2 % q
+                    sums[j] += power
+            by_power_sums = [j for j in range(2, p - 2, 2) if sums[j] % q == 0]
+            assert by_power_sums == branches, p
+            assert irregular_branches(p) == branches, p
+
+    def test_prime_past_the_bernoulli_ceiling_is_rejected_up_front(self):
+        assert kubota.MAX_IRREGULAR_PRIME == 2003
+        kubota.check_irregular_prime(2003)  # B_2000 is the last one read
+        with pytest.raises(ValueError, match="p = 2011 .* largest supported prime is 2003"):
+            irregular_branches(2011)
+
 
 class TestSeriesMemo:
     # lp_series keeps no per-argument state: a pole or an argument of another
