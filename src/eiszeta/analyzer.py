@@ -29,8 +29,9 @@ from .kubota import (
     zeta_weight,
 )
 from .padic import PadicContext, PadicNumber, agreement_precision
-from .primes import is_prime, primes_up_to
+from .primes import is_prime
 from .qexp import (
+    check_terms,
     eisenstein_critical,
     eisenstein_ordinary,
     theta_twin_check,
@@ -43,6 +44,7 @@ __all__ = [
     "CheckResult",
     "PrecisionBudgetError",
     "analyze_point",
+    "check_ceilings",
     "scan_records",
     "write_scan",
     "report_to_dict",
@@ -114,25 +116,18 @@ class CriticalPointReport:
         return all(c.passed for c in self.checks)
 
 
+def check_ceilings(precision: int, terms: int | None = None):
+    """Refuse a precision or truncation above the ceilings; ``terms`` is None
+    for a command that builds no q-series."""
+    if precision > MAX_PRECISION or (terms or 0) > MAX_TERMS:
+        given = f"precision {precision}" + ("" if terms is None else f" / terms {terms}")
+        raise PrecisionBudgetError(f"{given} exceed ceilings ({MAX_PRECISION}, {MAX_TERMS})")
+
+
 def _check_budget(precision: int, terms: int):
-    if precision > MAX_PRECISION or terms > MAX_TERMS:
-        raise PrecisionBudgetError(
-            f"precision {precision} / terms {terms} exceed ceilings "
-            f"({MAX_PRECISION}, {MAX_TERMS})"
-        )
+    check_ceilings(precision, terms)
     if precision < 1 or terms < 1:
         raise PrecisionBudgetError("precision and terms must be positive")
-
-
-def _check_terms(p: int, terms: int, primes_bound: int):
-    """The eigensystem checks read a_l for every prime l <= primes_bound and
-    a_p, so the truncation must reach the largest of them."""
-    needed = max(primes_up_to(primes_bound) + [p])
-    if terms < needed:
-        raise ValueError(
-            f"terms = {terms} is below {needed}, the largest coefficient index "
-            f"the eigensystem checks read (primes up to {primes_bound} and p = {p})"
-        )
 
 
 def analyze_point(
@@ -146,7 +141,7 @@ def analyze_point(
     """Analyze the critical Eisenstein point at (p, k, eps = omega^i)."""
     _check_budget(precision, terms)
     check_irregular_prime(p)
-    _check_terms(p, terms, primes_bound)
+    check_terms(p, terms, primes_bound)
     ctx = PadicContext(p, precision)
     w = WeightPoint.classical(p, k, i)
     w.validate_critical()
@@ -365,7 +360,7 @@ def scan_records(
     for p, points in _scan_plan(p_from, p_to, ks, i_mode, target_branch):
         check_irregular_prime(p)
         for k, i in points:
-            _check_terms(p, terms, primes_bound)
+            check_terms(p, terms, primes_bound)
             WeightPoint.classical(p, k, i).validate_critical()
     return _scan_stream(_scan_plan(p_from, p_to, ks, i_mode, target_branch),
                         precision, terms, primes_bound)

@@ -78,12 +78,17 @@ def bernoulli_polynomial(n: int) -> list[Fraction]:
     return [Fraction(comb(n, j)) * bernoulli_number(n - j) for j in range(n + 1)]
 
 
-def bernoulli_polynomial_at(n: int, x: Fraction) -> Fraction:
-    """B_n(x) for exact rational x, by Horner."""
+def _horner(coeffs: list[Fraction], x: Fraction) -> Fraction:
+    """The polynomial with ascending coefficients ``coeffs`` at x."""
     acc = Fraction(0)
-    for c in reversed(bernoulli_polynomial(n)):
+    for c in reversed(coeffs):
         acc = acc * x + c
     return acc
+
+
+def bernoulli_polynomial_at(n: int, x: Fraction) -> Fraction:
+    """B_n(x) for exact rational x, by Horner."""
+    return _horner(bernoulli_polynomial(n), x)
 
 
 def generalized_bernoulli(n: int, chi: TeichCharacter, ctx: PadicContext) -> PadicNumber:
@@ -99,14 +104,11 @@ def generalized_bernoulli(n: int, chi: TeichCharacter, ctx: PadicContext) -> Pad
     if ctx.p != chi.p:
         raise ValueError("context prime differs from character prime")
     f = chi.conductor
+    poly = bernoulli_polynomial(n)
     total = None
     for a in range(1, f + 1):
         if f > 1 and a % chi.p == 0:
             continue  # chi kills multiples of p
-        term = chi.value(a, ctx) * PadicNumber.from_rational(
-            bernoulli_polynomial_at(n, Fraction(a, f)), ctx
-        )
+        term = chi.value(a, ctx) * PadicNumber.from_rational(_horner(poly, Fraction(a, f)), ctx)
         total = term if total is None else total + term
-    if total is None:  # conductor 1
-        total = PadicNumber.from_rational(bernoulli_polynomial_at(n, Fraction(1)), ctx)
     return total * PadicNumber.from_rational(Fraction(f) ** (n - 1), ctx)

@@ -16,6 +16,7 @@ from fractions import Fraction
 from .analyzer import (
     PrecisionBudgetError,
     analyze_point,
+    check_ceilings,
     render_text,
     report_to_dict,
     scan_records,
@@ -140,6 +141,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_lp(args) -> int:
+    check_ceilings(args.precision)
     ctx = PadicContext(args.p, args.precision)
     s = _parse_s(args.s)
     results = []
@@ -163,6 +165,7 @@ def _cmd_lp(args) -> int:
 
 
 def _cmd_qexp(args) -> int:
+    check_ceilings(args.precision, args.terms)
     ctx = PadicContext(args.p, args.precision)
     if args.which == "crit":
         f = eisenstein_critical(args.p, args.k, args.eps_exponent, args.terms, ctx)

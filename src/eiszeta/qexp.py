@@ -2,24 +2,22 @@
 critical / ordinary Eisenstein families.
 
 A critical Eisenstein series of weight k and character eps = omega^i has
+a_0 = 0, a_p = p^(k-1) and a_l = eps(l) + l^(k-1) for primes l != p; the
+ordinary series at a weight-space point w has a_0 = zeta_p(w)/2, a_p = 1 and
+a_l = 1 + w(l)/l.  Both are normalized eigenforms with the nebentypus factor
+eps(l) l^(k-1) (for the ordinary series it equals w(l)/l), and one builder
+extends them to every index by a_(p^r) = a_p^r, the Hecke recursion
 
-    a_0 = 0,  a_1 = 1,  a_(p^r) = p^(r(k-1)),  a_l = eps(l) + l^(k-1)  (l != p),
+    a_(l^r) = a_l a_(l^(r-1)) - eps(l) l^(k-1) a_(l^(r-2))  (l != p),
 
-extended to all indices as a normalized eigenform: the standard prime-power
-recursion with nebentypus eps and multiplicativity across coprime indices.
-The ordinary series at a weight-space point w has
-
-    a_0 = zeta_p(w)/2,  a_(p^r) = 1,  a_l = 1 + w(l)/l,
-
-with the geometric prime-power values sum_t (w(l)/l)^t.  Negative integer
-weights are first class; they carry the ordinary twins of the critical
-points, and theta^(k-1) (a_n -> n^(k-1) a_n) maps weight 2-k to weight k.
+and multiplicativity across coprime indices.  Negative integer weights are
+first class; they carry the ordinary twins of the critical points, and
+theta^(k-1) (a_n -> n^(k-1) a_n) maps weight 2-k to weight k.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .characters import TeichCharacter
 from .kubota import WeightPoint, zeta_weight
@@ -34,6 +32,7 @@ __all__ = [
     "hecke_Up",
     "theta_pow",
     "verify_eigensystem",
+    "check_terms",
     "theta_twin_check",
     "OperatorCheck",
     "EigenReport",
@@ -69,16 +68,6 @@ class QExpansion:
     def coeff(self, n: int) -> PadicNumber:
         return self.coeffs[n]
 
-    def scale(self, c: PadicNumber) -> "QExpansion":
-        return QExpansion(self.ctx, self.weight, self.char_exponent,
-                          tuple(c * a for a in self.coeffs))
-
-    def truncate(self, order: int) -> "QExpansion":
-        if order >= self.truncation:
-            return self
-        return QExpansion(self.ctx, self.weight, self.char_exponent,
-                          self.coeffs[: order + 1], self.degenerate)
-
     def first_mismatch(self, other: "QExpansion", start: int = 0) -> int | None:
         """Smallest index where the two expansions disagree at the carried
         precision, over the common truncation; None when they agree."""
@@ -89,48 +78,43 @@ class QExpansion:
         return None
 
 
-def _assemble(ctx, weight, char_exponent, M, a0, prime_power):
-    """Coefficients from prime-power data by multiplicativity."""
+def _assemble(ctx, weight, char_exponent, M, a0, a_p, a_l):
+    """The normalized eigenform with constant term a0, eigenvalue a_p at p
+    and a_l(l) at primes l != p, filled in index order from its own earlier
+    coefficients."""
     if M < 1:
         raise ValueError("truncation order must be >= 1")
-    one = PadicNumber.from_int(1, ctx)
-    coeffs = [a0, one] + [None] * (M - 1)
+    coeffs = [a0, PadicNumber.from_int(1, ctx)] + [None] * (M - 1)
     spf = smallest_prime_factors(M)
     for n in range(2, M + 1):
         l = spf[n]
-        r, m = 0, n
+        m = n // l
         while m % l == 0:
             m //= l
-            r += 1
-        alr = prime_power(l, r)
-        coeffs[n] = alr if m == 1 else alr * coeffs[m]
+        if m > 1:  # n = l^r * m with m > 1 coprime to l
+            coeffs[n] = coeffs[n // m] * coeffs[m]
+        elif n == l:
+            coeffs[n] = a_p if l == ctx.p else a_l(l)
+        elif l == ctx.p:
+            coeffs[n] = coeffs[n // l] * a_p
+        else:
+            back = _nebentypus_factor(ctx, weight, char_exponent, l)
+            coeffs[n] = coeffs[l] * coeffs[n // l] - back * coeffs[n // (l * l)]
     return QExpansion(ctx, weight, char_exponent, tuple(coeffs))
 
 
 def eisenstein_critical(p: int, k: int, i: int, M: int, ctx: PadicContext) -> QExpansion:
     """The critical Eisenstein eigenform at weight z^k omega^i, truncated at M."""
-    w = WeightPoint.classical(p, k, i)
-    w.validate_critical()
+    WeightPoint.classical(p, k, i).validate_critical()
     if ctx.p != p:
         raise ValueError("context prime differs from p")
     eps = TeichCharacter(p, i)
-    one = PadicNumber.from_int(1, ctx)
-    tables: dict[int, list[PadicNumber]] = {}
 
-    def prime_power(l: int, r: int) -> PadicNumber:
-        if l == p:
-            return PadicNumber.from_int(p, ctx) ** (r * (k - 1))
-        tab = tables.get(l)
-        if tab is None:
-            al = eps.value(l, ctx) + PadicNumber.from_int(l, ctx) ** (k - 1)
-            tab = tables[l] = [one, al]
-        if len(tab) <= r:
-            back = eps.value(l, ctx) * PadicNumber.from_int(l, ctx) ** (k - 1)
-            while len(tab) <= r:
-                tab.append(tab[1] * tab[-1] - back * tab[-2])
-        return tab[r]
+    def a_l(l: int) -> PadicNumber:
+        return eps.value(l, ctx) + PadicNumber.from_int(l, ctx) ** (k - 1)
 
-    return _assemble(ctx, k, i % (p - 1), M, PadicNumber.from_int(0, ctx), prime_power)
+    a_p = PadicNumber.from_int(p, ctx) ** (k - 1)
+    return _assemble(ctx, k, i % (p - 1), M, ctx.zero(), a_p, a_l)
 
 
 def eisenstein_ordinary(w: WeightPoint, M: int, ctx: PadicContext) -> QExpansion:
@@ -151,34 +135,22 @@ def eisenstein_ordinary(w: WeightPoint, M: int, ctx: PadicContext) -> QExpansion
 def _ordinary(w: WeightPoint, M: int, ctx: PadicContext, a0: PadicNumber) -> QExpansion:
     """The ordinary series at a nontrivial weight with integer coordinate,
     with the constant term a0 given."""
-    k = w.s
-    i = (w.branch - k) % (w.p - 1)
     one = PadicNumber.from_int(1, ctx)
-    ratios: dict[int, PadicNumber] = {}
-    tables: dict[int, list[PadicNumber]] = {}
 
-    def prime_power(l: int, r: int) -> PadicNumber:
-        if l == w.p:
-            return one
-        tab = tables.get(l)
-        if tab is None:
-            x = ratios[l] = w.value_at(l, ctx) / PadicNumber.from_int(l, ctx)
-            tab = tables[l] = [one, one + x]
-        while len(tab) <= r:
-            tab.append(tab[-1] + ratios[l] ** len(tab))  # sum_{t<=r} x^t
-        return tab[r]
+    def a_l(l: int) -> PadicNumber:
+        return one + w.value_at(l, ctx) / PadicNumber.from_int(l, ctx)
 
-    return _assemble(ctx, k, i, M, a0, prime_power)
+    k = w.s
+    return _assemble(ctx, k, (w.branch - k) % (w.p - 1), M, a0, one, a_l)
 
 
 # -- operators ---------------------------------------------------------------
 
 
-def _nebentypus_factor(f: QExpansion, l: int) -> PadicNumber:
-    """eps(l) * l^(weight-1), read off the expansion's tags."""
-    eps = TeichCharacter(f.ctx.p, f.char_exponent)
-    lw = PadicNumber.from_rational(Fraction(l) ** (f.weight - 1), f.ctx)
-    return eps.value(l, f.ctx) * lw
+def _nebentypus_factor(ctx, weight, char_exponent, l) -> PadicNumber:
+    """eps(l) * l^(weight-1) for eps = omega^char_exponent and l prime to p."""
+    lw = PadicNumber.from_int(pow(l, weight - 1, ctx.p**ctx.precision), ctx)
+    return TeichCharacter(ctx.p, char_exponent).value(l, ctx) * lw
 
 
 def hecke_Tl(f: QExpansion, l: int) -> QExpansion:
@@ -187,7 +159,7 @@ def hecke_Tl(f: QExpansion, l: int) -> QExpansion:
         raise ValueError(f"l = {l} is not prime")
     if l == f.ctx.p:
         raise ValueError("T_l is not defined at l = p; use hecke_Up")
-    back = _nebentypus_factor(f, l)
+    back = _nebentypus_factor(f.ctx, f.weight, f.char_exponent, l)
     M = f.truncation // l
     coeffs = []
     for n in range(M + 1):
@@ -235,24 +207,30 @@ class EigenReport:
         return [c for c in self.checks if not c.passed]
 
 
+def check_terms(p: int, terms: int, primes_bound: int):
+    """The eigensystem checks read a_l for every prime l <= primes_bound and
+    a_p, so the truncation must reach the largest of them."""
+    needed = max(primes_up_to(primes_bound) + [p])
+    if terms < needed:
+        raise ValueError(
+            f"terms = {terms} is below {needed}, the largest coefficient index "
+            f"the eigensystem checks read (primes up to {primes_bound} and p = {p})"
+        )
+
+
 def verify_eigensystem(f: QExpansion, primes_bound: int) -> EigenReport:
     """Check T_l f = a_l f for primes l <= primes_bound (l != p) and
-    U_p f = a_p f, coefficientwise on the common truncation."""
+    U_p f = a_p f, coefficientwise on the truncation of the image."""
+    p = f.ctx.p
+    check_terms(p, f.truncation, primes_bound)
     if not (f.coeffs[1] == PadicNumber.from_int(1, f.ctx)):
         raise ValueError("eigensystem verification expects a normalized expansion (a_1 = 1)")
-    p = f.ctx.p
     checks = []
-    for l in primes_up_to(primes_bound):
-        if l == p:
-            continue
-        lhs = hecke_Tl(f, l)
-        rhs = f.truncate(lhs.truncation).scale(f.coeffs[l])
-        bad = lhs.first_mismatch(rhs)
-        checks.append(OperatorCheck(f"T_{l}", bad is None, bad))
-    lhs = hecke_Up(f)
-    rhs = f.truncate(lhs.truncation).scale(f.coeffs[p])
-    bad = lhs.first_mismatch(rhs)
-    checks.append(OperatorCheck(f"U_{p}", bad is None, bad))
+    for l in [l for l in primes_up_to(primes_bound) if l != p] + [p]:
+        image = hecke_Up(f) if l == p else hecke_Tl(f, l)
+        a_l = f.coeffs[l]
+        bad = next((n for n, c in enumerate(image.coeffs) if not c == a_l * f.coeffs[n]), None)
+        checks.append(OperatorCheck(f"{'U' if l == p else 'T'}_{l}", bad is None, bad))
     return EigenReport(all(c.passed for c in checks), tuple(checks))
 
 
@@ -262,10 +240,6 @@ class TwinCheckReport:
     conventions.  ``matched`` names the conventions under which
     n^(k-1) a_n(ordinary twin) = a_n(critical) holds for every 1 <= n <= M."""
 
-    p: int
-    k: int
-    i: int
-    truncation: int
     matched: tuple[str, ...]
     first_mismatch: dict = field(default_factory=dict)
     conventions_coincide: bool = False
@@ -303,7 +277,6 @@ def theta_twin_check(crit: QExpansion) -> TwinCheckReport:
             f"first mismatches: {mism}"
         )
     return TwinCheckReport(
-        p=p, k=k, i=i, truncation=M,
         matched=matched,
         first_mismatch=mism,
         conventions_coincide=len(first_bad) == 1,

@@ -40,6 +40,20 @@ def test_budget_exit_code(capsys):
     assert rc == 3
 
 
+CEILINGS_EXCEEDED = [
+    ["qexp", "--p", "5", "--k", "4", "--eps-exponent", "0", "--which", "crit",
+     "--terms", "20001", "--precision", "2"],
+    ["lp", "--p", "5", "--branch", "2", "--s", "3", "--precision", "501"],
+]
+
+
+@pytest.mark.parametrize("argv", CEILINGS_EXCEEDED)
+def test_ceilings_hold_for_qexp_and_lp(capsys, argv):
+    # the same ceilings as analyze and scan, refused before any arithmetic
+    assert main(argv) == 3
+    assert "exceed ceilings (500, 20000)" in _one_line_error(capsys)
+
+
 def test_lp_series(capsys):
     rc = main(["lp", "--p", "5", "--branch", "2", "--s", "-1", "--precision", "14"])
     assert rc == 0

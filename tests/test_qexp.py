@@ -6,10 +6,13 @@ from fractions import Fraction
 
 import pytest
 
+from eiszeta.characters import TeichCharacter
 from eiszeta.kubota import AdmissibilityError, WeightPoint, zeta_weight
 from eiszeta.padic import PadicContext, PadicNumber
+from eiszeta.primes import smallest_prime_factors
 from eiszeta.qexp import (
     QExpansion,
+    _ordinary,
     dump_lines,
     eisenstein_critical,
     eisenstein_ordinary,
@@ -35,6 +38,12 @@ def _multiply(f, g):
     p = f.ctx.p
     return QExpansion(f.ctx, f.weight + g.weight,
                       (f.char_exponent + g.char_exponent) % (p - 1), tuple(coeffs))
+
+
+def _scale(f, c, order=None):
+    """c times f, truncated at ``order`` (default: f's own truncation)."""
+    coeffs = f.coeffs if order is None else f.coeffs[: order + 1]
+    return QExpansion(f.ctx, f.weight, f.char_exponent, tuple(c * a for a in coeffs))
 
 
 def _crit_54():
@@ -125,13 +134,13 @@ class TestHecke:
     def test_up_eigenvalue_on_critical(self):
         f = _crit_54()
         up = hecke_Up(f)
-        scaled = f.truncate(up.truncation).scale(PadicNumber.from_int(125, CTX))
+        scaled = _scale(f, PadicNumber.from_int(125, CTX), up.truncation)
         assert up.first_mismatch(scaled) is None
 
     def test_tl_eigenvalue_on_critical(self):
         f = _crit_54()
         t2 = hecke_Tl(f, 2)
-        scaled = f.truncate(t2.truncation).scale(PadicNumber.from_int(9, CTX))
+        scaled = _scale(f, PadicNumber.from_int(9, CTX), t2.truncation)
         assert t2.first_mismatch(scaled) is None
 
     def test_tl_rejects_p(self):
@@ -218,8 +227,14 @@ class TestVerifyEigensystem:
 
     def test_requires_normalization(self):
         f = _crit_54()
-        with pytest.raises(ValueError):
-            verify_eigensystem(f.scale(PadicNumber.from_int(2, CTX)), 10)
+        with pytest.raises(ValueError, match="normalized"):
+            verify_eigensystem(_scale(f, PadicNumber.from_int(2, CTX)), 10)
+
+    def test_short_truncation_names_the_index(self):
+        # T_19 reads a_19, which a truncation at 10 does not hold
+        f = eisenstein_critical(5, 4, 0, 10, CTX)
+        with pytest.raises(ValueError, match="terms = 10 is below 19"):
+            verify_eigensystem(f, 20)
 
 
 class TestThetaTwin:
@@ -304,3 +319,90 @@ class TestDump:
         assert (n, val) == ("2", "0")
         assert digits.split(",")[0] == "4"  # 9 = 4 + 1*5
         assert tail == "O(5^16)"
+
+
+# -- independent oracle for the Hecke-recursion builder -----------------------
+
+
+def _oracle_series(ctx, weight, i, M, a0, prime_power):
+    """Coefficients from a prime-power table by multiplicativity."""
+    coeffs = [a0, PadicNumber.from_int(1, ctx)] + [None] * (M - 1)
+    spf = smallest_prime_factors(M)
+    for n in range(2, M + 1):
+        l, r, m = spf[n], 0, n
+        while m % l == 0:
+            m, r = m // l, r + 1
+        alr = prime_power(l, r)
+        coeffs[n] = alr if m == 1 else alr * coeffs[m]
+    return QExpansion(ctx, weight, i, tuple(coeffs))
+
+
+def _oracle_critical(p, k, i, M, ctx):
+    """a_(p^r) = p^(r(k-1)) as one power; a_(l^r) from a three-term table."""
+    eps, one = TeichCharacter(p, i), PadicNumber.from_int(1, ctx)
+    tables = {}
+
+    def prime_power(l, r):
+        if l == p:
+            return PadicNumber.from_int(p, ctx) ** (r * (k - 1))
+        lk = PadicNumber.from_int(l, ctx) ** (k - 1)
+        tab = tables.setdefault(l, [one, eps.value(l, ctx) + lk])
+        while len(tab) <= r:
+            tab.append(tab[1] * tab[-1] - eps.value(l, ctx) * lk * tab[-2])
+        return tab[r]
+
+    return _oracle_series(ctx, k, i % (p - 1), M, ctx.zero(), prime_power)
+
+
+def _oracle_ordinary(w, M, ctx):
+    """a_(l^r) as the geometric sum of (w(l)/l)^t for t <= r; a_(p^r) = 1."""
+    one = PadicNumber.from_int(1, ctx)
+
+    def prime_power(l, r):
+        if l == w.p:
+            return one
+        x = w.value_at(l, ctx) / PadicNumber.from_int(l, ctx)
+        total = one
+        for t in range(1, r + 1):
+            total = total + x**t
+        return total
+
+    return _oracle_series(ctx, w.s, (w.branch - w.s) % (w.p - 1), M, ctx.zero(), prime_power)
+
+
+def _outcome(build):
+    try:
+        return dump_lines(build())
+    except ArithmeticError as e:  # no surviving precision at N = 1
+        return type(e).__name__
+
+
+class TestBuilderAgainstOracle:
+    def test_dumps_are_byte_identical(self):
+        # the critical series, the ordinary series and both twin conventions,
+        # at low and high precision
+        cancelled = 0
+        for p, ks, M in ((3, (3, 4, 5), 60), (5, (2, 3, 4), 60), (7, (3, 4), 60),
+                         (37, (4,), 40)):
+            for N in (1, 2, 3, 12):
+                ctx = PadicContext(p, N)
+                for k in ks:
+                    for i in range(k % 2, p - 1, 2):
+                        if (k, i) == (2, 0):
+                            continue
+                        weights = [WeightPoint.classical(p, k, i)] + [
+                            WeightPoint.classical(p, 2 - k, e) for e in {i, (-i) % (p - 1)}]
+                        cases = [(lambda: eisenstein_critical(p, k, i, M, ctx),
+                                  lambda: _oracle_critical(p, k, i, M, ctx))]
+                        cases += [(lambda w=w: _ordinary(w, M, ctx, ctx.zero()),
+                                   lambda w=w: _oracle_ordinary(w, M, ctx)) for w in weights]
+                        for build, oracle in cases:
+                            got = _outcome(build)
+                            assert got == _outcome(oracle), (p, N, k, i)
+                            if not isinstance(got, str):
+                                cancelled += sum(
+                                    1 for l in (2, 3, 5, 7, 11, 13) if l != p
+                                    and got[l].split("\t")[1] not in ("0", "zero"))
+        # some a_l vanish mod p (e.g. l = 2 at p = 3), so the recursion runs
+        # through cancelled coefficients
+        assert cancelled > 0
