@@ -126,8 +126,8 @@ def check_ceilings(precision: int, terms: int | None = None):
 
 def _check_budget(precision: int, terms: int):
     check_ceilings(precision, terms)
-    if precision < 1 or terms < 1:
-        raise PrecisionBudgetError("precision and terms must be positive")
+    if precision < 1 or terms < 1:  # an inadmissible count, not a lost budget
+        raise ValueError("precision and terms must be positive")
 
 
 def analyze_point(

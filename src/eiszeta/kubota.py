@@ -45,6 +45,7 @@ from .padic import (
     PadicContext,
     PadicNumber,
     PrecisionLossError,
+    _teich_unit,
     exp_small,
     log_one_unit,
     one_unit_part,
@@ -136,9 +137,10 @@ class WeightPoint:
         if a % self.p == 0:
             raise ValueError("weight characters are evaluated away from p")
         if isinstance(self.s, int):
-            # exact route: a^k * omega^(j-k)(a), the power reduced mod p^N
-            pw = PadicNumber.from_int(pow(a, self.s, self.p**ctx.precision), ctx)
-            return pw * TeichCharacter(self.p, self.branch - self.s).value(a, ctx)
+            # exact route: the unit a^s * omega^(j-s)(a) mod p^N, as one int
+            p, N = self.p, ctx.precision
+            teich = _teich_unit(p, N, pow(a, (self.branch - self.s) % (p - 1), p))
+            return PadicNumber.from_state(ctx, (0, pow(a, self.s, p**N) * teich % p**N, N))
         s = _as_padic_integer(self.s, ctx)
         gamma = exp_small(s * _log_gamma_a(self.p, ctx.precision, a))  # <a>^s
         return TeichCharacter(self.p, self.branch).value(a, ctx) * gamma

@@ -125,40 +125,21 @@ class PadicNumber:
 
     @classmethod
     def _zero(cls, ctx, abs_prec: int) -> "PadicNumber":
-        if abs_prec < 1:
-            raise ValueError("a zero-to-precision value needs a positive modulus exponent")
-        return cls._raw(ctx, abs_prec, None, 0)
+        return cls._raw(ctx, *state_zero(abs_prec))
 
     @classmethod
     def _make(cls, ctx, val: int, unit: int, rel: int) -> "PadicNumber":
-        """Normalize (val, unit, rel) into canonical form, demoting to zero
-        when no unit digit survives; PrecisionLossError when not even the
-        zero keeps a digit of absolute precision."""
-        p = ctx.p
-        rel = min(rel, ctx.precision)
-        if rel <= 0:
-            # no digits survive: all that remains is the valuation bound
-            if val < 1:
-                raise ValueError("value carries no usable precision")
-            return cls._zero(ctx, val)
-        unit %= p**rel
-        if unit == 0:
-            if val + rel < 1:
-                raise PrecisionLossError("cancellation left no digit of precision")
-            return cls._zero(ctx, val + rel)
-        shift = _vp(unit, p)
-        if shift:
-            unit //= p**shift
-            val += shift
-            rel -= shift
-        return cls._raw(ctx, val, unit, rel)
+        """unit * p^val known to rel digits, in canonical form (state_normalize)."""
+        return cls._raw(ctx, *state_normalize(ctx.p, ctx.precision, val, unit, rel))
+
+    @classmethod
+    def from_state(cls, ctx, state) -> "PadicNumber":
+        """The value whose canonical state (see :attr:`state`) is ``state``."""
+        return cls._raw(ctx, *state)
 
     @classmethod
     def from_int(cls, x: int, ctx: PadicContext) -> "PadicNumber":
-        if x == 0:
-            return cls._zero(ctx, ctx.precision)
-        v = _vp(abs(x), ctx.p)
-        return cls._make(ctx, v, x // ctx.p**v, ctx.precision)
+        return cls._raw(ctx, *state_of_int(ctx.p, ctx.precision, x))
 
     @classmethod
     def from_rational(cls, x, ctx: PadicContext) -> "PadicNumber":
@@ -175,6 +156,11 @@ class PadicNumber:
         return cls._make(ctx, vn - vd, unit, rel)
 
     # -- state -------------------------------------------------------------
+
+    @property
+    def state(self) -> tuple:
+        """The (valuation, unit, rel) ints this value is stored as (see state_normalize)."""
+        return self._val, self._unit, self._rel
 
     @property
     def is_zero_to_precision(self) -> bool:
@@ -234,20 +220,10 @@ class PadicNumber:
         if other is None:
             return NotImplemented
         self._check_ctx(other)
-        a, b = self, other
-        if a._unit is None and b._unit is None:
-            return PadicNumber._zero(a.ctx, min(a._val, b._val))
-        if a._unit is None:
-            a, b = b, a
-        if b._unit is None:
-            bound = b._val  # b in p^bound Z_p
-            if a._val >= bound:
-                return PadicNumber._zero(a.ctx, bound)
-            return PadicNumber._make(a.ctx, a._val, a._unit, min(a.abs_precision, bound) - a._val)
-        absprec = min(a.abs_precision, b.abs_precision)
-        base = min(a._val, b._val)
-        rep = a._unit * a.ctx.p ** (a._val - base) + b._unit * a.ctx.p ** (b._val - base)
-        return PadicNumber._make(a.ctx, base, rep, absprec - base)
+        ctx = self.ctx
+        return PadicNumber._raw(ctx, *state_add(ctx.p, ctx.precision,
+                                                (self._val, self._unit, self._rel),
+                                                (other._val, other._unit, other._rel)))
 
     __radd__ = __add__
 
@@ -273,13 +249,9 @@ class PadicNumber:
         if other is None:
             return NotImplemented
         self._check_ctx(other)
-        a, b = self, other
-        if a._unit is None or b._unit is None:
-            return PadicNumber._zero(a.ctx, a._val + b._val)
-        rel = min(a._rel, b._rel)
-        # units coprime to p multiply (and divide, and power) to such a unit,
-        # so the result skips _make's normalisation
-        return PadicNumber._raw(a.ctx, a._val + b._val, a._unit * b._unit % a.ctx.p**rel, rel)
+        ctx = self.ctx
+        return PadicNumber._raw(ctx, *state_mul(ctx.p, (self._val, self._unit, self._rel),
+                                                (other._val, other._unit, other._rel)))
 
     __rmul__ = __mul__
 
@@ -326,7 +298,9 @@ class PadicNumber:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return agreement_precision(self, other) >= min(self.abs_precision, other.abs_precision)
+        if self.ctx.p != other.ctx.p:
+            raise ContextMismatchError("agreement requires the same prime")
+        return state_eq(self.ctx.p, self.state, other.state)
 
     __hash__ = None  # equality is precision-dependent
 
@@ -354,22 +328,104 @@ _set_rel = PadicNumber._rel.__set__
 def agreement_precision(a: PadicNumber, b: PadicNumber) -> int:
     """Exponent A such that a == b mod p^A: the shared absolute precision when
     they agree, otherwise the valuation of the difference."""
-    p = a.ctx.p
     if a.ctx.p != b.ctx.p:
         raise ContextMismatchError("agreement requires the same prime")
-    absprec = min(a.abs_precision, b.abs_precision)
-    if a._unit is None and b._unit is None:
-        return absprec
-    if a._unit is None or b._unit is None:
-        x = b if a._unit is None else a
-        return absprec if x._val >= absprec else x._val
-    base = min(a._val, b._val)
-    rep = a._unit * p ** (a._val - base) - b._unit * p ** (b._val - base)
+    return state_agreement(a.ctx.p, a.state, b.state)
+
+
+# -- the precision rules on int states ---------------------------------------
+#
+# A state is the triple PadicNumber stores: (val, unit, rel) with the unit
+# prime to p and reduced mod p^rel, or (A, None, 0) for zero modulo p^A.
+# PadicNumber's arithmetic and equality are these functions on its state; the
+# q-series call them directly, without an object per coefficient.
+
+
+def state_normalize(p: int, N: int, val: int, unit: int, rel: int) -> tuple:
+    """Canonical state of unit * p^val to rel <= N digits, zero when no unit digit
+    survives; PrecisionLossError when not even the zero keeps a digit."""
+    rel = min(rel, N)
+    if rel <= 0:
+        # no digits survive: all that remains is the valuation bound
+        if val < 1:
+            raise ValueError("value carries no usable precision")
+        return val, None, 0
+    unit %= p**rel
+    if unit == 0:
+        if val + rel < 1:
+            raise PrecisionLossError("cancellation left no digit of precision")
+        return val + rel, None, 0
+    shift = _vp(unit, p)
+    if shift:
+        unit //= p**shift
+        val += shift
+        rel -= shift
+    return val, unit, rel
+
+
+def state_zero(abs_prec: int) -> tuple:
+    if abs_prec < 1:
+        raise ValueError("a zero-to-precision value needs a positive modulus exponent")
+    return abs_prec, None, 0
+
+
+def state_of_int(p: int, N: int, x: int) -> tuple:
+    if x == 0:
+        return N, None, 0
+    v = _vp(abs(x), p)
+    return state_normalize(p, N, v, x // p**v, N)
+
+
+def state_mul(p: int, a: tuple, b: tuple) -> tuple:
+    """a * b: valuations add, relative precisions meet."""
+    va, ua, ra = a
+    vb, ub, rb = b
+    if ua is None or ub is None:
+        return state_zero(va + vb)
+    rel = ra if ra < rb else rb
+    # units prime to p multiply to such a unit, so no normalisation is needed
+    return va + vb, ua * ub % p**rel, rel
+
+
+def state_add(p: int, N: int, a: tuple, b: tuple) -> tuple:
+    """a + b: absolute precisions meet; cancellation raises the valuation."""
+    va, ua, ra = a
+    vb, ub, rb = b
+    if ua is None:
+        if ub is None:
+            return min(va, vb), None, 0
+        va, ua, ra, vb, ub = vb, ub, rb, va, ua  # the nonzero one first
+    if ub is None:  # b lies in p^vb Z_p
+        if va >= vb:
+            return vb, None, 0
+        return state_normalize(p, N, va, ua, min(ra, vb - va))
+    absprec = min(va + ra, vb + rb)
+    base = min(va, vb)
+    return state_normalize(p, N, base, ua * p ** (va - base) + ub * p ** (vb - base),
+                           absprec - base)
+
+
+def state_agreement(p: int, a: tuple, b: tuple) -> int:
+    """Exponent A such that a == b mod p^A (see :func:`agreement_precision`)."""
+    va, ua, ra = a
+    vb, ub, rb = b
+    absprec = min(va + ra, vb + rb)
+    if ua is None:
+        return absprec if ub is None else min(vb, absprec)
+    if ub is None:
+        return min(va, absprec)
+    base = min(va, vb)
+    rep = ua * p ** (va - base) - ub * p ** (vb - base)
     mod = p ** max(absprec - base, 0)
     rep = rep % mod if mod > 1 else 0
     if rep == 0:
         return absprec
     return base + _vp(rep, p)
+
+
+def state_eq(p: int, a: tuple, b: tuple) -> bool:
+    """Equality holds to the lower of the two absolute precisions."""
+    return state_agreement(p, a, b) >= min(a[0] + a[2], b[0] + b[2])
 
 
 # -- Teichmuller lift and one-unit functions -------------------------------

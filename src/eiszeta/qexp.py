@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from .characters import TeichCharacter
 from .kubota import WeightPoint, zeta_weight
-from .padic import PadicContext, PadicNumber
+from .padic import PadicContext, PadicNumber, state_add, state_eq, state_mul, state_of_int
 from .primes import is_prime, primes_up_to, smallest_prime_factors
 
 __all__ = [
@@ -47,35 +47,45 @@ class TwinConventionError(RuntimeError):
     indicates an implementation bug, never a property of the input."""
 
 
-@dataclass(frozen=True)
 class QExpansion:
     """q-series truncated at order M, tagged with weight and nebentypus.
 
     The weight is an arbitrary integer (twins have weight 2-k <= 0) and the
-    character tag is the exponent i of eps = omega^i.
+    character tag is the exponent i of eps = omega^i.  a_n is held as the int
+    state ``states[n]`` (``PadicNumber.state``), on which everything below
+    computes; only coeff, coeffs and dump_lines make PadicNumbers.
     """
 
-    ctx: PadicContext
-    weight: int
-    char_exponent: int
-    coeffs: tuple[PadicNumber, ...]
-    degenerate: bool = False
+    __slots__ = ("ctx", "weight", "char_exponent", "states")
+
+    def __init__(self, ctx: PadicContext, weight: int, char_exponent: int, coeffs):
+        """The series with PadicNumber coefficients ``coeffs`` = (a_0, ..., a_M)."""
+        self.ctx, self.weight, self.char_exponent = ctx, weight, char_exponent
+        self.states = tuple(a.state for a in coeffs)
+
+    @classmethod
+    def _of_states(cls, ctx, weight, char_exponent, states) -> "QExpansion":
+        f = object.__new__(cls)
+        f.ctx, f.weight, f.char_exponent, f.states = ctx, weight, char_exponent, states
+        return f
 
     @property
     def truncation(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.states) - 1
+
+    @property
+    def coeffs(self) -> tuple[PadicNumber, ...]:
+        return tuple(PadicNumber.from_state(self.ctx, a) for a in self.states)
 
     def coeff(self, n: int) -> PadicNumber:
-        return self.coeffs[n]
+        return PadicNumber.from_state(self.ctx, self.states[n])
 
     def first_mismatch(self, other: "QExpansion", start: int = 0) -> int | None:
         """Smallest index where the two expansions disagree at the carried
         precision, over the common truncation; None when they agree."""
+        p, a, b = self.ctx.p, self.states, other.states
         end = min(self.truncation, other.truncation)
-        for n in range(start, end + 1):
-            if not (self.coeffs[n] == other.coeffs[n]):
-                return n
-        return None
+        return next((n for n in range(start, end + 1) if not state_eq(p, a[n], b[n])), None)
 
 
 def _assemble(ctx, weight, char_exponent, M, a0, a_p, a_l):
@@ -84,7 +94,10 @@ def _assemble(ctx, weight, char_exponent, M, a0, a_p, a_l):
     coefficients."""
     if M < 1:
         raise ValueError("truncation order must be >= 1")
-    coeffs = [a0, PadicNumber.from_int(1, ctx)] + [None] * (M - 1)
+    p, N = ctx.p, ctx.precision
+    a_p = a_p.state
+    c = [a0.state, state_of_int(p, N, 1)] + [None] * (M - 1)
+    back = {}  # l -> the state of -eps(l) l^(weight-1), built once per prime
     spf = smallest_prime_factors(M)
     for n in range(2, M + 1):
         l = spf[n]
@@ -92,15 +105,17 @@ def _assemble(ctx, weight, char_exponent, M, a0, a_p, a_l):
         while m % l == 0:
             m //= l
         if m > 1:  # n = l^r * m with m > 1 coprime to l
-            coeffs[n] = coeffs[n // m] * coeffs[m]
+            c[n] = state_mul(p, c[n // m], c[m])
         elif n == l:
-            coeffs[n] = a_p if l == ctx.p else a_l(l)
-        elif l == ctx.p:
-            coeffs[n] = coeffs[n // l] * a_p
+            c[n] = a_p if l == p else a_l(l).state
+        elif l == p:
+            c[n] = state_mul(p, c[n // l], a_p)
         else:
-            back = _nebentypus_factor(ctx, weight, char_exponent, l)
-            coeffs[n] = coeffs[l] * coeffs[n // l] - back * coeffs[n // (l * l)]
-    return QExpansion(ctx, weight, char_exponent, tuple(coeffs))
+            if l not in back:
+                back[l] = (-_nebentypus_factor(ctx, weight, char_exponent, l)).state
+            c[n] = state_add(p, N, state_mul(p, c[l], c[n // l]),
+                             state_mul(p, back[l], c[n // (l * l)]))
+    return QExpansion._of_states(ctx, weight, char_exponent, tuple(c))
 
 
 def eisenstein_critical(p: int, k: int, i: int, M: int, ctx: PadicContext) -> QExpansion:
@@ -119,14 +134,12 @@ def eisenstein_critical(p: int, k: int, i: int, M: int, ctx: PadicContext) -> QE
 
 def eisenstein_ordinary(w: WeightPoint, M: int, ctx: PadicContext) -> QExpansion:
     """The ordinary Eisenstein series at a weight-space point with integer
-    coordinate.  The trivial weight degenerates to the constant 1 and is
-    returned flagged rather than rejected."""
+    coordinate.  The trivial weight degenerates to the constant 1 (weight
+    tag 0, coefficients 1, 0, ..., 0) rather than being rejected."""
     if ctx.p != w.p:
         raise ValueError("context prime differs from the weight's prime")
     if w.is_trivial:
-        zero = PadicNumber.from_int(0, ctx)
-        coeffs = (PadicNumber.from_int(1, ctx),) + (zero,) * M
-        return QExpansion(ctx, 0, 0, coeffs, degenerate=True)
+        return QExpansion(ctx, 0, 0, (PadicNumber.from_int(1, ctx),) + (ctx.zero(),) * M)
     if not isinstance(w.s, int):
         raise ValueError("q-expansions are built at integer weight coordinates")
     return _ordinary(w, M, ctx, zeta_weight(w, ctx).value / PadicNumber.from_int(2, ctx))
@@ -159,23 +172,17 @@ def hecke_Tl(f: QExpansion, l: int) -> QExpansion:
         raise ValueError(f"l = {l} is not prime")
     if l == f.ctx.p:
         raise ValueError("T_l is not defined at l = p; use hecke_Up")
-    back = _nebentypus_factor(f.ctx, f.weight, f.char_exponent, l)
-    M = f.truncation // l
-    coeffs = []
-    for n in range(M + 1):
-        c = f.coeffs[n * l]
-        if n % l == 0:  # includes n = 0
-            c = c + back * f.coeffs[n // l]
-        coeffs.append(c)
-    return QExpansion(f.ctx, f.weight, f.char_exponent, tuple(coeffs))
+    p, N, a = f.ctx.p, f.ctx.precision, f.states
+    back = _nebentypus_factor(f.ctx, f.weight, f.char_exponent, l).state
+    states = list(a[::l])
+    for n in range(0, len(states), l):  # includes n = 0
+        states[n] = state_add(p, N, states[n], state_mul(p, back, a[n // l]))
+    return QExpansion._of_states(f.ctx, f.weight, f.char_exponent, tuple(states))
 
 
 def hecke_Up(f: QExpansion) -> QExpansion:
     """U_p: a_n -> a_(np)."""
-    p = f.ctx.p
-    M = f.truncation // p
-    return QExpansion(f.ctx, f.weight, f.char_exponent,
-                      tuple(f.coeffs[n * p] for n in range(M + 1)))
+    return QExpansion._of_states(f.ctx, f.weight, f.char_exponent, f.states[::f.ctx.p])
 
 
 def theta_pow(f: QExpansion, r: int) -> QExpansion:
@@ -184,8 +191,9 @@ def theta_pow(f: QExpansion, r: int) -> QExpansion:
         raise ValueError("theta power must be >= 0")
     if r == 0:
         return f
-    coeffs = tuple(PadicNumber.from_int(n**r, f.ctx) * a for n, a in enumerate(f.coeffs))
-    return QExpansion(f.ctx, f.weight + 2 * r, f.char_exponent, coeffs)
+    p, N = f.ctx.p, f.ctx.precision
+    states = tuple(state_mul(p, state_of_int(p, N, n**r), a) for n, a in enumerate(f.states))
+    return QExpansion._of_states(f.ctx, f.weight + 2 * r, f.char_exponent, states)
 
 
 # -- verification -------------------------------------------------------------
@@ -221,15 +229,15 @@ def check_terms(p: int, terms: int, primes_bound: int):
 def verify_eigensystem(f: QExpansion, primes_bound: int) -> EigenReport:
     """Check T_l f = a_l f for primes l <= primes_bound (l != p) and
     U_p f = a_p f, coefficientwise on the truncation of the image."""
-    p = f.ctx.p
+    p, a = f.ctx.p, f.states
     check_terms(p, f.truncation, primes_bound)
-    if not (f.coeffs[1] == PadicNumber.from_int(1, f.ctx)):
+    if not f.coeff(1) == 1:
         raise ValueError("eigensystem verification expects a normalized expansion (a_1 = 1)")
     checks = []
     for l in [l for l in primes_up_to(primes_bound) if l != p] + [p]:
         image = hecke_Up(f) if l == p else hecke_Tl(f, l)
-        a_l = f.coeffs[l]
-        bad = next((n for n, c in enumerate(image.coeffs) if not c == a_l * f.coeffs[n]), None)
+        bad = next((n for n, c in enumerate(image.states)
+                    if not state_eq(p, c, state_mul(p, a[l], a[n]))), None)
         checks.append(OperatorCheck(f"{'U' if l == p else 'T'}_{l}", bad is None, bad))
     return EigenReport(all(c.passed for c in checks), tuple(checks))
 

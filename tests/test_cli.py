@@ -166,6 +166,23 @@ def test_analyze_past_the_bernoulli_ceiling_rejected(capsys):
     assert "largest supported prime is 2003" in _one_line_error(capsys)
 
 
+NON_POSITIVE_COUNTS = [
+    ["analyze", "--p", "5", "--k", "4", "--eps-exponent", "0", "--precision", "0"],
+    ["analyze", "--p", "5", "--k", "4", "--eps-exponent", "0", "--qexp-terms", "-3"],
+    ["qexp", "--p", "5", "--k", "4", "--eps-exponent", "0", "--which", "crit", "--terms", "0"],
+    ["qexp", "--p", "5", "--k", "4", "--eps-exponent", "0", "--which", "ord",
+     "--precision", "0"],
+    ["lp", "--p", "5", "--branch", "2", "--s", "3", "--precision", "0"],
+]
+
+
+@pytest.mark.parametrize("argv", NON_POSITIVE_COUNTS)
+def test_non_positive_count_is_inadmissible_in_every_command(capsys, argv):
+    # a count below 1 is a bad parameter, not a lost precision budget
+    assert main(argv) == 2
+    _one_line_error(capsys)
+
+
 def test_no_surviving_precision_is_budget_exit_code(capsys):
     rc = main(["lp", "--p", "5", "--branch", "2", "--s", "1", "--precision", "2"])
     assert rc == 3
@@ -291,7 +308,7 @@ def test_unwritable_out_is_exit_2(tmp_path, capsys, monkeypatch, failure):
 
 SCAN_FAILURES = [
     (["--p-from", "5", "--p-to", "7", "--k-from", "4", "--k-to", "4",
-      "--precision", "0"], 3, "precision and terms must be positive"),
+      "--precision", "0"], 2, "precision and terms must be positive"),
     (["--p-from", "5", "--p-to", "7", "--k-from", "4", "--k-to", "4",
       "--i-mode", "branch"], 2, "branch-targeted scans need a target branch"),
     (["--p-from", "5", "--p-to", "41", "--k-from", "4", "--k-to", "4",
@@ -303,6 +320,8 @@ SCAN_FAILURES = [
      "p = 2011 needs B_2008"),
     (["--p-from", "1999", "--p-to", "10000000", "--irregular-only"], 2,
      "the largest supported prime is 2003"),
+    (["--p-from", "5", "--p-to", "7", "--k-from", "4", "--k-to", "4",
+      "--qexp-terms", "0"], 2, "precision and terms must be positive"),
 ]
 
 

@@ -345,3 +345,100 @@ class TestPrecisionMonotonicity:
         q = a / b
         assert q.valuation == -1
         assert q.abs_precision == 19
+
+
+# -- the int-state kernels the q-series run on --------------------------------
+
+
+@st.composite
+def _state_pair(draw):
+    """(p, N, a, b): two canonical states, with b often cancelling a."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    N = draw(st.integers(1, 6))
+
+    def state():
+        if draw(st.integers(0, 4)) == 0:
+            return draw(st.integers(1, 8)), None, 0  # zero modulo p^A
+        r = draw(st.integers(1, N))
+        u = draw(st.integers(1, p**r - 1).filter(lambda u: u % p))
+        return draw(st.integers(-3, 5)), u, r
+
+    a, b = state(), state()
+    if a[1] is not None and draw(st.booleans()):
+        # b = -a + p^j t agrees with -a modulo p^(v+j): the sum cancels digits
+        r, j = draw(st.integers(1, N)), draw(st.integers(1, N))
+        u = (-a[1] + p**j * draw(st.integers(0, p**N))) % p**r
+        b = (a[0], u, r)
+    return p, N, a, b
+
+
+def _value(p, s):
+    """The rational unit * p^val a state stands for (0 for a zero)."""
+    return Fraction(0) if s[1] is None else s[1] * Fraction(p) ** s[0]
+
+
+def _vq(x: Fraction, p: int):
+    """p-adic valuation of a rational, None for 0."""
+    if x == 0:
+        return None
+    v, n, d = 0, x.numerator, x.denominator
+    while n % p == 0:
+        n, v = n // p, v + 1
+    while d % p == 0:
+        d, v = d // p, v - 1
+    return v
+
+
+def _known_to(p, exact, s):
+    """True when the state s equals the exact rational modulo p^(abs precision of s)."""
+    v = _vq(exact - _value(p, s), p)
+    return v is None or v >= s[0] + s[2]
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (ValueError, ArithmeticError) as e:
+        return type(e).__name__
+
+
+class TestStateKernels:
+    @given(_state_pair())
+    @settings(max_examples=400, deadline=None)
+    def test_mul_add_sub_eq_match_padic_numbers(self, case):
+        from eiszeta.padic import state_add, state_eq, state_mul
+
+        p, N, a, b = case
+        ctx = PadicContext(p, N)
+        x, y = PadicNumber.from_state(ctx, a), PadicNumber.from_state(ctx, b)
+        neg_b = (-y).state
+        for kernel, op in ((lambda: state_mul(p, a, b), lambda: (x * y).state),
+                           (lambda: state_add(p, N, a, b), lambda: (x + y).state),
+                           (lambda: state_add(p, N, a, neg_b), lambda: (x - y).state)):
+            assert _outcome(kernel) == _outcome(op), (a, b)
+        assert state_eq(p, a, b) == (x == y)
+
+    @given(_state_pair())
+    @settings(max_examples=400, deadline=None)
+    def test_kernels_are_honest_about_exact_values(self, case):
+        # every digit a result claims holds for the exact rationals the inputs
+        # stand for; a product keeps all the precision its inputs allow and a
+        # sum never claims more than the coarser summand
+        from eiszeta.padic import state_add, state_eq, state_mul
+
+        p, N, a, b = case
+        xa, xb = _value(p, a), _value(p, b)
+        absa, absb = a[0] + a[2], b[0] + b[2]
+        prod = _outcome(lambda: state_mul(p, a, b))
+        if not isinstance(prod, str):
+            assert _known_to(p, xa * xb, prod)
+            if a[1] is not None and b[1] is not None:
+                assert prod[0] + prod[2] == min(absa + b[0], absb + a[0])
+        for sign in (1, -1):
+            other = b if sign == 1 else (b[0], None if b[1] is None else p**b[2] - b[1], b[2])
+            total = _outcome(lambda: state_add(p, N, a, other))
+            if not isinstance(total, str):
+                assert _known_to(p, xa + sign * xb, total)
+                assert total[0] + total[2] <= min(absa, absb)
+        diff = _vq(xa - xb, p)
+        assert state_eq(p, a, b) == (diff is None or diff >= min(absa, absb))

@@ -124,10 +124,13 @@ class TestOrdinary:
         assert f.coeff(4) == PadicNumber.from_int(1 + 8 + 64, CTX)
 
     def test_degenerate_constant(self):
+        # the trivial weight is the constant series 1 of weight 0
         f = eisenstein_ordinary(WeightPoint.classical(5, 0, 0), 10, CTX)
-        assert f.degenerate
+        assert (f.weight, f.char_exponent, f.truncation) == (0, 0, 10)
         assert f.coeff(0) == PadicNumber.from_int(1, CTX)
+        assert f.coeff(0).abs_precision == CTX.precision
         assert all(f.coeff(n).is_zero_to_precision for n in range(1, 11))
+        assert all(f.coeff(n).min_valuation == CTX.precision for n in range(1, 11))
 
 
 class TestHecke:
