@@ -44,7 +44,7 @@ __all__ = [
     "CheckResult",
     "PrecisionBudgetError",
     "analyze_point",
-    "check_ceilings",
+    "check_budget",
     "scan_records",
     "write_scan",
     "report_to_dict",
@@ -116,17 +116,14 @@ class CriticalPointReport:
         return all(c.passed for c in self.checks)
 
 
-def check_ceilings(precision: int, terms: int | None = None):
-    """Refuse a precision or truncation above the ceilings; ``terms`` is None
-    for a command that builds no q-series."""
+def check_budget(precision: int, terms: int | None = None):
+    """Refuse, before any arithmetic, a count above the ceilings (a lost budget)
+    or, when ``terms`` is given, below 1 (an inadmissible ValueError); ``terms``
+    is None for a command that builds no q-series."""
     if precision > MAX_PRECISION or (terms or 0) > MAX_TERMS:
         given = f"precision {precision}" + ("" if terms is None else f" / terms {terms}")
         raise PrecisionBudgetError(f"{given} exceed ceilings ({MAX_PRECISION}, {MAX_TERMS})")
-
-
-def _check_budget(precision: int, terms: int):
-    check_ceilings(precision, terms)
-    if precision < 1 or terms < 1:  # an inadmissible count, not a lost budget
+    if terms is not None and (precision < 1 or terms < 1):
         raise ValueError("precision and terms must be positive")
 
 
@@ -139,7 +136,7 @@ def analyze_point(
     primes_bound: int = 20,
 ) -> CriticalPointReport:
     """Analyze the critical Eisenstein point at (p, k, eps = omega^i)."""
-    _check_budget(precision, terms)
+    check_budget(precision, terms)
     check_irregular_prime(p)
     check_terms(p, terms, primes_bound)
     ctx = PadicContext(p, precision)
@@ -354,7 +351,7 @@ def scan_records(
         raise ValueError("i_mode must be 'all' or 'branch'")
     if i_mode == "branch" and target_branch is None:
         raise ValueError("branch-targeted scans need a target branch")
-    _check_budget(precision, terms)
+    check_budget(precision, terms)
     with_points = not irregular_only and k_from is not None and k_to is not None
     ks = range(k_from, k_to + 1) if with_points else ()
     for p, points in _scan_plan(p_from, p_to, ks, i_mode, target_branch):

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .analyzer import (
     PrecisionBudgetError,
     analyze_point,
-    check_ceilings,
+    check_budget,
     render_text,
     report_to_dict,
     scan_records,
@@ -92,7 +92,8 @@ def _build_parser() -> argparse.ArgumentParser:
     l.add_argument("--p", type=int, required=True)
     l.add_argument("--branch", type=int, required=True)
     l.add_argument("--s", type=str, required=True,
-                   help="argument in Z_p, as an integer or fraction a/b")
+                   help="argument in Z_p, as an integer or fraction a/b; write a "
+                   "negative one as --s=-1/2, since a bare -1/2 reads as an option")
     l.add_argument("--precision", type=int, default=20)
     l.add_argument("--route", choices=("series", "interpolation", "both"),
                    default="series")
@@ -141,7 +142,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_lp(args) -> int:
-    check_ceilings(args.precision)
+    check_budget(args.precision)
     ctx = PadicContext(args.p, args.precision)
     s = _parse_s(args.s)
     results = []
@@ -165,7 +166,7 @@ def _cmd_lp(args) -> int:
 
 
 def _cmd_qexp(args) -> int:
-    check_ceilings(args.precision, args.terms)
+    check_budget(args.precision, args.terms)
     ctx = PadicContext(args.p, args.precision)
     if args.which == "crit":
         f = eisenstein_critical(args.p, args.k, args.eps_exponent, args.terms, ctx)

@@ -45,10 +45,16 @@ from .padic import (
     PadicContext,
     PadicNumber,
     PrecisionLossError,
-    _teich_unit,
     exp_small,
     log_one_unit,
     one_unit_part,
+    state_add,
+    state_char,
+    state_div,
+    state_mul,
+    state_neg,
+    state_of_int,
+    state_of_rational,
 )
 from .primes import is_prime, primes_up_to
 
@@ -136,14 +142,13 @@ class WeightPoint:
         """w(a) = omega^j(a) <a>^s for a coprime to p."""
         if a % self.p == 0:
             raise ValueError("weight characters are evaluated away from p")
+        p, N = self.p, ctx.precision
         if isinstance(self.s, int):
-            # exact route: the unit a^s * omega^(j-s)(a) mod p^N, as one int
-            p, N = self.p, ctx.precision
-            teich = _teich_unit(p, N, pow(a, (self.branch - self.s) % (p - 1), p))
-            return PadicNumber.from_state(ctx, (0, pow(a, self.s, p**N) * teich % p**N, N))
+            # exact route: omega^(j-s)(a) a^s, as one int
+            return PadicNumber.from_state(ctx, state_char(p, N, self.branch - self.s, a, self.s))
         s = _as_padic_integer(self.s, ctx)
-        gamma = exp_small(s * _log_gamma_a(self.p, ctx.precision, a))  # <a>^s
-        return TeichCharacter(self.p, self.branch).value(a, ctx) * gamma
+        gamma = exp_small(s * _log_gamma_a(p, N, a))  # <a>^s
+        return TeichCharacter(p, self.branch).value(a, ctx) * gamma
 
     def describe(self) -> str:
         if self.k is not None:
@@ -177,11 +182,8 @@ def lp_interpolation(n: int, j: int, ctx: PadicContext) -> LValue:
     j = _require_even_branch(j, p)
     chi = TeichCharacter(p, j - n)
     bn = generalized_bernoulli(n, chi, ctx)
-    if chi.is_trivial:
-        euler = PadicNumber.from_rational(1 - Fraction(p) ** (n - 1), ctx)
-    else:
-        euler = PadicNumber.from_int(1, ctx)
-    value = -(euler * bn) / PadicNumber.from_int(n, ctx)
+    euler = 1 - Fraction(p) ** (n - 1) if chi.is_trivial else 1
+    value = -(bn * euler) / n
     prec = min(value.abs_precision, ctx.precision)
     return LValue(value=value, branch=j, argument=1 - n, route="interpolation",
                   precision_achieved=prec)
@@ -212,17 +214,16 @@ def _as_padic_integer(s, ctx: PadicContext) -> PadicNumber:
 def lp_series(s, j: int, ctx: PadicContext) -> LValue:
     """L_p(s, branch j) by the convergent twisted series (module docstring).
 
-    Binomial coefficients C(1-s, m) are built iteratively in Q_p; achieved
-    precision is reported from honest propagation rather than assumed.
+    Binomial coefficients C(1-s, m) are built iteratively on int states
+    (``PadicNumber.state``); achieved precision is reported from honest
+    propagation rather than assumed.
     """
     j = _require_even_branch(j, ctx.p)
     p, N = ctx.p, ctx.precision
     arg = s
-    s = _as_padic_integer(s, ctx)
-    one = PadicNumber.from_int(1, ctx)
-    t = one - s
-    s_minus_1 = -t
-    if s_minus_1.is_zero_to_precision:
+    t = PadicNumber.from_int(1, ctx) - _as_padic_integer(s, ctx)
+    s_minus_1 = state_neg(p, t.state)
+    if s_minus_1[1] is None:  # s = 1 to precision
         if j == 0:
             raise PoleError("the trivial branch has its pole at s = 1")
         # s = 1 exactly on a nontrivial branch: the series becomes 0/0, but
@@ -238,16 +239,15 @@ def lp_series(s, j: int, ctx: PadicContext) -> LValue:
                       precision_achieved=min(value.abs_precision, N))
     # inner-sum length: tail terms have valuation >= m + v(B_m) >= m - 1
     M = N + 1
-    binom = one
+    binom = state_of_int(p, N, 1)
     # c_m = C(1-s, m) B_m p^m, None where B_m = 0; trailing zeros trimmed
-    coeffs: list[PadicNumber | None] = [PadicNumber.from_rational(bernoulli_number(0), ctx)]
+    coeffs: list[tuple | None] = [state_of_rational(p, N, bernoulli_number(0))]
     for m in range(1, M + 1):
-        binom = binom * (t - PadicNumber.from_int(m - 1, ctx)) / PadicNumber.from_int(m, ctx)
+        factor = state_add(p, N, t.state, state_of_int(p, N, 1 - m))  # t - (m - 1)
+        binom = state_div(p, state_mul(p, binom, factor), state_of_int(p, N, m))
         b = bernoulli_number(m)
-        if b == 0:
-            coeffs.append(None)
-            continue
-        coeffs.append(binom * PadicNumber.from_rational(b * Fraction(p) ** m, ctx))
+        coeffs.append(None if b == 0 else
+                      state_mul(p, binom, state_of_rational(p, N, b * Fraction(p) ** m)))
     while coeffs[-1] is None:
         coeffs.pop()
     w = WeightPoint.intrinsic(p, j, t)  # a -> omega^j(a) <a>^(1-s)
@@ -255,13 +255,16 @@ def lp_series(s, j: int, ctx: PadicContext) -> LValue:
     for a in range(1, p):
         # sum_m c_m a^(-m) by Horner; multiplying by the unit 1/a keeps every
         # partial sum's precision, so this equals the termwise sum digit for digit
-        inv_a = PadicNumber.from_rational(Fraction(1, a), ctx)
+        inv_a = state_char(p, N, 0, a, -1)
         inner = coeffs[-1]
         for c in reversed(coeffs[:-1]):
-            inner = inner * inv_a if c is None else inner * inv_a + c
-        contrib = w.value_at(a, ctx) * inner
-        total = contrib if total is None else total + contrib
-    value = total / (PadicNumber.from_int(p, ctx) * s_minus_1)
+            inner = state_mul(p, inner, inv_a)
+            if c is not None:
+                inner = state_add(p, N, inner, c)
+        contrib = state_mul(p, w.value_at(a, ctx).state, inner)
+        total = contrib if total is None else state_add(p, N, total, contrib)
+    denominator = state_mul(p, state_of_int(p, N, p), s_minus_1)  # p (s - 1)
+    value = PadicNumber.from_state(ctx, state_div(p, total, denominator))
     prec = min(value.abs_precision, N)
     return LValue(value=value, branch=j, argument=arg, route="series",
                   precision_achieved=prec)

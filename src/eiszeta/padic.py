@@ -82,7 +82,8 @@ class PadicContext:
         return f"PadicContext(p={self.p}, precision={self.precision})"
 
     def zero(self, abs_prec: int | None = None) -> "PadicNumber":
-        return PadicNumber._zero(self, self.precision if abs_prec is None else abs_prec)
+        abs_prec = self.precision if abs_prec is None else abs_prec
+        return PadicNumber.from_state(self, state_zero(abs_prec))
 
 
 def _vp(n: int, p: int) -> int:
@@ -109,51 +110,35 @@ class PadicNumber:
 
     # -- construction ------------------------------------------------------
 
+    def __setattr__(self, name, value):
+        raise AttributeError("PadicNumber is immutable")
+
     @classmethod
-    def _raw(cls, ctx, val, unit, rel):
-        # the slot setters (bound below the class) skip the refusing
-        # __setattr__ without the cost of four object.__setattr__ lookups
+    def _make(cls, ctx, val: int, unit: int, rel: int) -> "PadicNumber":
+        """unit * p^val known to rel digits, in canonical form (state_normalize)."""
+        return cls.from_state(ctx, state_normalize(ctx.p, ctx.precision, val, unit, rel))
+
+    @classmethod
+    def from_state(cls, ctx, state) -> "PadicNumber":
+        """The value whose canonical state (see :attr:`state`) is ``state``."""
+        # every PadicNumber is made here; the slot setters (bound below the
+        # class) skip the refusing __setattr__ without the cost of four
+        # object.__setattr__ lookups
         self = _new(cls)
+        val, unit, rel = state
         _set_ctx(self, ctx)
         _set_val(self, val)
         _set_unit(self, unit)
         _set_rel(self, rel)
         return self
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PadicNumber is immutable")
-
-    @classmethod
-    def _zero(cls, ctx, abs_prec: int) -> "PadicNumber":
-        return cls._raw(ctx, *state_zero(abs_prec))
-
-    @classmethod
-    def _make(cls, ctx, val: int, unit: int, rel: int) -> "PadicNumber":
-        """unit * p^val known to rel digits, in canonical form (state_normalize)."""
-        return cls._raw(ctx, *state_normalize(ctx.p, ctx.precision, val, unit, rel))
-
-    @classmethod
-    def from_state(cls, ctx, state) -> "PadicNumber":
-        """The value whose canonical state (see :attr:`state`) is ``state``."""
-        return cls._raw(ctx, *state)
-
     @classmethod
     def from_int(cls, x: int, ctx: PadicContext) -> "PadicNumber":
-        return cls._raw(ctx, *state_of_int(ctx.p, ctx.precision, x))
+        return cls.from_state(ctx, state_of_int(ctx.p, ctx.precision, x))
 
     @classmethod
     def from_rational(cls, x, ctx: PadicContext) -> "PadicNumber":
-        x = Fraction(x)
-        if x == 0:
-            return cls._zero(ctx, ctx.precision)
-        num, den = x.numerator, x.denominator
-        vn = _vp(abs(num), ctx.p)
-        vd = _vp(den, ctx.p)
-        num //= ctx.p**vn
-        den //= ctx.p**vd
-        rel = ctx.precision
-        unit = num * pow(den, -1, ctx.p**rel)
-        return cls._make(ctx, vn - vd, unit, rel)
+        return cls.from_state(ctx, state_of_rational(ctx.p, ctx.precision, x))
 
     # -- state -------------------------------------------------------------
 
@@ -221,16 +206,14 @@ class PadicNumber:
             return NotImplemented
         self._check_ctx(other)
         ctx = self.ctx
-        return PadicNumber._raw(ctx, *state_add(ctx.p, ctx.precision,
+        return PadicNumber.from_state(ctx, state_add(ctx.p, ctx.precision,
                                                 (self._val, self._unit, self._rel),
                                                 (other._val, other._unit, other._rel)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        if self._unit is None:
-            return self
-        return PadicNumber._raw(self.ctx, self._val, self.ctx.p**self._rel - self._unit, self._rel)
+        return PadicNumber.from_state(self.ctx, state_neg(self.ctx.p, self.state))
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -238,19 +221,13 @@ class PadicNumber:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         self._check_ctx(other)
         ctx = self.ctx
-        return PadicNumber._raw(ctx, *state_mul(ctx.p, (self._val, self._unit, self._rel),
+        return PadicNumber.from_state(ctx, state_mul(ctx.p, (self._val, self._unit, self._rel),
                                                 (other._val, other._unit, other._rel)))
 
     __rmul__ = __mul__
@@ -260,39 +237,19 @@ class PadicNumber:
         if other is None:
             return NotImplemented
         self._check_ctx(other)
-        if other._unit is None:
-            raise ZeroDivisionError(
-                f"division by a value indistinguishable from zero modulo p^{other._val}"
-            )
-        if self._unit is None:
-            bound = self._val - other._val
-            if bound < 1:
-                raise PrecisionLossError("quotient has no surviving precision")
-            return PadicNumber._zero(self.ctx, bound)
-        rel = min(self._rel, other._rel)
-        mod = self.ctx.p**rel
-        inv = pow(other._unit, -1, mod)
-        return PadicNumber._raw(self.ctx, self._val - other._val, self._unit * inv % mod, rel)
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other / self
+        return PadicNumber.from_state(self.ctx, state_div(self.ctx.p, self.state, other.state))
 
     def __pow__(self, e: int):
         if not isinstance(e, int):
             return NotImplemented
+        if e < 0:  # a zero-to-precision base raises in the division
+            return (PadicNumber.from_int(1, self.ctx) / self) ** (-e)
         if e == 0:
             return PadicNumber.from_int(1, self.ctx)
         if self._unit is None:
-            if e < 0:
-                raise ZeroDivisionError("negative power of a zero-to-precision value")
-            return PadicNumber._zero(self.ctx, self._val * e)
-        if e < 0:
-            return (PadicNumber.from_int(1, self.ctx) / self) ** (-e)
-        mod = self.ctx.p**self._rel
-        return PadicNumber._raw(self.ctx, self._val * e, pow(self._unit, e, mod), self._rel)
+            return self.ctx.zero(self._val * e)
+        v, u, r = self.state
+        return PadicNumber.from_state(self.ctx, (v * e, pow(u, e, self.ctx.p**r), r))
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -312,7 +269,7 @@ class PadicNumber:
     def cap_absolute(self, absprec: int) -> "PadicNumber":
         """Forget digits beyond p^absprec (no-op when already coarser)."""
         if self._unit is None:
-            return self if self._val <= absprec else PadicNumber._zero(self.ctx, absprec)
+            return self if self._val <= absprec else self.ctx.zero(absprec)
         if self.abs_precision <= absprec:
             return self
         return PadicNumber._make(self.ctx, self._val, self._unit, absprec - self._val)
@@ -338,7 +295,8 @@ def agreement_precision(a: PadicNumber, b: PadicNumber) -> int:
 # A state is the triple PadicNumber stores: (val, unit, rel) with the unit
 # prime to p and reduced mod p^rel, or (A, None, 0) for zero modulo p^A.
 # PadicNumber's arithmetic and equality are these functions on its state; the
-# q-series call them directly, without an object per coefficient.
+# q-series, the L-value series, exp_small and log_one_unit call them directly,
+# without an object per operation.
 
 
 def state_normalize(p: int, N: int, val: int, unit: int, rel: int) -> tuple:
@@ -376,6 +334,16 @@ def state_of_int(p: int, N: int, x: int) -> tuple:
     return state_normalize(p, N, v, x // p**v, N)
 
 
+def state_of_rational(p: int, N: int, x) -> tuple:
+    x = Fraction(x)
+    if x == 0:
+        return N, None, 0
+    num, den = x.numerator, x.denominator
+    vn, vd = _vp(abs(num), p), _vp(den, p)
+    unit = num // p**vn * pow(den // p**vd, -1, p**N)
+    return state_normalize(p, N, vn - vd, unit, N)
+
+
 def state_mul(p: int, a: tuple, b: tuple) -> tuple:
     """a * b: valuations add, relative precisions meet."""
     va, ua, ra = a
@@ -385,6 +353,28 @@ def state_mul(p: int, a: tuple, b: tuple) -> tuple:
     rel = ra if ra < rb else rb
     # units prime to p multiply to such a unit, so no normalisation is needed
     return va + vb, ua * ub % p**rel, rel
+
+
+def state_div(p: int, a: tuple, b: tuple) -> tuple:
+    """a / b: valuations subtract, relative precisions meet; a zero numerator
+    keeps its bound shifted by v(b)."""
+    va, ua, ra = a
+    vb, ub, rb = b
+    if ub is None:
+        raise ZeroDivisionError(f"division by a value indistinguishable from zero modulo p^{vb}")
+    if ua is None:
+        if va - vb < 1:
+            raise PrecisionLossError("quotient has no surviving precision")
+        return va - vb, None, 0
+    rel = ra if ra < rb else rb
+    mod = p**rel
+    return va - vb, ua * pow(ub, -1, mod) % mod, rel
+
+
+def state_neg(p: int, a: tuple) -> tuple:
+    """-a, to the same precision."""
+    v, u, r = a
+    return a if u is None else (v, p**r - u, r)
 
 
 def state_add(p: int, N: int, a: tuple, b: tuple) -> tuple:
@@ -452,12 +442,19 @@ def _teich_unit(p: int, precision: int, a: int) -> int:
     return x
 
 
+def state_char(p: int, N: int, e: int, a: int, n: int) -> tuple:
+    """State of omega^e(a) * a^n for an integer a prime to p (n may be
+    negative): a unit known to N digits."""
+    mod = p**N
+    # omega(a)^e = omega(a^e mod p): one cached Hensel fixed point
+    return 0, _teich_unit(p, N, pow(a, e % (p - 1), p)) * pow(a, n, mod) % mod, N
+
+
 def teichmuller(a: int, ctx: PadicContext) -> PadicNumber:
     """Teichmuller lift omega(a) for an integer a coprime to p."""
     if a % ctx.p == 0:
         raise ValueError(f"{a} is divisible by p = {ctx.p}; no Teichmuller lift")
-    u = _teich_unit(ctx.p, ctx.precision, a % ctx.p)
-    return PadicNumber._make(ctx, 0, u, ctx.precision)
+    return PadicNumber.from_state(ctx, state_char(ctx.p, ctx.precision, 1, a, 0))
 
 
 def one_unit_part(x: PadicNumber) -> PadicNumber:
@@ -482,8 +479,7 @@ def log_one_unit(u: PadicNumber) -> PadicNumber:
     ctx = u.ctx
     N, p = ctx.precision, ctx.p
     vz = z.valuation
-    total = z
-    zpow = z
+    total = zpow = zs = z.state
     n = 1
     while True:
         nxt = n + 1
@@ -492,12 +488,10 @@ def log_one_unit(u: PadicNumber) -> PadicNumber:
         if bound >= N:
             break
         n = nxt
-        zpow = zpow * z
-        term = zpow / PadicNumber.from_int(n, ctx)
-        if n % 2 == 0:
-            term = -term
-        total = total + term
-    return total
+        zpow = state_mul(p, zpow, zs)
+        term = state_div(p, zpow, state_of_int(p, N, n))
+        total = state_add(p, N, total, state_neg(p, term) if n % 2 == 0 else term)
+    return PadicNumber.from_state(ctx, total)
 
 
 def _floor_log(n: int, p: int) -> int:
@@ -515,15 +509,14 @@ def exp_small(x: PadicNumber) -> PadicNumber:
     working precision.
     """
     ctx = x.ctx
-    one = PadicNumber.from_int(1, ctx)
     if x.is_zero_to_precision:
         return PadicNumber._make(ctx, 0, 1, min(x.min_valuation, ctx.precision))
     if x.valuation < 1:
         raise ValueError("exp_small needs v(x) >= 1")
     N, p = ctx.precision, ctx.p
     vx = x.valuation
-    total = one + x
-    term = x
+    term = xs = x.state
+    total = state_add(p, N, state_of_int(p, N, 1), xs)
     n = 1
     while True:
         nxt = n + 1
@@ -531,9 +524,9 @@ def exp_small(x: PadicNumber) -> PadicNumber:
         if (nxt * vx) * (p - 1) - n >= N * (p - 1):
             break
         n = nxt
-        term = term * x / PadicNumber.from_int(n, ctx)
-        total = total + term
-    return total
+        term = state_div(p, state_mul(p, term, xs), state_of_int(p, N, n))
+        total = state_add(p, N, total, term)
+    return PadicNumber.from_state(ctx, total)
 
 
 def pow_zp(u: PadicNumber, s) -> PadicNumber:
@@ -598,7 +591,7 @@ def parse_padic(text: str, ctx: PadicContext) -> PadicNumber:
             e = int(m.group(3)) if m.group(3) is not None else 1
         terms.append((e, d))
     if not terms:
-        return PadicNumber._zero(ctx, absprec)
+        return ctx.zero(absprec)
     v = min(e for e, _ in terms)
     unit = sum(d * ctx.p ** (e - v) for e, d in terms)
     return PadicNumber._make(ctx, v, unit, absprec - v)

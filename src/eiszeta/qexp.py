@@ -19,9 +19,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .characters import TeichCharacter
 from .kubota import WeightPoint, zeta_weight
-from .padic import PadicContext, PadicNumber, state_add, state_eq, state_mul, state_of_int
+from .padic import (
+    PadicContext,
+    PadicNumber,
+    state_add,
+    state_char,
+    state_eq,
+    state_mul,
+    state_neg,
+    state_of_int,
+    state_zero,
+)
 from .primes import is_prime, primes_up_to, smallest_prime_factors
 
 __all__ = [
@@ -88,15 +97,17 @@ class QExpansion:
         return next((n for n in range(start, end + 1) if not state_eq(p, a[n], b[n])), None)
 
 
-def _assemble(ctx, weight, char_exponent, M, a0, a_p, a_l):
-    """The normalized eigenform with constant term a0, eigenvalue a_p at p
-    and a_l(l) at primes l != p, filled in index order from its own earlier
-    coefficients."""
+def _assemble(ctx, M, a0, a_p, alpha, beta):
+    """The normalized eigenform with constant term a0, eigenvalue a_p at p (int
+    states) and a_l = alpha(l) + beta(l) at primes l != p, where (e, n) stands
+    for l -> omega^e(l) l^n and alpha * beta is the nebentypus factor; filled
+    in index order from its own earlier coefficients."""
     if M < 1:
         raise ValueError("truncation order must be >= 1")
     p, N = ctx.p, ctx.precision
-    a_p = a_p.state
-    c = [a0.state, state_of_int(p, N, 1)] + [None] * (M - 1)
+    (ea, na), (eb, nb) = alpha, beta
+    weight, char_exponent = na + nb + 1, (ea + eb) % (p - 1)
+    c = [a0, state_of_int(p, N, 1)] + [None] * (M - 1)
     back = {}  # l -> the state of -eps(l) l^(weight-1), built once per prime
     spf = smallest_prime_factors(M)
     for n in range(2, M + 1):
@@ -107,12 +118,13 @@ def _assemble(ctx, weight, char_exponent, M, a0, a_p, a_l):
         if m > 1:  # n = l^r * m with m > 1 coprime to l
             c[n] = state_mul(p, c[n // m], c[m])
         elif n == l:
-            c[n] = a_p if l == p else a_l(l).state
+            c[n] = a_p if l == p else state_add(p, N, state_char(p, N, ea, l, na),
+                                                state_char(p, N, eb, l, nb))
         elif l == p:
             c[n] = state_mul(p, c[n // l], a_p)
         else:
             if l not in back:
-                back[l] = (-_nebentypus_factor(ctx, weight, char_exponent, l)).state
+                back[l] = state_neg(p, state_char(p, N, char_exponent, l, weight - 1))
             c[n] = state_add(p, N, state_mul(p, c[l], c[n // l]),
                              state_mul(p, back[l], c[n // (l * l)]))
     return QExpansion._of_states(ctx, weight, char_exponent, tuple(c))
@@ -123,13 +135,9 @@ def eisenstein_critical(p: int, k: int, i: int, M: int, ctx: PadicContext) -> QE
     WeightPoint.classical(p, k, i).validate_critical()
     if ctx.p != p:
         raise ValueError("context prime differs from p")
-    eps = TeichCharacter(p, i)
-
-    def a_l(l: int) -> PadicNumber:
-        return eps.value(l, ctx) + PadicNumber.from_int(l, ctx) ** (k - 1)
-
-    a_p = PadicNumber.from_int(p, ctx) ** (k - 1)
-    return _assemble(ctx, k, i % (p - 1), M, ctx.zero(), a_p, a_l)
+    N = ctx.precision
+    # a_l = eps(l) + l^(k-1)
+    return _assemble(ctx, M, state_zero(N), state_of_int(p, N, p ** (k - 1)), (i, 0), (0, k - 1))
 
 
 def eisenstein_ordinary(w: WeightPoint, M: int, ctx: PadicContext) -> QExpansion:
@@ -148,22 +156,13 @@ def eisenstein_ordinary(w: WeightPoint, M: int, ctx: PadicContext) -> QExpansion
 def _ordinary(w: WeightPoint, M: int, ctx: PadicContext, a0: PadicNumber) -> QExpansion:
     """The ordinary series at a nontrivial weight with integer coordinate,
     with the constant term a0 given."""
-    one = PadicNumber.from_int(1, ctx)
-
-    def a_l(l: int) -> PadicNumber:
-        return one + w.value_at(l, ctx) / PadicNumber.from_int(l, ctx)
-
     k = w.s
-    return _assemble(ctx, k, (w.branch - k) % (w.p - 1), M, a0, one, a_l)
+    # a_l = 1 + w(l)/l, and w(l)/l = omega^(j-k)(l) l^(k-1)
+    one = state_of_int(ctx.p, ctx.precision, 1)
+    return _assemble(ctx, M, a0.state, one, (0, 0), (w.branch - k, k - 1))
 
 
 # -- operators ---------------------------------------------------------------
-
-
-def _nebentypus_factor(ctx, weight, char_exponent, l) -> PadicNumber:
-    """eps(l) * l^(weight-1) for eps = omega^char_exponent and l prime to p."""
-    lw = PadicNumber.from_int(pow(l, weight - 1, ctx.p**ctx.precision), ctx)
-    return TeichCharacter(ctx.p, char_exponent).value(l, ctx) * lw
 
 
 def hecke_Tl(f: QExpansion, l: int) -> QExpansion:
@@ -173,7 +172,7 @@ def hecke_Tl(f: QExpansion, l: int) -> QExpansion:
     if l == f.ctx.p:
         raise ValueError("T_l is not defined at l = p; use hecke_Up")
     p, N, a = f.ctx.p, f.ctx.precision, f.states
-    back = _nebentypus_factor(f.ctx, f.weight, f.char_exponent, l).state
+    back = state_char(p, N, f.char_exponent, l, f.weight - 1)  # eps(l) l^(k-1)
     states = list(a[::l])
     for n in range(0, len(states), l):  # includes n = 0
         states[n] = state_add(p, N, states[n], state_mul(p, back, a[n // l]))

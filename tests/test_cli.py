@@ -173,6 +173,9 @@ NON_POSITIVE_COUNTS = [
     ["qexp", "--p", "5", "--k", "4", "--eps-exponent", "0", "--which", "ord",
      "--precision", "0"],
     ["lp", "--p", "5", "--branch", "2", "--s", "3", "--precision", "0"],
+    # the count is checked before the twin's L-value loses every digit at N = 1
+    ["qexp", "--p", "5", "--k", "7", "--eps-exponent", "5", "--terms", "0",
+     "--which", "twin", "--precision", "1"],
 ]
 
 
@@ -192,7 +195,7 @@ def test_no_surviving_precision_is_budget_exit_code(capsys):
 LOW_PRECISION = [
     ["lp", "--p", "5", "--branch", "2", "--s", "1", "--precision", "1"],
     ["analyze", "--p", "5", "--k", "2", "--eps-exponent", "2", "--precision", "1"],
-    ["qexp", "--p", "5", "--k", "7", "--eps-exponent", "5", "--terms", "0",
+    ["qexp", "--p", "5", "--k", "7", "--eps-exponent", "5", "--terms", "10",
      "--which", "twin", "--precision", "1"],
     ["analyze", "--p", "3", "--k", "3", "--eps-exponent", "1", "--precision", "2"],
 ]

@@ -4,7 +4,7 @@ one-unit analytic functions."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from eiszeta.padic import (
     ContextMismatchError,
@@ -422,9 +422,9 @@ class TestStateKernels:
     @settings(max_examples=400, deadline=None)
     def test_kernels_are_honest_about_exact_values(self, case):
         # every digit a result claims holds for the exact rationals the inputs
-        # stand for; a product keeps all the precision its inputs allow and a
-        # sum never claims more than the coarser summand
-        from eiszeta.padic import state_add, state_eq, state_mul
+        # stand for; a product or quotient keeps all the precision its inputs
+        # allow and a sum never claims more than the coarser summand
+        from eiszeta.padic import state_add, state_div, state_eq, state_mul, state_neg
 
         p, N, a, b = case
         xa, xb = _value(p, a), _value(p, b)
@@ -442,3 +442,31 @@ class TestStateKernels:
                 assert total[0] + total[2] <= min(absa, absb)
         diff = _vq(xa - xb, p)
         assert state_eq(p, a, b) == (diff is None or diff >= min(absa, absb))
+        quo = _outcome(lambda: state_div(p, a, b))
+        if b[1] is None:
+            assert quo == "ZeroDivisionError"
+        elif a[1] is None:
+            # a zero numerator keeps its bound shifted by v(b), while a digit is left
+            assert quo == ((a[0] - b[0], None, 0) if a[0] - b[0] >= 1 else "PrecisionLossError")
+        else:
+            assert _known_to(p, xa / xb, quo)
+            assert quo[2] == min(a[2], b[2]) and quo[0] == a[0] - b[0]
+        neg = state_neg(p, a)
+        assert _known_to(p, -xa, neg) and neg[0] + neg[2] == absa
+        assert (neg[1] is None) == (a[1] is None)
+
+    @given(st.sampled_from([3, 5, 7, 37]), st.integers(1, 8), st.integers(-9, 9),
+           st.integers(1, 500), st.integers(-4, 6))
+    @settings(max_examples=300, deadline=None)
+    def test_char_is_a_root_of_unity_times_a_power(self, p, N, e, a, n):
+        # state_char(p, N, e, a, n) = omega^e(a) a^n: dividing out a^n leaves a
+        # (p-1)-th root of unity mod p^N that is congruent to a^e mod p
+        from eiszeta.padic import state_char
+
+        assume(a % p)
+        mod = p**N
+        val, u, rel = state_char(p, N, e, a, n)
+        assert (val, rel) == (0, N) and 0 < u < mod and u % p
+        root = u * pow(a, -n, mod) % mod
+        assert pow(root, p - 1, mod) == 1
+        assert root % p == pow(a, e % (p - 1), p)

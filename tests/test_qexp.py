@@ -409,3 +409,28 @@ class TestBuilderAgainstOracle:
         # some a_l vanish mod p (e.g. l = 2 at p = 3), so the recursion runs
         # through cancelled coefficients
         assert cancelled > 0
+
+
+class TestBuildsOnStates:
+    def test_padic_numbers_made_do_not_grow_with_the_truncation(self, monkeypatch):
+        # the builders compute on int states: a PadicNumber is made only at
+        # the edges, so their number is the same at M = 50 and at M = 400
+        real = PadicNumber.from_state.__func__
+        made = []
+
+        def counting(cls, *args):
+            made.append(1)
+            return real(cls, *args)
+
+        monkeypatch.setattr(PadicNumber, "from_state", classmethod(counting))
+        twin = WeightPoint.classical(5, 4, 2).twin()
+        counts = {}
+        for M in (50, 400):
+            ctx = PadicContext(5, 20)
+            for name, build in (("crit", lambda: eisenstein_critical(5, 4, 2, M, ctx)),
+                                ("ord", lambda: _ordinary(twin, M, ctx, ctx.zero()))):
+                made.clear()
+                build()
+                counts[name, M] = len(made)
+        assert counts["crit", 50] == counts["crit", 400], counts
+        assert counts["ord", 50] == counts["ord", 400], counts
