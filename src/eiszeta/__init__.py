@@ -10,7 +10,6 @@ from .padic import (
     one_unit_part,
     log_one_unit,
     exp_small,
-    pow_zp,
     format_padic,
     parse_padic,
     agreement_precision,

@@ -51,17 +51,6 @@ class TeichCharacter:
     def conductor(self) -> int:
         return 1 if self.is_trivial else self.p
 
-    @property
-    def parity(self) -> int:
-        """Value at -1 as a sign: omega(-1) = -1, so this is (-1)^i."""
-        return -1 if self.exponent % 2 else 1
-
-    @property
-    def order(self) -> int:
-        from math import gcd
-
-        return (self.p - 1) // gcd(self.exponent, self.p - 1)
-
     def value(self, a: int, ctx: PadicContext) -> PadicNumber:
         """omega^i(a); exact 0 at multiples of p unless the character is trivial."""
         if ctx.p != self.p:

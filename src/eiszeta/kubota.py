@@ -55,6 +55,7 @@ from .padic import (
     state_neg,
     state_of_int,
     state_of_rational,
+    state_zero,
 )
 from .primes import is_prime, primes_up_to
 
@@ -148,7 +149,8 @@ class WeightPoint:
             return PadicNumber.from_state(ctx, state_char(p, N, self.branch - self.s, a, self.s))
         s = _as_padic_integer(self.s, ctx)
         gamma = exp_small(s * _log_gamma_a(p, N, a))  # <a>^s
-        return TeichCharacter(p, self.branch).value(a, ctx) * gamma
+        return PadicNumber.from_state(ctx, state_mul(p, state_char(p, N, self.branch, a, 0),
+                                                     gamma.state))
 
     def describe(self) -> str:
         if self.k is not None:
@@ -234,7 +236,8 @@ def lp_series(s, j: int, ctx: PadicContext) -> LValue:
             raise PrecisionLossError("s = 1 on a nontrivial branch needs precision >= 2")
         h = N // 2
         near = lp_series(1 + p**h, j, ctx)
-        value = near.value.cap_absolute(min(near.value.abs_precision, h + 1))
+        # value + O(p^(h+1)): no digit past p^(h+1) is claimed, whatever the valuation
+        value = PadicNumber.from_state(ctx, state_add(p, N, near.value.state, state_zero(h + 1)))
         return LValue(value=value, branch=j, argument=arg, route="series",
                       precision_achieved=min(value.abs_precision, N))
     # inner-sum length: tail terms have valuation >= m + v(B_m) >= m - 1

@@ -35,7 +35,6 @@ __all__ = [
     "one_unit_part",
     "log_one_unit",
     "exp_small",
-    "pow_zp",
     "format_padic",
     "parse_padic",
     "agreement_precision",
@@ -96,14 +95,15 @@ def _vp(n: int, p: int) -> int:
 
 
 class PadicNumber:
-    """Immutable element of Q_p known to a definite absolute precision.
+    """Immutable element of Q_p known to a definite absolute precision: a
+    context and the canonical int state (see state_normalize) it stands for.
 
-    Nonzero state: ``_unit * p^_val`` with ``_unit`` coprime to p, reduced
-    modulo p^_rel (1 <= _rel <= N).  Zero state: ``_unit is None`` and
-    ``_val`` holds the exponent A with the value known to lie in p^A Z_p.
+    Nonzero state: ``(val, unit, rel)``, the value ``unit * p^val`` with
+    ``unit`` coprime to p, reduced modulo p^rel (1 <= rel <= N).  Zero state:
+    ``(A, None, 0)``, a value known to lie in p^A Z_p.
     """
 
-    __slots__ = ("ctx", "_val", "_unit", "_rel")
+    __slots__ = ("ctx", "state")
 
     def __init__(self, *args, **kwargs):
         raise TypeError("use PadicNumber.from_int / from_rational / ctx.zero")
@@ -114,22 +114,13 @@ class PadicNumber:
         raise AttributeError("PadicNumber is immutable")
 
     @classmethod
-    def _make(cls, ctx, val: int, unit: int, rel: int) -> "PadicNumber":
-        """unit * p^val known to rel digits, in canonical form (state_normalize)."""
-        return cls.from_state(ctx, state_normalize(ctx.p, ctx.precision, val, unit, rel))
-
-    @classmethod
     def from_state(cls, ctx, state) -> "PadicNumber":
-        """The value whose canonical state (see :attr:`state`) is ``state``."""
+        """The value whose canonical state is ``state``."""
         # every PadicNumber is made here; the slot setters (bound below the
-        # class) skip the refusing __setattr__ without the cost of four
-        # object.__setattr__ lookups
+        # class) skip the refusing __setattr__
         self = _new(cls)
-        val, unit, rel = state
         _set_ctx(self, ctx)
-        _set_val(self, val)
-        _set_unit(self, unit)
-        _set_rel(self, rel)
+        _set_state(self, state)
         return self
 
     @classmethod
@@ -143,44 +134,41 @@ class PadicNumber:
     # -- state -------------------------------------------------------------
 
     @property
-    def state(self) -> tuple:
-        """The (valuation, unit, rel) ints this value is stored as (see state_normalize)."""
-        return self._val, self._unit, self._rel
-
-    @property
     def is_zero_to_precision(self) -> bool:
-        return self._unit is None
+        return self.state[1] is None
 
     @property
     def valuation(self):
         """Exact valuation for a nonzero value; None when only a lower bound
         (the absolute precision) is known."""
-        return None if self._unit is None else self._val
+        val, unit, _ = self.state
+        return None if unit is None else val
 
     @property
     def min_valuation(self) -> int:
         """Best known lower bound on the valuation."""
-        return self._val
+        return self.state[0]
 
     @property
     def unit(self):
-        return self._unit
+        return self.state[1]
 
     @property
     def rel_precision(self) -> int:
-        return self._rel
+        return self.state[2]
 
     @property
     def abs_precision(self) -> int:
         """The value is known modulo p^abs_precision."""
-        return self._val + self._rel
+        return self.state[0] + self.state[2]
 
     def digits(self) -> list[int]:
         """Base-p digits of the unit, least significant first (empty for zero)."""
-        if self._unit is None:
+        _, u, rel = self.state
+        if u is None:
             return []
-        out, u, p = [], self._unit, self.ctx.p
-        for _ in range(self._rel):
+        out, p = [], self.ctx.p
+        for _ in range(rel):
             u, d = divmod(u, p)
             out.append(d)
         return out
@@ -207,8 +195,7 @@ class PadicNumber:
         self._check_ctx(other)
         ctx = self.ctx
         return PadicNumber.from_state(ctx, state_add(ctx.p, ctx.precision,
-                                                (self._val, self._unit, self._rel),
-                                                (other._val, other._unit, other._rel)))
+                                                     self.state, other.state))
 
     __radd__ = __add__
 
@@ -226,9 +213,7 @@ class PadicNumber:
         if other is None:
             return NotImplemented
         self._check_ctx(other)
-        ctx = self.ctx
-        return PadicNumber.from_state(ctx, state_mul(ctx.p, (self._val, self._unit, self._rel),
-                                                (other._val, other._unit, other._rel)))
+        return PadicNumber.from_state(self.ctx, state_mul(self.ctx.p, self.state, other.state))
 
     __rmul__ = __mul__
 
@@ -246,9 +231,9 @@ class PadicNumber:
             return (PadicNumber.from_int(1, self.ctx) / self) ** (-e)
         if e == 0:
             return PadicNumber.from_int(1, self.ctx)
-        if self._unit is None:
-            return self.ctx.zero(self._val * e)
         v, u, r = self.state
+        if u is None:
+            return self.ctx.zero(v * e)
         return PadicNumber.from_state(self.ctx, (v * e, pow(u, e, self.ctx.p**r), r))
 
     def __eq__(self, other):
@@ -264,22 +249,10 @@ class PadicNumber:
     def __repr__(self):
         return f"PadicNumber({format_padic(self)})"
 
-    # -- conversions -------------------------------------------------------
-
-    def cap_absolute(self, absprec: int) -> "PadicNumber":
-        """Forget digits beyond p^absprec (no-op when already coarser)."""
-        if self._unit is None:
-            return self if self._val <= absprec else self.ctx.zero(absprec)
-        if self.abs_precision <= absprec:
-            return self
-        return PadicNumber._make(self.ctx, self._val, self._unit, absprec - self._val)
-
 
 _new = object.__new__
 _set_ctx = PadicNumber.ctx.__set__
-_set_val = PadicNumber._val.__set__
-_set_unit = PadicNumber._unit.__set__
-_set_rel = PadicNumber._rel.__set__
+_set_state = PadicNumber.state.__set__
 
 
 def agreement_precision(a: PadicNumber, b: PadicNumber) -> int:
@@ -509,11 +482,11 @@ def exp_small(x: PadicNumber) -> PadicNumber:
     working precision.
     """
     ctx = x.ctx
+    N, p = ctx.precision, ctx.p
     if x.is_zero_to_precision:
-        return PadicNumber._make(ctx, 0, 1, min(x.min_valuation, ctx.precision))
+        return PadicNumber.from_state(ctx, state_normalize(p, N, 0, 1, x.min_valuation))
     if x.valuation < 1:
         raise ValueError("exp_small needs v(x) >= 1")
-    N, p = ctx.precision, ctx.p
     vx = x.valuation
     term = xs = x.state
     total = state_add(p, N, state_of_int(p, N, 1), xs)
@@ -527,15 +500,6 @@ def exp_small(x: PadicNumber) -> PadicNumber:
         term = state_div(p, state_mul(p, term, xs), state_of_int(p, N, n))
         total = state_add(p, N, total, term)
     return PadicNumber.from_state(ctx, total)
-
-
-def pow_zp(u: PadicNumber, s) -> PadicNumber:
-    """<u>^s = exp(s*log u) for a one-unit u and a p-adic integer exponent s."""
-    if isinstance(s, (int, Fraction)):
-        s = PadicNumber.from_rational(s, u.ctx)
-    if not s.is_zero_to_precision and s.valuation < 0:
-        raise ValueError("exponent must be a p-adic integer")
-    return exp_small(s * log_one_unit(u))
 
 
 # -- textual form ----------------------------------------------------------
@@ -594,4 +558,5 @@ def parse_padic(text: str, ctx: PadicContext) -> PadicNumber:
         return ctx.zero(absprec)
     v = min(e for e, _ in terms)
     unit = sum(d * ctx.p ** (e - v) for e, d in terms)
-    return PadicNumber._make(ctx, v, unit, absprec - v)
+    return PadicNumber.from_state(ctx, state_normalize(ctx.p, ctx.precision, v, unit,
+                                                      absprec - v))

@@ -8,17 +8,21 @@ production routes is a strong wrong-formula detector.
 
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
+
 from eiszeta.bernoulli import bernoulli_number
 from eiszeta.characters import TeichCharacter
-from eiszeta.kubota import lp_interpolation, lp_series
+from eiszeta.kubota import PoleError, WeightPoint, lp_interpolation, lp_series
 from eiszeta.padic import (
     PadicContext,
     PadicNumber,
+    PrecisionLossError,
     agreement_precision,
     exp_small,
     log_one_unit,
     one_unit_part,
 )
+from eiszeta.qexp import eisenstein_ordinary
 
 
 def _lp_series_modulus_p_squared(s: int, j: int, ctx: PadicContext) -> PadicNumber:
@@ -112,3 +116,51 @@ def test_twin_identity_more_primes():
         ctx = PadicContext(p, 14)
         rep = theta_twin_check(eisenstein_critical(p, k, i, 120, ctx))
         assert rep.passed, (p, k, i)
+
+
+# -- precision honesty: a deeper rerun confirms every stated digit -------------
+
+# (p, branch, s): every even branch, s near the pole, on both sides of the
+# interpolation range, close to 1 p-adically, and fractional
+L_POINTS = [(p, j, s) for p in (3, 5, 7) for j in range(0, p - 1, 2)
+            for s in [*range(-6, 9), 1 + p, 1 + p * p, Fraction(1, 2), Fraction(-3, 2)]]
+# (p, k, i): the critical points whose ordinary twins are checked
+CRITICAL_POINTS = [(p, k, i) for p in (3, 5, 7, 11) for k in range(2, 9) for i in range(p - 1)
+                   if (k - i) % 2 == 0 and (k, i) != (2, 0)]
+RERUNS = st.tuples(st.integers(1, 6), st.sampled_from([1, 3]))
+
+
+def _or_none(fn):
+    """fn(), or None where it refuses the point (a pole, or no digit left)."""
+    try:
+        return fn()
+    except (PoleError, PrecisionLossError):
+        return None
+
+
+@given(st.sampled_from(L_POINTS), RERUNS)
+@settings(max_examples=300, deadline=None)
+def test_lp_series_digits_survive_a_deeper_rerun(point, rerun):
+    p, j, s = point
+    N, g = rerun
+    lo = _or_none(lambda: lp_series(s, j, PadicContext(p, N)))
+    hi = _or_none(lambda: lp_series(s, j, PadicContext(p, N + g)))
+    if lo is None or hi is None:
+        return
+    stated = min(lo.precision_achieved, hi.precision_achieved)
+    assert agreement_precision(lo.value, hi.value) >= stated, (p, j, s, N, g)
+
+
+@given(st.sampled_from(CRITICAL_POINTS), RERUNS)
+@settings(max_examples=150, deadline=None)
+def test_twin_coefficients_survive_a_deeper_rerun(point, rerun):
+    # a_0 carries zeta_p(twin); every a_n must agree to the lower of the two
+    # absolute precisions
+    p, k, i = point
+    N, g = rerun
+    twin = WeightPoint.classical(p, k, i).twin()
+    lo = _or_none(lambda: eisenstein_ordinary(twin, 12, PadicContext(p, N)))
+    hi = _or_none(lambda: eisenstein_ordinary(twin, 12, PadicContext(p, N + g)))
+    if lo is None or hi is None:
+        return
+    assert lo.first_mismatch(hi) is None, (p, k, i, N, g)

@@ -151,6 +151,25 @@ class TestSeries:
         with pytest.raises(padic.PrecisionLossError):
             lp_series(1, 2, PadicContext(5, 1))
 
+    def test_removable_point_claims_no_digit_past_its_neighbour_bound(self, monkeypatch):
+        # L(1) is read as L(1 + p^h) + O(p^(h+1)); a neighbour value of
+        # valuation above h + 1 must not lift the stated precision past h + 1
+        p, j, N = 5, 2, 8
+        h = N // 2
+        ctx = PadicContext(p, N)
+        real = kubota.lp_series
+
+        def neighbour_of_high_valuation(s, j, ctx):
+            if s == 1 + p**h:
+                return kubota.LValue(value=PadicNumber.from_int(2 * p ** (h + 2), ctx), branch=j,
+                                     argument=s, route="series", precision_achieved=N)
+            return real(s, j, ctx)
+
+        monkeypatch.setattr(kubota, "lp_series", neighbour_of_high_valuation)
+        at1 = kubota.lp_series(1, j, ctx)
+        assert at1.precision_achieved == h + 1
+        assert at1.value.is_zero_to_precision and at1.value.abs_precision == h + 1
+
     @pytest.mark.parametrize("p,j,s", [(5, 2, 3), (7, 4, -2), (37, 32, Fraction(1, 2)),
                                        (7, 2, 1), (5, 0, 1 + 5)])
     def test_summand_is_the_weight_character(self, monkeypatch, p, j, s):
