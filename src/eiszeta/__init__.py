@@ -7,11 +7,9 @@ from .padic import (
     ContextMismatchError,
     PrecisionLossError,
     teichmuller,
-    one_unit_part,
     log_one_unit,
     exp_small,
     format_padic,
-    parse_padic,
     agreement_precision,
 )
 from .characters import TeichCharacter

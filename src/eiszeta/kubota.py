@@ -47,7 +47,6 @@ from .padic import (
     PrecisionLossError,
     exp_small,
     log_one_unit,
-    one_unit_part,
     state_add,
     state_char,
     state_div,
@@ -200,7 +199,8 @@ def _log_gamma_a(p: int, precision: int, a: int) -> PadicNumber:
     out beyond LOG_GAMMA_CACHE_SIZE = 4096 entries, which holds every a of
     any one prime below 4096 at one N."""
     ctx = PadicContext(p, precision)
-    return log_one_unit(one_unit_part(PadicNumber.from_int(a, ctx)))
+    # <a> = omega(a)^(-1) * a
+    return log_one_unit(PadicNumber.from_state(ctx, state_char(p, precision, -1, a, 1)))
 
 
 def _as_padic_integer(s, ctx: PadicContext) -> PadicNumber:
@@ -341,11 +341,8 @@ def irregular_scan(p: int, ctx: PadicContext) -> list[tuple[int, ZeroWitness]]:
         # one grid point per residue class mod p; s = 1 is replaced by
         # s = 1 + p to stay clear of the series' removable 0/0 point
         for s in [0, 1 + p] + list(range(2, p)):
-            val = lp_series(s, j, ctx).value
-            if val.is_zero_to_precision:
-                profile.append((s, val.min_valuation))
-            else:
-                profile.append((s, val.valuation))
+            # the valuation of a nonzero value, the bound of a zero one
+            profile.append((s, lp_series(s, j, ctx).value.min_valuation))
         baseline = min(v for _, v in profile)
         elevated = tuple((s, v) for s, v in profile if v > baseline)
         hits.append(

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-import re
 
 from .primes import is_prime
 
@@ -32,11 +31,9 @@ __all__ = [
     "ContextMismatchError",
     "PrecisionLossError",
     "teichmuller",
-    "one_unit_part",
     "log_one_unit",
     "exp_small",
     "format_padic",
-    "parse_padic",
     "agreement_precision",
 ]
 
@@ -401,25 +398,18 @@ TEICH_CACHE_SIZE = 4096
 def _teich_unit(p: int, precision: int, a: int) -> int:
     """The (p-1)-th root of unity congruent to a mod p, as an integer mod p^N.
 
-    Iterating x -> x^p gains at least one correct digit per step, so N
-    iterations reach the fixed point exactly.  Cached per (p, N, a mod p),
-    least recently used first out beyond TEICH_CACHE_SIZE = 4096 entries,
-    which holds every residue of any one prime below 4096 at one N."""
-    mod = p**precision
-    x = a % mod
-    for _ in range(precision):
-        y = pow(x, p, mod)
-        if y == x:
-            break
-        x = y
-    return x
+    a = omega(a) * <a> with <a> = 1 mod p, so <a>^(p^(N-1)) = 1 mod p^N and
+    a^(p^(N-1)) = omega(a) mod p^N.  Cached per (p, N, a mod p), least
+    recently used first out beyond TEICH_CACHE_SIZE = 4096 entries, which
+    holds every residue of any one prime below 4096 at one N."""
+    return pow(a, p ** (precision - 1), p**precision)
 
 
 def state_char(p: int, N: int, e: int, a: int, n: int) -> tuple:
     """State of omega^e(a) * a^n for an integer a prime to p (n may be
     negative): a unit known to N digits."""
     mod = p**N
-    # omega(a)^e = omega(a^e mod p): one cached Hensel fixed point
+    # omega(a)^e = omega(a^e mod p): one cached lift
     return 0, _teich_unit(p, N, pow(a, e % (p - 1), p)) * pow(a, n, mod) % mod, N
 
 
@@ -428,13 +418,6 @@ def teichmuller(a: int, ctx: PadicContext) -> PadicNumber:
     if a % ctx.p == 0:
         raise ValueError(f"{a} is divisible by p = {ctx.p}; no Teichmuller lift")
     return PadicNumber.from_state(ctx, state_char(ctx.p, ctx.precision, 1, a, 0))
-
-
-def one_unit_part(x: PadicNumber) -> PadicNumber:
-    """For a unit x, the factor <x> = x / omega(x mod p), congruent to 1 mod p."""
-    if x.is_zero_to_precision or x.valuation != 0:
-        raise ValueError("one_unit_part is defined for units (valuation 0)")
-    return x / teichmuller(x.unit % x.ctx.p, x.ctx)
 
 
 def log_one_unit(u: PadicNumber) -> PadicNumber:
@@ -524,39 +507,3 @@ def format_padic(x: PadicNumber) -> str:
                 parts.append(f"{d}*{p}^{e}")
     parts.append(f"O({p}^{x.abs_precision})")
     return " + ".join(parts)
-
-
-_TERM_RE = re.compile(r"^(\d+)(?:\*(\d+)(?:\^(-?\d+))?)?$")
-_TAIL_RE = re.compile(r"^O\((\d+)\^(-?\d+)\)$")
-
-
-def parse_padic(text: str, ctx: PadicContext) -> PadicNumber:
-    """Inverse of :func:`format_padic` (exact round trip)."""
-    chunks = [c.strip() for c in text.split("+")]
-    if not chunks:
-        raise ValueError("empty p-adic literal")
-    tail = _TAIL_RE.match(chunks[-1])
-    if not tail:
-        raise ValueError(f"missing O(p^A) tail marker in {text!r}")
-    if int(tail.group(1)) != ctx.p:
-        raise ValueError("literal was written for a different prime")
-    absprec = int(tail.group(2))
-    terms = []
-    for chunk in chunks[:-1]:
-        m = _TERM_RE.match(chunk)
-        if not m:
-            raise ValueError(f"bad term {chunk!r}")
-        d = int(m.group(1))
-        if m.group(2) is None:
-            e = 0
-        else:
-            if int(m.group(2)) != ctx.p:
-                raise ValueError("literal was written for a different prime")
-            e = int(m.group(3)) if m.group(3) is not None else 1
-        terms.append((e, d))
-    if not terms:
-        return ctx.zero(absprec)
-    v = min(e for e, _ in terms)
-    unit = sum(d * ctx.p ** (e - v) for e, d in terms)
-    return PadicNumber.from_state(ctx, state_normalize(ctx.p, ctx.precision, v, unit,
-                                                      absprec - v))

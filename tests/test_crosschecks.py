@@ -20,7 +20,7 @@ from eiszeta.padic import (
     agreement_precision,
     exp_small,
     log_one_unit,
-    one_unit_part,
+    teichmuller,
 )
 from eiszeta.qexp import eisenstein_ordinary
 
@@ -56,7 +56,8 @@ def _lp_series_modulus_p_squared(s: int, j: int, ctx: PadicContext) -> PadicNumb
                 term = c * apow
                 inner = term if inner is None else inner + term
             apow = apow * inv_a
-        gamma = exp_small(t * log_one_unit(one_unit_part(PadicNumber.from_int(a, ctx))))
+        one_unit = PadicNumber.from_int(a, ctx) / teichmuller(a, ctx)  # <a>
+        gamma = exp_small(t * log_one_unit(one_unit))
         contrib = chi.value(a, ctx) * gamma * inner
         total = contrib if total is None else total + contrib
     return total / (PadicNumber.from_int(F, ctx) * PadicNumber.from_int(s - 1, ctx))
@@ -164,3 +165,20 @@ def test_twin_coefficients_survive_a_deeper_rerun(point, rerun):
     if lo is None or hi is None:
         return
     assert lo.first_mismatch(hi) is None, (p, k, i, N, g)
+
+
+# (p, branch, n): every even branch, n over two periods of p - 1 at p = 7
+INTERP_POINTS = [(p, j, n) for p in (3, 5, 7) for j in range(0, p - 1, 2) for n in range(1, 13)]
+
+
+def test_lp_interpolation_digits_survive_a_deeper_rerun():
+    # exhaustive over INTERP_POINTS, N in 1..6 and a rerun at N + 1 and N + 3
+    for p, j, n in INTERP_POINTS:
+        for N in range(1, 7):
+            for g in (1, 3):
+                lo = _or_none(lambda: lp_interpolation(n, j, PadicContext(p, N)))
+                hi = _or_none(lambda: lp_interpolation(n, j, PadicContext(p, N + g)))
+                if lo is None or hi is None:
+                    continue
+                stated = min(lo.precision_achieved, hi.precision_achieved)
+                assert agreement_precision(lo.value, hi.value) >= stated, (p, j, n, N, g)
