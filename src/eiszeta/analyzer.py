@@ -127,21 +127,26 @@ def check_budget(precision: int, terms: int | None = None):
         raise ValueError("precision and terms must be positive")
 
 
+def _check_point(p: int, k: int, i: int, terms: int) -> WeightPoint:
+    """The checks a point passes before any arithmetic, in order: p is within
+    the Bernoulli ceiling, the truncation reaches every coefficient the
+    eigensystem checks read, and (p, k, i) is a critical point."""
+    check_irregular_prime(p)
+    check_terms(p, terms)
+    return WeightPoint.critical(p, k, i)
+
+
 def analyze_point(
     p: int,
     k: int,
     i: int,
     precision: int = 20,
     terms: int = 200,
-    primes_bound: int = 20,
 ) -> CriticalPointReport:
     """Analyze the critical Eisenstein point at (p, k, eps = omega^i)."""
     check_budget(precision, terms)
-    check_irregular_prime(p)
-    check_terms(p, terms, primes_bound)
+    w = _check_point(p, k, i, terms)
     ctx = PadicContext(p, precision)
-    w = WeightPoint.classical(p, k, i)
-    w.validate_critical()
     twin = w.twin()
     zeta_twin = zeta_weight(twin, ctx)
 
@@ -173,7 +178,7 @@ def analyze_point(
 
     checks = []
     for name, label, series in (("crit", "critical", crit), ("ord", "ordinary", ordinary)):
-        rep = verify_eigensystem(series, primes_bound)
+        rep = verify_eigensystem(series)
         checks.append(
             CheckResult(
                 f"eigensystem_{name}",
@@ -310,18 +315,6 @@ def render_text(r: CriticalPointReport) -> str:
 # -- scanning ----------------------------------------------------------------
 
 
-def admissible_exponents(p: int, k: int) -> list[int]:
-    """Character exponents i with omega^i admissible at critical weight k."""
-    out = []
-    for i in range(0, p - 1):
-        if (k - i) % 2 != 0:
-            continue
-        if k == 2 and i == 0:
-            continue
-        out.append(i)
-    return out
-
-
 def scan_records(
     p_from: int,
     p_to: int,
@@ -331,7 +324,6 @@ def scan_records(
     target_branch: int | None = None,
     precision: int = 20,
     terms: int = 200,
-    primes_bound: int = 20,
     irregular_only: bool = False,
 ) -> Iterator[dict]:
     """Deterministic stream of scan records, ordered by (p, k, i).
@@ -343,9 +335,8 @@ def scan_records(
     The arguments are validated before the stream is returned, so a caller
     can reject a scan before opening its output: the budget, the i-mode, and
     in stream order the checks :func:`analyze_point` makes before any
-    arithmetic (each prime is within the Bernoulli ceiling; for each point,
-    the truncation reaches every coefficient the eigensystem checks read and
-    the weight is critical).
+    arithmetic (:func:`_check_point`), the Bernoulli ceiling also for a prime
+    without points.
     """
     if i_mode not in ("all", "branch"):
         raise ValueError("i_mode must be 'all' or 'branch'")
@@ -355,16 +346,17 @@ def scan_records(
     with_points = not irregular_only and k_from is not None and k_to is not None
     ks = range(k_from, k_to + 1) if with_points else ()
     for p, points in _scan_plan(p_from, p_to, ks, i_mode, target_branch):
-        check_irregular_prime(p)
         for k, i in points:
-            check_terms(p, terms, primes_bound)
-            WeightPoint.classical(p, k, i).validate_critical()
+            _check_point(p, k, i, terms)
+        check_irregular_prime(p)
     return _scan_stream(_scan_plan(p_from, p_to, ks, i_mode, target_branch),
-                        precision, terms, primes_bound)
+                        precision, terms)
 
 
 def _scan_plan(p_from, p_to, ks, i_mode, target_branch):
-    """(p, [(k, i), ...]) for each prime of a scan, in stream order.
+    """(p, [(k, i), ...]) for each prime of a scan, in stream order: every
+    exponent i (or, in branch mode, the one whose twin sits on the target
+    branch) of matching parity, without weight 2 with the trivial character.
 
     Primes are found one at a time, not by a sieve up to p_to, so the
     validation pass stops at the first prime past the Bernoulli ceiling
@@ -372,18 +364,13 @@ def _scan_plan(p_from, p_to, ks, i_mode, target_branch):
     for p in range(max(p_from, 3), p_to + 1):
         if not is_prime(p):
             continue
-        points = []
-        for k in ks:
-            if i_mode == "all":
-                exps = admissible_exponents(p, k)
-            else:
-                i = (2 - k - target_branch) % (p - 1)
-                exps = [i] if i in admissible_exponents(p, k) else []
-            points += [(k, i) for i in exps]
-        yield p, points
+        yield p, [(k, i) for k in ks
+                  for i in (range(p - 1) if i_mode == "all"
+                            else [(2 - k - target_branch) % (p - 1)])
+                  if (k - i) % 2 == 0 and (k, i) != (2, 0)]
 
 
-def _scan_stream(plan, precision, terms, primes_bound) -> Iterator[dict]:
+def _scan_stream(plan, precision, terms) -> Iterator[dict]:
     for p, points in plan:
         for j in irregular_branches(p):
             yield {
@@ -393,9 +380,7 @@ def _scan_stream(plan, precision, terms, primes_bound) -> Iterator[dict]:
                 "bernoulli_numerator_divisible": True,
             }
         for k, i in points:
-            report = analyze_point(
-                p, k, i, precision=precision, terms=terms, primes_bound=primes_bound
-            )
+            report = analyze_point(p, k, i, precision=precision, terms=terms)
             yield {"type": "point", **report_to_dict(report)}
 
 

@@ -62,8 +62,7 @@ def selmer_dims(k: int, i: int, p: int) -> tuple[int, int]:
     Computed through :func:`arch_order`, never hard-coded; the parity rule
     yields (1, 0) on every admissible input.
     """
-    w = WeightPoint.classical(p, k, i)
-    w.validate_critical()
+    w = WeightPoint.critical(p, k, i)
     eps_trivial = w.i == 0
     parity = -1 if w.i % 2 else 1  # eps and eps^(-1) share parity
     dim_chi = arch_order(ArchOrderQuery(parity, eps_trivial, 2 - k)).order

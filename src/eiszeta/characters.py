@@ -30,19 +30,6 @@ class TeichCharacter:
     def __setattr__(self, name, value):
         raise AttributeError("TeichCharacter is immutable")
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, TeichCharacter)
-            and self.p == other.p
-            and self.exponent == other.exponent
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.exponent))
-
-    def __repr__(self):
-        return f"omega^{self.exponent} mod {self.p}"
-
     @property
     def is_trivial(self) -> bool:
         return self.exponent == 0

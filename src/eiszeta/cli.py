@@ -22,13 +22,7 @@ from .analyzer import (
     scan_records,
     write_scan,
 )
-from .kubota import (
-    AdmissibilityError,
-    PoleError,
-    WeightPoint,
-    lp_interpolation,
-    lp_series,
-)
+from .kubota import WeightPoint, lp_interpolation, lp_series
 from .padic import PadicContext, PrecisionLossError, format_padic
 from .qexp import (
     TwinConventionError,
@@ -168,14 +162,13 @@ def _cmd_lp(args) -> int:
 def _cmd_qexp(args) -> int:
     check_budget(args.precision, args.terms)
     ctx = PadicContext(args.p, args.precision)
+    point = (args.p, args.k, args.eps_exponent)
     if args.which == "crit":
-        f = eisenstein_critical(args.p, args.k, args.eps_exponent, args.terms, ctx)
+        f = eisenstein_critical(*point, args.terms, ctx)
+    elif args.which == "twin":
+        f = eisenstein_ordinary(WeightPoint.critical(*point).twin(), args.terms, ctx)
     else:
-        w = WeightPoint.classical(args.p, args.k, args.eps_exponent)
-        if args.which == "twin":
-            w.validate_critical()
-            w = w.twin()
-        f = eisenstein_ordinary(w, args.terms, ctx)
+        f = eisenstein_ordinary(WeightPoint.classical(*point), args.terms, ctx)
     for line in dump_lines(f):
         print(line)
     return EXIT_OK
@@ -191,7 +184,7 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return handlers[args.command](args)
-    except (argparse.ArgumentError, AdmissibilityError, PoleError, ValueError) as e:
+    except (argparse.ArgumentError, ValueError) as e:  # AdmissibilityError, PoleError among them
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INADMISSIBLE
     except (PrecisionBudgetError, PrecisionLossError) as e:

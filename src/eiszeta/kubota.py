@@ -105,6 +105,19 @@ class WeightPoint:
         return cls(p=p, branch=(k + i) % (p - 1), s=k, k=k, i=i)
 
     @classmethod
+    def critical(cls, p: int, k: int, i: int) -> "WeightPoint":
+        """The critical Eisenstein point z^k omega^i: a classical weight with
+        k >= 2, other than weight 2 with the trivial character."""
+        w = cls.classical(p, k, i)
+        if k < 2:
+            raise AdmissibilityError(f"critical weight needs k >= 2, got k = {k}")
+        if k == 2 and w.i == 0:
+            raise AdmissibilityError(
+                "weight 2 with trivial character is excluded (no such critical point)"
+            )
+        return w
+
+    @classmethod
     def intrinsic(cls, p: int, branch: int, s) -> "WeightPoint":
         if not is_prime(p) or p < 3:
             raise AdmissibilityError(f"p = {p} must be an odd prime")
@@ -120,17 +133,6 @@ class WeightPoint:
         else:
             s_zero = self.s == 0
         return self.branch == 0 and s_zero
-
-    def validate_critical(self) -> None:
-        """Constraints for a critical Eisenstein point of weight z^k eps."""
-        if self.k is None:
-            raise AdmissibilityError("critical points require a classical weight (k, i)")
-        if self.k < 2:
-            raise AdmissibilityError(f"critical weight needs k >= 2, got k = {self.k}")
-        if self.k == 2 and self.i == 0:
-            raise AdmissibilityError(
-                "weight 2 with trivial character is excluded (no such critical point)"
-            )
 
     def twin(self) -> "WeightPoint":
         """The ordinary partner z^(2-k) eps^(-1) of a critical weight."""
@@ -168,19 +170,12 @@ class LValue:
     precision_achieved: int
 
 
-def _require_even_branch(j: int, p: int) -> int:
-    j = j % (p - 1)
-    if j % 2 != 0:
-        raise AdmissibilityError("branch exponent must be even")
-    return j
-
-
 def lp_interpolation(n: int, j: int, ctx: PadicContext) -> LValue:
     """L_p(1-n, branch j) from the exact interpolation formula."""
     if n < 1:
         raise ValueError("interpolation needs n >= 1")
     p = ctx.p
-    j = _require_even_branch(j, p)
+    j = WeightPoint.intrinsic(p, j, 1 - n).branch
     chi = TeichCharacter(p, j - n)
     bn = generalized_bernoulli(n, chi, ctx)
     euler = 1 - Fraction(p) ** (n - 1) if chi.is_trivial else 1
@@ -220,14 +215,20 @@ def lp_series(s, j: int, ctx: PadicContext) -> LValue:
     (``PadicNumber.state``); achieved precision is reported from honest
     propagation rather than assumed.
     """
-    j = _require_even_branch(j, ctx.p)
     p, N = ctx.p, ctx.precision
     arg = s
     t = PadicNumber.from_int(1, ctx) - _as_padic_integer(s, ctx)
+    w = WeightPoint.intrinsic(p, j, t)  # a -> omega^j(a) <a>^(1-s)
+    j = w.branch
     s_minus_1 = state_neg(p, t.state)
     if s_minus_1[1] is None:  # s = 1 to precision
         if j == 0:
-            raise PoleError("the trivial branch has its pole at s = 1")
+            if isinstance(s, PadicNumber) or s == 1:
+                raise PoleError("the trivial branch has its pole at s = 1")
+            raise PrecisionLossError(
+                f"s = {s} is 1 modulo {p}^{N}, so precision {N} cannot tell it from "
+                "the pole of the trivial branch at s = 1"
+            )
         # s = 1 exactly on a nontrivial branch: the series becomes 0/0, but
         # the function is analytic there.  Evaluate nearby and use
         # |L(1 + p^h) - L(1)| <= p^(-h-1); the precision cost is reported.
@@ -253,7 +254,6 @@ def lp_series(s, j: int, ctx: PadicContext) -> LValue:
                       state_mul(p, binom, state_of_rational(p, N, b * Fraction(p) ** m)))
     while coeffs[-1] is None:
         coeffs.pop()
-    w = WeightPoint.intrinsic(p, j, t)  # a -> omega^j(a) <a>^(1-s)
     total = None
     for a in range(1, p):
         # sum_m c_m a^(-m) by Horner; multiplying by the unit 1/a keeps every

@@ -132,7 +132,7 @@ def _assemble(ctx, M, a0, a_p, alpha, beta):
 
 def eisenstein_critical(p: int, k: int, i: int, M: int, ctx: PadicContext) -> QExpansion:
     """The critical Eisenstein eigenform at weight z^k omega^i, truncated at M."""
-    WeightPoint.classical(p, k, i).validate_critical()
+    WeightPoint.critical(p, k, i)
     if ctx.p != p:
         raise ValueError("context prime differs from p")
     N = ctx.precision
@@ -214,26 +214,29 @@ class EigenReport:
         return [c for c in self.checks if not c.passed]
 
 
-def check_terms(p: int, terms: int, primes_bound: int):
-    """The eigensystem checks read a_l for every prime l <= primes_bound and
+PRIMES_BOUND = 20
+
+
+def check_terms(p: int, terms: int):
+    """The eigensystem checks read a_l for every prime l <= PRIMES_BOUND and
     a_p, so the truncation must reach the largest of them."""
-    needed = max(primes_up_to(primes_bound) + [p])
+    needed = max(primes_up_to(PRIMES_BOUND) + [p])
     if terms < needed:
         raise ValueError(
             f"terms = {terms} is below {needed}, the largest coefficient index "
-            f"the eigensystem checks read (primes up to {primes_bound} and p = {p})"
+            f"the eigensystem checks read (primes up to {PRIMES_BOUND} and p = {p})"
         )
 
 
-def verify_eigensystem(f: QExpansion, primes_bound: int) -> EigenReport:
-    """Check T_l f = a_l f for primes l <= primes_bound (l != p) and
+def verify_eigensystem(f: QExpansion) -> EigenReport:
+    """Check T_l f = a_l f for primes l <= PRIMES_BOUND (l != p) and
     U_p f = a_p f, coefficientwise on the truncation of the image."""
     p, a = f.ctx.p, f.states
-    check_terms(p, f.truncation, primes_bound)
+    check_terms(p, f.truncation)
     if not f.coeff(1) == 1:
         raise ValueError("eigensystem verification expects a normalized expansion (a_1 = 1)")
     checks = []
-    for l in [l for l in primes_up_to(primes_bound) if l != p] + [p]:
+    for l in [l for l in primes_up_to(PRIMES_BOUND) if l != p] + [p]:
         image = hecke_Up(f) if l == p else hecke_Tl(f, l)
         bad = next((n for n, c in enumerate(image.states)
                     if not state_eq(p, c, state_mul(p, a[l], a[n]))), None)

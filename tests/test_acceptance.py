@@ -160,11 +160,11 @@ def test_criterion_4_eigensystem_verification():
         for k in range(3, 9):
             for i in _admissible(p, k):
                 crit = eisenstein_critical(p, k, i, 200, ctx)
-                rep = verify_eigensystem(crit, 20)
+                rep = verify_eigensystem(crit)
                 assert rep.all_passed, f"critical (p={p},k={k},i={i}): {rep.failing()}"
                 w = WeightPoint.classical(p, k, i)
                 ordinary = eisenstein_ordinary(w, 200, ctx)
-                rep = verify_eigensystem(ordinary, 20)
+                rep = verify_eigensystem(ordinary)
                 assert rep.all_passed, f"ordinary (p={p},k={k},i={i}): {rep.failing()}"
                 # U_p eigenvalue on the critical side is exactly p^(k-1)
                 up = crit.coeff(p)
@@ -223,7 +223,7 @@ def test_criterion_7_verdict_suite():
     for p in REGULAR_PRIMES:
         for k in range(3, 9):
             for i in _admissible(p, k):
-                r = analyze_point(p, k, i, precision=20, terms=60, primes_bound=12)
+                r = analyze_point(p, k, i, precision=20, terms=60)
                 assert r.verdict_smooth is True
                 assert r.verdict_etale.status == "etale_provably", (p, k, i)
                 assert not r.zeta_twin.value.is_zero_to_precision, (p, k, i)
@@ -243,11 +243,11 @@ def test_criterion_7_verdict_suite():
                     assert r.zeta_twin.value.valuation == expected_v, (p, k, i)
                     pole_branch_twins += 1
     # the irregular showcase: twin branch 32 at p = 37
-    r20 = analyze_point(37, 4, 2, precision=20, terms=60, primes_bound=12)
+    r20 = analyze_point(37, 4, 2, precision=20, terms=60)
     assert r20.twin.branch == 32
     assert r20.verdict_etale.status in ("etale_at_precision", "zero_to_precision")
     assert r20.verdict_etale.precision > 0
-    r30 = analyze_point(37, 4, 2, precision=30, terms=60, primes_bound=12)
+    r30 = analyze_point(37, 4, 2, precision=30, terms=60)
     overlap = agreement_precision(r20.zeta_twin.value, r30.zeta_twin.value)
     assert overlap >= min(r20.zeta_twin.precision_achieved, 15)
     print(f"\nACCEPTANCE 7 PASS: smooth everywhere; etale_provably with unit "
@@ -281,7 +281,7 @@ def test_criterion_9_scan_determinism():
     kw = dict(
         p_from=5, p_to=31, k_from=3, k_to=4,
         i_mode="branch", target_branch=2,
-        precision=12, terms=40, primes_bound=8,
+        precision=12, terms=40,
     )
     a, b = io.StringIO(), io.StringIO()
     n1 = write_scan(scan_records(**kw), a)

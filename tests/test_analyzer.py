@@ -7,6 +7,7 @@ import pytest
 
 from eiszeta.analyzer import (
     PrecisionBudgetError,
+    _scan_plan,
     analyze_point,
     padic_to_dict,
     render_text,
@@ -14,7 +15,7 @@ from eiszeta.analyzer import (
     scan_records,
     write_scan,
 )
-from eiszeta.kubota import AdmissibilityError
+from eiszeta.kubota import AdmissibilityError, WeightPoint
 from eiszeta.padic import PadicContext, PadicNumber, agreement_precision
 
 
@@ -145,7 +146,7 @@ class TestScan:
 
     def test_point_records_ordered(self):
         recs = list(
-            scan_records(5, 7, k_from=3, k_to=4, precision=10, terms=20, primes_bound=8)
+            scan_records(5, 7, k_from=3, k_to=4, precision=10, terms=20)
         )
         points = [(r["p"], r["k"], r["i"]) for r in recs if r["type"] == "point"]
         assert points == sorted(points)
@@ -159,7 +160,7 @@ class TestScan:
         recs = list(
             scan_records(
                 5, 13, k_from=4, k_to=4, i_mode="branch", target_branch=2,
-                precision=10, terms=20, primes_bound=8,
+                precision=10, terms=20,
             )
         )
         for r in recs:
@@ -167,7 +168,7 @@ class TestScan:
                 assert r["twin"]["branch"] == 2
 
     def test_deterministic_stream(self):
-        kw = dict(k_from=3, k_to=3, precision=10, terms=20, primes_bound=8)
+        kw = dict(k_from=3, k_to=3, precision=10, terms=20)
         a, b = io.StringIO(), io.StringIO()
         write_scan(scan_records(5, 11, **kw), a)
         write_scan(scan_records(5, 11, **kw), b)
@@ -179,3 +180,38 @@ class TestScan:
             list(scan_records(5, 7, i_mode="nope"))
         with pytest.raises(ValueError):
             list(scan_records(5, 7, i_mode="branch"))
+
+    def test_plan_yields_exactly_the_critical_points(self):
+        # the plan's filter and WeightPoint.critical must state one rule
+        ks = range(2, 13)
+
+        def critical(p, k, i):
+            try:
+                WeightPoint.critical(p, k, i)
+            except AdmissibilityError:
+                return False
+            return True
+
+        primes = []
+        for p, points in _scan_plan(3, 31, ks, "all", None):
+            primes.append(p)
+            assert points == [(k, i) for k in ks for i in range(p - 1) if critical(p, k, i)], p
+            for target in range(0, p - 1, 2):
+                [(q, points)] = _scan_plan(p, p, ks, "branch", target)
+                exponents = [(k, (2 - k - target) % (p - 1)) for k in ks]
+                assert q == p
+                assert points == [(k, i) for k, i in exponents if critical(p, k, i)], (p, target)
+        assert primes == [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+
+    @pytest.mark.parametrize("p,k,i,terms", [
+        (5, 1, 1, 200),  # weight below 2
+        (37, 4, 0, 30),  # truncation below a_p
+        (2011, 4, 0, 2011),  # past the Bernoulli ceiling
+    ])
+    def test_scan_refuses_a_point_as_analyze_does(self, p, k, i, terms):
+        with pytest.raises(ValueError) as by_analyze:
+            analyze_point(p, k, i, precision=10, terms=terms)
+        with pytest.raises(ValueError) as by_scan:
+            scan_records(p, p, k_from=k, k_to=k, precision=10, terms=terms)
+        assert type(by_scan.value) is type(by_analyze.value)
+        assert str(by_scan.value) == str(by_analyze.value)

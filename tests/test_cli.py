@@ -209,6 +209,20 @@ def test_low_precision_is_budget_exit_code(capsys, argv):
     _one_line_error(capsys)
 
 
+FALSE_POLES = [
+    ["lp", "--p", "3", "--branch", "0", "--s", "4", "--precision", "1"],
+    # the ordinary constant term evaluates branch 0 at 1 - k = -2
+    ["analyze", "--p", "3", "--k", "3", "--eps-exponent", "1", "--precision", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", FALSE_POLES)
+def test_argument_congruent_to_the_pole_is_budget_exit_code(capsys, argv):
+    # s = 1 mod p^N with s != 1 is lost precision, not the pole at s = 1
+    assert main(argv) == 3
+    assert "is 1 modulo 3^1" in _one_line_error(capsys)
+
+
 _SMALL = st.integers(-3, 8)
 # "--s=-1/2": argparse would read a bare "-1/2" as an option
 _S = st.one_of(

@@ -17,7 +17,7 @@ from eiszeta.kubota import (
     lp_series,
     zeta_weight,
 )
-from eiszeta.padic import PadicContext, PadicNumber, agreement_precision
+from eiszeta.padic import PadicContext, PadicNumber, PrecisionLossError, agreement_precision
 
 
 class TestWeightPoint:
@@ -31,13 +31,13 @@ class TestWeightPoint:
             WeightPoint.classical(5, 4, 1)
 
     def test_critical_constraints(self):
-        WeightPoint.classical(5, 3, 1).validate_critical()
+        WeightPoint.critical(5, 3, 1)
         with pytest.raises(AdmissibilityError):
-            WeightPoint.classical(5, 1, 1).validate_critical()
+            WeightPoint.critical(5, 1, 1)
         with pytest.raises(AdmissibilityError):
-            WeightPoint.classical(5, 2, 0).validate_critical()
+            WeightPoint.critical(5, 2, 0)
         # weight 2 with a nontrivial even character is admissible
-        WeightPoint.classical(5, 2, 2).validate_critical()
+        WeightPoint.critical(5, 2, 2)
 
     def test_twin_coordinates(self):
         w = WeightPoint.classical(5, 4, 0)
@@ -138,6 +138,17 @@ class TestSeries:
     def test_pole_rejected(self):
         with pytest.raises(PoleError):
             lp_series(1, 0, PadicContext(5, 12))
+
+    def test_exact_argument_congruent_to_the_pole_is_a_precision_loss(self):
+        ctx = PadicContext(3, 1)
+        # 4 = 1 mod 3 but 4 != 1: one digit cannot tell it from the pole
+        with pytest.raises(PrecisionLossError, match=r"s = 4 is 1 modulo 3\^1"):
+            lp_series(4, 0, ctx)
+        with pytest.raises(PoleError):
+            lp_series(Fraction(1), 0, ctx)
+        # a p-adic argument is known only to precision, so it may be the pole
+        with pytest.raises(PoleError):
+            lp_series(PadicNumber.from_int(4, ctx), 0, ctx)
 
     def test_removable_point_on_nontrivial_branch(self):
         # s = 1 with j != 0 is a 0/0 of the series but a finite value;

@@ -207,13 +207,13 @@ class TestTheta:
 
 class TestVerifyEigensystem:
     def test_critical_passes(self):
-        rep = verify_eigensystem(_crit_54(), 20)
+        rep = verify_eigensystem(_crit_54())
         assert rep.all_passed
         assert len(rep.checks) == 8  # T_2,3,7,11,13,17,19 and U_5
 
     def test_ordinary_passes(self):
         w = WeightPoint.classical(5, 4, 0)
-        rep = verify_eigensystem(eisenstein_ordinary(w, 200, CTX), 20)
+        rep = verify_eigensystem(eisenstein_ordinary(w, 200, CTX))
         assert rep.all_passed
 
     def test_corrupted_fails_with_index(self):
@@ -221,7 +221,7 @@ class TestVerifyEigensystem:
         coeffs = list(f.coeffs)
         coeffs[40] = coeffs[40] + PadicNumber.from_int(1, CTX)
         bad = QExpansion(CTX, f.weight, f.char_exponent, tuple(coeffs))
-        rep = verify_eigensystem(bad, 20)
+        rep = verify_eigensystem(bad)
         assert not rep.all_passed
         # T_2 sees the corruption at index 20 (20*2 = 40)
         t2 = next(c for c in rep.checks if c.operator == "T_2")
@@ -231,13 +231,13 @@ class TestVerifyEigensystem:
     def test_requires_normalization(self):
         f = _crit_54()
         with pytest.raises(ValueError, match="normalized"):
-            verify_eigensystem(_scale(f, PadicNumber.from_int(2, CTX)), 10)
+            verify_eigensystem(_scale(f, PadicNumber.from_int(2, CTX)))
 
     def test_short_truncation_names_the_index(self):
         # T_19 reads a_19, which a truncation at 10 does not hold
         f = eisenstein_critical(5, 4, 0, 10, CTX)
         with pytest.raises(ValueError, match="terms = 10 is below 19"):
-            verify_eigensystem(f, 20)
+            verify_eigensystem(f)
 
 
 class TestThetaTwin:
