@@ -5,7 +5,7 @@ arithmetic is ever needed."""
 from __future__ import annotations
 
 from .padic import PadicContext, PadicNumber, teichmuller
-from .primes import is_prime
+from .primes import require_odd_prime
 
 __all__ = ["TeichCharacter"]
 
@@ -22,8 +22,7 @@ class TeichCharacter:
     __slots__ = ("p", "exponent")
 
     def __init__(self, p: int, exponent: int):
-        if not is_prime(p) or p < 3:
-            raise ValueError(f"p = {p} must be an odd prime")
+        require_odd_prime(p)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "exponent", exponent % (p - 1))
 

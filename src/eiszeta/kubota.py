@@ -31,6 +31,15 @@ integers; von Staudt-Clausen caps the B_m denominator at one power of p), so
 truncating at m = N + 1 leaves a tail of valuation >= N.  The pole of the
 trivial branch sits at s = 1; its values carry the pole factor and therefore
 have valuation -1 - v(s-1) rather than >= 0.
+
+Only omega^j(a) depends on the branch.  With t = 1 - s the series splits as
+
+    L_p(s, branch j) = 1/(p(s-1)) * sum_{a=1}^{p-1} omega^j(a) X_a,
+    X_a = <a>^t * sum_{m>=0} C(t, m) B_m (p/a)^m,
+
+and the X_a are built once per (p, N, t) and kept in a bounded cache, so
+every branch at one argument (the admissible i of one (p, k) in a scan, the
+irregular branches at one grid point) pays p - 1 products for its sum.
 """
 
 from __future__ import annotations
@@ -56,7 +65,7 @@ from .padic import (
     state_of_rational,
     state_zero,
 )
-from .primes import is_prime, primes_up_to
+from .primes import primes_up_to, require_odd_prime
 
 __all__ = [
     "AdmissibilityError",
@@ -95,8 +104,7 @@ class WeightPoint:
 
     @classmethod
     def classical(cls, p: int, k: int, i: int) -> "WeightPoint":
-        if not is_prime(p) or p < 3:
-            raise AdmissibilityError(f"p = {p} must be an odd prime")
+        require_odd_prime(p)
         i = i % (p - 1)
         if (k - i) % 2 != 0:
             raise AdmissibilityError(
@@ -119,8 +127,7 @@ class WeightPoint:
 
     @classmethod
     def intrinsic(cls, p: int, branch: int, s) -> "WeightPoint":
-        if not is_prime(p) or p < 3:
-            raise AdmissibilityError(f"p = {p} must be an odd prime")
+        require_odd_prime(p)
         branch = branch % (p - 1)
         if branch % 2 != 0:
             raise AdmissibilityError("weight space is even: branch exponent must be even")
@@ -208,18 +215,61 @@ def _as_padic_integer(s, ctx: PadicContext) -> PadicNumber:
     return s
 
 
-def lp_series(s, j: int, ctx: PadicContext) -> LValue:
-    """L_p(s, branch j) by the convergent twisted series (module docstring).
+LP_TERMS_CACHE_SIZE = 8
 
-    Binomial coefficients C(1-s, m) are built iteratively on int states
-    (``PadicNumber.state``); achieved precision is reported from honest
-    propagation rather than assumed.
+
+@lru_cache(maxsize=LP_TERMS_CACHE_SIZE)
+def _branch_free_terms(p: int, N: int, t: tuple) -> tuple:
+    """The states X_a = <a>^t * sum_m C(t, m) B_m (p/a)^m, a = 1..p-1, at
+    t = 1 - s (the state of a p-adic integer): every factor of the series
+    summand but omega^j(a), shared by all branches at one argument.
+
+    Cached per (p, N, t), least recently used first out beyond
+    LP_TERMS_CACHE_SIZE = 8 entries of p - 1 states each.  Binomial
+    coefficients C(t, m) are built iteratively on int states."""
+    ctx = PadicContext(p, N)
+    gamma = WeightPoint.intrinsic(p, 0, PadicNumber.from_state(ctx, t))  # a -> <a>^t
+    # inner-sum length: tail terms have valuation >= m + v(B_m) >= m - 1
+    M = N + 1
+    binom = state_of_int(p, N, 1)
+    # c_m = C(t, m) B_m p^m, None where B_m = 0; trailing zeros trimmed
+    coeffs: list[tuple | None] = [state_of_rational(p, N, bernoulli_number(0))]
+    for m in range(1, M + 1):
+        factor = state_add(p, N, t, state_of_int(p, N, 1 - m))  # t - (m - 1)
+        binom = state_div(p, state_mul(p, binom, factor), state_of_int(p, N, m))
+        b = bernoulli_number(m)
+        coeffs.append(None if b == 0 else
+                      state_mul(p, binom, state_of_rational(p, N, b * Fraction(p) ** m)))
+    while coeffs[-1] is None:
+        coeffs.pop()
+    terms = []
+    for a in range(1, p):
+        # sum_m c_m a^(-m) by Horner; multiplying by the unit 1/a keeps every
+        # partial sum's precision, so this equals the termwise sum digit for digit
+        inv_a = state_char(p, N, 0, a, -1)
+        inner = coeffs[-1]
+        for c in reversed(coeffs[:-1]):
+            inner = state_mul(p, inner, inv_a)
+            if c is not None:
+                inner = state_add(p, N, inner, c)
+        terms.append(state_mul(p, gamma.value_at(a, ctx).state, inner))
+    return tuple(terms)
+
+
+def lp_series(s, j: int, ctx: PadicContext) -> LValue:
+    """L_p(s, branch j) by the convergent twisted series (module docstring),
+    as sum_a omega^j(a) X_a / (p(s-1)) with the branch-free X_a of
+    :func:`_branch_free_terms`.
+
+    Products of states are associative in value, valuation and relative
+    precision, so (omega^j(a) <a>^t) * inner_a and omega^j(a) * X_a are the
+    same state; achieved precision is reported from honest propagation
+    rather than assumed.
     """
     p, N = ctx.p, ctx.precision
     arg = s
     t = PadicNumber.from_int(1, ctx) - _as_padic_integer(s, ctx)
-    w = WeightPoint.intrinsic(p, j, t)  # a -> omega^j(a) <a>^(1-s)
-    j = w.branch
+    j = WeightPoint.intrinsic(p, j, t).branch
     s_minus_1 = state_neg(p, t.state)
     if s_minus_1[1] is None:  # s = 1 to precision
         if j == 0:
@@ -241,30 +291,9 @@ def lp_series(s, j: int, ctx: PadicContext) -> LValue:
         value = PadicNumber.from_state(ctx, state_add(p, N, near.value.state, state_zero(h + 1)))
         return LValue(value=value, branch=j, argument=arg, route="series",
                       precision_achieved=min(value.abs_precision, N))
-    # inner-sum length: tail terms have valuation >= m + v(B_m) >= m - 1
-    M = N + 1
-    binom = state_of_int(p, N, 1)
-    # c_m = C(1-s, m) B_m p^m, None where B_m = 0; trailing zeros trimmed
-    coeffs: list[tuple | None] = [state_of_rational(p, N, bernoulli_number(0))]
-    for m in range(1, M + 1):
-        factor = state_add(p, N, t.state, state_of_int(p, N, 1 - m))  # t - (m - 1)
-        binom = state_div(p, state_mul(p, binom, factor), state_of_int(p, N, m))
-        b = bernoulli_number(m)
-        coeffs.append(None if b == 0 else
-                      state_mul(p, binom, state_of_rational(p, N, b * Fraction(p) ** m)))
-    while coeffs[-1] is None:
-        coeffs.pop()
     total = None
-    for a in range(1, p):
-        # sum_m c_m a^(-m) by Horner; multiplying by the unit 1/a keeps every
-        # partial sum's precision, so this equals the termwise sum digit for digit
-        inv_a = state_char(p, N, 0, a, -1)
-        inner = coeffs[-1]
-        for c in reversed(coeffs[:-1]):
-            inner = state_mul(p, inner, inv_a)
-            if c is not None:
-                inner = state_add(p, N, inner, c)
-        contrib = state_mul(p, w.value_at(a, ctx).state, inner)
+    for a, x in enumerate(_branch_free_terms(p, N, t.state), start=1):
+        contrib = state_mul(p, state_char(p, N, j, a, 0), x)
         total = contrib if total is None else state_add(p, N, total, contrib)
     denominator = state_mul(p, state_of_int(p, N, p), s_minus_1)  # p (s - 1)
     value = PadicNumber.from_state(ctx, state_div(p, total, denominator))
@@ -323,8 +352,7 @@ def check_irregular_prime(p: int) -> None:
 def irregular_branches(p: int) -> list[int]:
     """Even branches j in {2,...,p-3} where zeta_p vanishes somewhere, by the
     exact criterion p | numerator(B_j)."""
-    if not is_prime(p) or p < 3:
-        raise ValueError(f"p = {p} must be an odd prime")
+    require_odd_prime(p)
     check_irregular_prime(p)
     return [j for j in range(2, p - 2, 2) if bernoulli_number(j).numerator % p == 0]
 
@@ -335,14 +363,17 @@ def irregular_scan(p: int, ctx: PadicContext) -> list[tuple[int, ZeroWitness]]:
     context's working precision."""
     if ctx.p != p:
         raise ValueError("context prime differs from p")
-    hits = []
-    for j in irregular_branches(p):
-        profile = []
-        # one grid point per residue class mod p; s = 1 is replaced by
-        # s = 1 + p to stay clear of the series' removable 0/0 point
-        for s in [0, 1 + p] + list(range(2, p)):
+    branches = irregular_branches(p)
+    profiles: dict[int, list] = {j: [] for j in branches}
+    # one grid point per residue class mod p; s = 1 is replaced by s = 1 + p
+    # to stay clear of the series' removable 0/0 point.  The branches are the
+    # inner loop, so they share the branch-free terms of each grid point.
+    for s in [0, 1 + p] + list(range(2, p)):
+        for j in branches:
             # the valuation of a nonzero value, the bound of a zero one
-            profile.append((s, lp_series(s, j, ctx).value.min_valuation))
+            profiles[j].append((s, lp_series(s, j, ctx).value.min_valuation))
+    hits = []
+    for j, profile in profiles.items():
         baseline = min(v for _, v in profile)
         elevated = tuple((s, v) for s, v in profile if v > baseline)
         hits.append(

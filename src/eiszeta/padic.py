@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .primes import is_prime
+from .primes import require_odd_prime
 
 __all__ = [
     "PadicContext",
@@ -52,10 +52,7 @@ class PadicContext:
     __slots__ = ("p", "precision")
 
     def __init__(self, p: int, precision: int):
-        if not isinstance(p, int) or not is_prime(p):
-            raise ValueError(f"p = {p} is not prime")
-        if p < 3:
-            raise ValueError("p = 2 is not supported; only odd primes")
+        require_odd_prime(p)
         if not isinstance(precision, int) or precision < 1:
             raise ValueError("precision must be a positive integer")
         object.__setattr__(self, "p", p)

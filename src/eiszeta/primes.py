@@ -29,6 +29,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def require_odd_prime(p) -> None:
+    """The one refusal of a p that is not an odd prime, before any arithmetic."""
+    if not isinstance(p, int) or p < 3 or not is_prime(p):
+        raise ValueError(f"p = {p} must be an odd prime")
+
+
 def primes_up_to(bound: int) -> list[int]:
     """All primes <= bound, by sieve."""
     if bound < 2:

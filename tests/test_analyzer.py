@@ -175,6 +175,27 @@ class TestScan:
         assert a.getvalue() == b.getvalue()
         assert a.getvalue().strip()
 
+    def test_cold_terms_give_the_warm_stream(self, monkeypatch):
+        # the branch-free L-value terms are a cache, not an input: clearing
+        # it before every point leaves the JSONL byte for byte as it is
+        import eiszeta.analyzer as analyzer_mod
+        import eiszeta.kubota as kubota_mod
+
+        kw = dict(k_from=2, k_to=4, precision=12, terms=40)
+        warm = io.StringIO()
+        write_scan(scan_records(5, 13, **kw), warm)
+        real = analyzer_mod.analyze_point
+
+        def cold(*args, **kwargs):
+            kubota_mod._branch_free_terms.cache_clear()
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(analyzer_mod, "analyze_point", cold)
+        cleared = io.StringIO()
+        write_scan(scan_records(5, 13, **kw), cleared)
+        assert cleared.getvalue() == warm.getvalue()
+        assert warm.getvalue().count('"type":"point"') > 20
+
     def test_bad_i_mode(self):
         with pytest.raises(ValueError):
             list(scan_records(5, 7, i_mode="nope"))

@@ -166,6 +166,16 @@ def test_analyze_past_the_bernoulli_ceiling_rejected(capsys):
     assert "largest supported prime is 2003" in _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("p", ["4", "2"])
+def test_not_an_odd_prime_is_one_refusal_in_every_command(capsys, p):
+    argvs = [["analyze", "--p", p, "--k", "4", "--eps-exponent", "0"],
+             ["qexp", "--p", p, "--k", "4", "--eps-exponent", "0", "--which", "crit"],
+             ["lp", "--p", p, "--branch", "2", "--s", "3"]]
+    for argv in argvs:
+        assert main(argv) == 2, argv
+        assert _one_line_error(capsys) == f"error: p = {p} must be an odd prime", argv
+
+
 NON_POSITIVE_COUNTS = [
     ["analyze", "--p", "5", "--k", "4", "--eps-exponent", "0", "--precision", "0"],
     ["analyze", "--p", "5", "--k", "4", "--eps-exponent", "0", "--qexp-terms", "-3"],

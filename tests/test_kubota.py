@@ -184,20 +184,70 @@ class TestSeries:
     @pytest.mark.parametrize("p,j,s", [(5, 2, 3), (7, 4, -2), (37, 32, Fraction(1, 2)),
                                        (7, 2, 1), (5, 0, 1 + 5)])
     def test_summand_is_the_weight_character(self, monkeypatch, p, j, s):
-        # omega^j(a) <a>^(1-s) is the weight character at (branch j,
-        # coordinate 1-s): one value_at call per a in 1..p-1, also at s = 1,
-        # whose value is the one series sum at the neighbour 1 + p^h
-        ctx = PadicContext(p, 8)
+        # <a>^(1-s) is the weight character at (branch 0, coordinate t = 1-s):
+        # on a cold cache one value_at call per a in 1..p-1, also at s = 1,
+        # whose value is the one series sum at the neighbour 1 + p^h; a second
+        # branch at the same argument reuses those terms and calls none
+        N = 8
+        ctx = PadicContext(p, N)
+        t = PadicNumber.from_int(1, ctx) - (1 + p ** (N // 2) if s == 1 else s)
         calls = []
         real = WeightPoint.value_at
 
         def spy(w, a, ctx):
-            calls.append((w.branch, a))
+            calls.append((w.branch, w.s.state, a))
             return real(w, a, ctx)
 
         monkeypatch.setattr(WeightPoint, "value_at", spy)
+        kubota._branch_free_terms.cache_clear()
         lp_series(s, j, ctx)
-        assert sorted(calls) == [(j, a) for a in range(1, p)]
+        assert sorted(calls) == [(0, t.state, a) for a in range(1, p)]
+        calls.clear()
+        lp_series(s, (j + 2) % (p - 1), ctx)
+        assert calls == []
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_series_is_the_sum_of_weight_characters(self, p):
+        # the split sum equals, state for state, the summand written as one
+        # weight character per a: sum_a w_j(a) * inner_a / (p(s-1)), with
+        # w_j = omega^j <.>^(1-s) and inner_a = sum_m C(1-s, m) B_m (p/a)^m
+        N = 8
+        ctx = PadicContext(p, N)
+
+        def reference(s, j):
+            if s == 1:  # the neighbour, known to p^(h+1)
+                return reference(1 + p ** (N // 2), j) + ctx.zero(N // 2 + 1)
+            t = PadicNumber.from_int(1, ctx) - kubota._as_padic_integer(s, ctx)
+            w = WeightPoint.intrinsic(p, j, t)
+            binom, coeffs = PadicNumber.from_int(1, ctx), []
+            for m in range(N + 2):
+                if m:
+                    binom = binom * (t - (m - 1)) / m
+                b = bernoulli_number(m)
+                coeffs.append(None if b == 0 else binom * (b * Fraction(p) ** m))
+            while coeffs[-1] is None:
+                coeffs.pop()
+            total = None
+            for a in range(1, p):
+                inner = coeffs[-1]
+                for c in reversed(coeffs[:-1]):
+                    inner = inner / a
+                    if c is not None:
+                        inner = inner + c
+                term = w.value_at(a, ctx) * inner
+                total = term if total is None else total + term
+            return total / (-t * p)
+
+        args = [3, -2, 0, 1 + p, Fraction(1, 2), Fraction(-3, 2),
+                PadicNumber.from_int(4, ctx), PadicNumber.from_rational(Fraction(2, 3), ctx), 1]
+        for s in args:
+            for j in range(0, p - 1, 2):
+                if j == 0 and s == 1:  # the pole
+                    continue
+                want = reference(s, j).state
+                kubota._branch_free_terms.cache_clear()
+                assert lp_series(s, j, ctx).value.state == want, (s, j)  # cold
+                assert lp_series(s, j, ctx).value.state == want, (s, j)  # warm
 
     def test_non_integer_argument(self):
         ctx = PadicContext(5, 16)
@@ -328,15 +378,36 @@ class TestIrregular:
 
 
 class TestSeriesMemo:
-    # lp_series keeps no per-argument state: a pole or an argument of another
-    # type leaves nothing behind that a later call could see
+    # lp_series caches only its branch-free terms, keyed by (p, N, state of
+    # 1 - s): a pole or an argument of another type leaves nothing behind
+    # that a later call could see
 
     def test_pole_is_not_memoised(self):
         ctx = PadicContext(5, 12)
+        kubota._branch_free_terms.cache_clear()
         for j in (0, 4, 0):  # 4 is the trivial branch again mod p-1
             with pytest.raises(PoleError):
                 lp_series(1, j, ctx)
+        assert kubota._branch_free_terms.cache_info().currsize == 0
         assert lp_series(1, 2, ctx).value.valuation == 0
+
+    def test_cold_and_warm_terms_agree_across_precisions_and_primes(self):
+        # the same s at N and N + 3, and at two primes, never reads another
+        # key's terms: each value is the same with the cache cleared before
+        # every call as with all 8 keys (s = 1 is its neighbour) resident
+        points = [(p, N, s, j) for p in (5, 7) for N in (8, 11)
+                  for s in (-2, 1) for j in {2, p - 3}]
+        cold = {}
+        for p, N, s, j in points:
+            kubota._branch_free_terms.cache_clear()
+            cold[p, N, s, j] = lp_series(s, j, PadicContext(p, N)).value.state
+        kubota._branch_free_terms.cache_clear()
+        for _ in range(2):
+            warm = {(p, N, s, j): lp_series(s, j, PadicContext(p, N)).value.state
+                    for p, N, s, j in points}
+            assert warm == cold
+        info = kubota._branch_free_terms.cache_info()
+        assert info.misses == info.currsize == 8 and info.hits == 2 * len(points) - 8
 
     def test_non_int_arguments_bypass_the_memo(self):
         ctx = PadicContext(5, 12)
@@ -354,3 +425,13 @@ class TestSeriesMemo:
         for cache in (padic._teich_unit, kubota._log_gamma_a):
             maxsize = cache.cache_parameters()["maxsize"]
             assert maxsize is not None and 0 < maxsize <= 4096
+
+    def test_branch_free_terms_stay_within_their_bound(self):
+        cache = kubota._branch_free_terms
+        assert cache.cache_info().maxsize == kubota.LP_TERMS_CACHE_SIZE == 8
+        cache.cache_clear()
+        ctx = PadicContext(5, 6)
+        for s in range(-20, 20):  # 39 keys: s = 1 is its neighbour 1 + 5^3
+            lp_series(s, 2, ctx)
+            assert cache.cache_info().currsize <= 8
+        assert cache.cache_info().currsize == 8
