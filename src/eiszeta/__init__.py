@@ -13,12 +13,7 @@ from .padic import (
     agreement_precision,
 )
 from .characters import TeichCharacter
-from .bernoulli import (
-    bernoulli_number,
-    bernoulli_polynomial,
-    bernoulli_polynomial_at,
-    generalized_bernoulli,
-)
+from .bernoulli import bernoulli_number, generalized_bernoulli
 from .kubota import (
     AdmissibilityError,
     PoleError,

@@ -28,7 +28,7 @@ from .kubota import (
     lp_interpolation,
     zeta_weight,
 )
-from .padic import PadicContext, PadicNumber, agreement_precision
+from .padic import PadicContext, PadicNumber, agreement_precision, format_padic
 from .primes import is_prime
 from .qexp import (
     check_terms,
@@ -289,8 +289,6 @@ def report_to_dict(r: CriticalPointReport) -> dict:
 
 
 def render_text(r: CriticalPointReport) -> str:
-    from .padic import format_padic
-
     v = r.verdict_etale
     lines = [
         f"critical Eisenstein point: p = {r.p}, k = {r.k}, eps = omega^{r.i}",

@@ -1,14 +1,15 @@
-"""Exact Bernoulli numbers and polynomials, and generalized Bernoulli numbers
-for Teichmuller characters evaluated p-adically.
+"""Exact Bernoulli numbers, and generalized Bernoulli numbers for Teichmuller
+characters evaluated p-adically.
 
 Conventions, pinned here and exercised by the tests:
 
-* B_1 = -1/2 (so B_n(x) = sum_k C(n,k) B_k x^(n-k) with the usual polynomial
-  expansion, and B_n(0) = B_n).
-* Generalized numbers use B_{n,chi} = f^(n-1) * sum_{a=1}^{f} chi(a) B_n(a/f)
-  with f the conductor.  For the trivial character this yields B_n(1), hence
-  B_{1,triv} = +1/2 while B_{n,triv} = B_n for n >= 2; that sign at n = 1 is
-  exactly what the L-function interpolation identities require.
+* B_1 = -1/2.
+* Generalized numbers are B_{n,chi} = f^(n-1) * sum_{a=1}^{f} chi(a) B_n(a/f)
+  with f the conductor: 1 for the trivial character, p otherwise.  For the
+  trivial character this yields B_n(1), hence B_{1,triv} = +1/2 while
+  B_{n,triv} = B_n for n >= 2; that sign at n = 1 is exactly what the
+  L-function interpolation identities require.  Every other character is
+  summed over twisted power sums (see generalized_bernoulli).
 
 B_n is computed and cached as an exact rational from the tangent numbers
 (Brent-Harvey, "Fast computation of Bernoulli, Tangent and Secant numbers",
@@ -27,12 +28,10 @@ from fractions import Fraction
 from math import comb
 
 from .characters import TeichCharacter
-from .padic import PadicContext, PadicNumber
+from .padic import PadicContext, PadicNumber, state_cut, state_normalize
 
 __all__ = [
     "bernoulli_number",
-    "bernoulli_polynomial",
-    "bernoulli_polynomial_at",
     "generalized_bernoulli",
     "MAX_BERNOULLI_INDEX",
 ]
@@ -70,45 +69,43 @@ def bernoulli_number(n: int) -> Fraction:
         return _cache[n]
 
 
-def bernoulli_polynomial(n: int) -> list[Fraction]:
-    """Coefficients of B_n(x), ascending in x: coefficient of x^j is
-    C(n,j) * B_{n-j}."""
-    if n < 0:
-        raise ValueError("Bernoulli index must be >= 0")
-    return [Fraction(comb(n, j)) * bernoulli_number(n - j) for j in range(n + 1)]
-
-
-def _horner(coeffs: list[Fraction], x: Fraction) -> Fraction:
-    """The polynomial with ascending coefficients ``coeffs`` at x."""
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def bernoulli_polynomial_at(n: int, x: Fraction) -> Fraction:
-    """B_n(x) for exact rational x, by Horner."""
-    return _horner(bernoulli_polynomial(n), x)
-
-
 def generalized_bernoulli(n: int, chi: TeichCharacter, ctx: PadicContext) -> PadicNumber:
     """B_{n,chi} evaluated in Q_p.
 
-    The defining sum runs over 1..f with f the conductor; character values are
-    Teichmuller roots of unity, so the result is genuinely p-adic unless chi
-    is quadratic or trivial.  Parity forces an algebraic zero whenever
-    chi(-1) != (-1)^n, except for (n, chi) = (1, trivial).
+    For the trivial character this is the exact rational B_n(1): +1/2 at
+    n = 1 and B_n otherwise.  For chi = omega^e != 1 the binomial expansion
+    of the defining sum gives
+
+        B_{n,chi} = sum_{i=0}^{n} C(n,i) B_{n-i} p^(n-1-i) S_i,
+        S_i = sum_{a=1}^{p-1} chi(a) a^i,
+
+    formed per exponent i with B_{n-i} != 0, each chi(a) a^i as a running
+    product over i.  Every term but S_n / p is p-integral (von
+    Staudt-Clausen), so p * B_{n,chi} is summed as one integer modulo
+    p^(N+1): one guard digit, after which the division by p leaves the value
+    known modulo p^N, cut to N relative digits.  Parity forces an algebraic
+    zero whenever chi(-1) != (-1)^n.
     """
     if n < 1:
         raise ValueError("generalized Bernoulli numbers need n >= 1")
     if ctx.p != chi.p:
         raise ValueError("context prime differs from character prime")
-    f = chi.conductor
-    poly = bernoulli_polynomial(n)
-    total = None
-    for a in range(1, f + 1):
-        if f > 1 and a % chi.p == 0:
-            continue  # chi kills multiples of p
-        term = chi.value(a, ctx) * PadicNumber.from_rational(_horner(poly, Fraction(a, f)), ctx)
-        total = term if total is None else total + term
-    return total * PadicNumber.from_rational(Fraction(f) ** (n - 1), ctx)
+    if chi.is_trivial:
+        return PadicNumber.from_rational(Fraction(1, 2) if n == 1 else bernoulli_number(n), ctx)
+    p, N = ctx.p, ctx.precision
+    G = N + 1
+    mod = p**G
+    guard = PadicContext(p, G)
+    sums = dict.fromkeys((i for i in range(n + 1) if bernoulli_number(n - i)), 0)
+    for a in range(1, p):
+        power = chi.value(a, guard).unit  # chi(a) a^i, from i = 0 up
+        for i in range(n + 1):
+            if i in sums:
+                sums[i] += power
+            power = power * a % mod
+    total = 0
+    for i, s in sums.items():
+        # C(n,i) B_{n-i} p^(n-i) is p-integral
+        c = comb(n, i) * bernoulli_number(n - i) * p ** (n - i)
+        total += c.numerator * pow(c.denominator, -1, mod) * s
+    return PadicNumber.from_state(ctx, state_cut(p, N, state_normalize(p, G, -1, total, G)))

@@ -13,10 +13,8 @@ __all__ = ["TeichCharacter"]
 class TeichCharacter:
     """omega^i modulo p, with 0 <= i < p-1 canonical.
 
-    Conductor is 1 for the trivial character and p otherwise; in particular
-    the trivial character takes the value 1 at p while every other one
-    kills p.  That convention is what makes the Euler factor at p in the
-    L-function interpolation formula degenerate correctly.
+    The trivial character takes the value 1 at multiples of p while every
+    other one kills them (conductor 1 against conductor p).
     """
 
     __slots__ = ("p", "exponent")
@@ -32,10 +30,6 @@ class TeichCharacter:
     @property
     def is_trivial(self) -> bool:
         return self.exponent == 0
-
-    @property
-    def conductor(self) -> int:
-        return 1 if self.is_trivial else self.p
 
     def value(self, a: int, ctx: PadicContext) -> PadicNumber:
         """omega^i(a); exact 0 at multiples of p unless the character is trivial."""

@@ -23,7 +23,7 @@ from .analyzer import (
     write_scan,
 )
 from .kubota import WeightPoint, lp_interpolation, lp_series
-from .padic import PadicContext, PrecisionLossError, format_padic
+from .padic import PadicContext, PrecisionLossError, agreement_precision, format_padic
 from .qexp import (
     TwinConventionError,
     dump_lines,
@@ -152,8 +152,6 @@ def _cmd_lp(args) -> int:
         print(f"L_p({args.s}, branch {lv.branch}) [{lv.route}] = "
               f"{format_padic(lv.value)}  (precision {lv.precision_achieved})")
     if len(results) == 2:
-        from .padic import agreement_precision
-
         a = agreement_precision(results[0].value, results[1].value)
         print(f"routes agree modulo {args.p}^{a}")
     return EXIT_OK

@@ -58,6 +58,7 @@ from .padic import (
     log_one_unit,
     state_add,
     state_char,
+    state_cut,
     state_div,
     state_mul,
     state_neg,
@@ -178,16 +179,22 @@ class LValue:
 
 
 def lp_interpolation(n: int, j: int, ctx: PadicContext) -> LValue:
-    """L_p(1-n, branch j) from the exact interpolation formula."""
+    """L_p(1-n, branch j) from the interpolation formula (module docstring).
+
+    B_{n,chi} is taken at N + v_p(n) digits, so that the division by n still
+    leaves the value known modulo p^N; the result is cut to N relative
+    digits.  The Euler factor 1 - p^(n-1) (chi trivial) is an integer."""
     if n < 1:
         raise ValueError("interpolation needs n >= 1")
-    p = ctx.p
+    p, N = ctx.p, ctx.precision
     j = WeightPoint.intrinsic(p, j, 1 - n).branch
     chi = TeichCharacter(p, j - n)
-    bn = generalized_bernoulli(n, chi, ctx)
-    euler = 1 - Fraction(p) ** (n - 1) if chi.is_trivial else 1
-    value = -(bn * euler) / n
-    prec = min(value.abs_precision, ctx.precision)
+    G = N + state_of_int(p, N, n)[0]  # N + v_p(n)
+    bn = generalized_bernoulli(n, chi, PadicContext(p, G)).state
+    euler = 1 - p ** (n - 1) if chi.is_trivial else 1
+    value = state_div(p, state_mul(p, bn, state_of_int(p, G, -euler)), state_of_int(p, G, n))
+    value = PadicNumber.from_state(ctx, state_cut(p, N, value))
+    prec = min(value.abs_precision, N)
     return LValue(value=value, branch=j, argument=1 - n, route="interpolation",
                   precision_achieved=prec)
 

@@ -288,6 +288,11 @@ def state_normalize(p: int, N: int, val: int, unit: int, rel: int) -> tuple:
     return val, unit, rel
 
 
+def state_cut(p: int, N: int, a: tuple) -> tuple:
+    """a to at most N relative digits."""
+    return a if a[1] is None else state_normalize(p, N, *a)
+
+
 def state_zero(abs_prec: int) -> tuple:
     if abs_prec < 1:
         raise ValueError("a zero-to-precision value needs a positive modulus exponent")

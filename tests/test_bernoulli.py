@@ -8,15 +8,9 @@ from math import comb
 import pytest
 
 from eiszeta import bernoulli
-from eiszeta.bernoulli import (
-    MAX_BERNOULLI_INDEX,
-    bernoulli_number,
-    bernoulli_polynomial,
-    bernoulli_polynomial_at,
-    generalized_bernoulli,
-)
+from eiszeta.bernoulli import MAX_BERNOULLI_INDEX, bernoulli_number, generalized_bernoulli
 from eiszeta.characters import TeichCharacter
-from eiszeta.padic import PadicContext, PadicNumber, agreement_precision
+from eiszeta.padic import PadicContext, PadicNumber, agreement_precision, teichmuller
 from eiszeta.primes import primes_up_to
 
 
@@ -32,6 +26,24 @@ def akiyama_tanigawa(n: int) -> list[Fraction]:
         out.append(row[0])
     out[1] = -out[1] if n >= 1 else out[0]
     return out
+
+
+def bernoulli_polynomial_at(n: int, x: Fraction) -> Fraction:
+    """B_n(x) = sum_k C(n,k) B_k x^(n-k), as an exact rational."""
+    return sum(comb(n, k) * bernoulli_number(k) * x ** (n - k) for k in range(n + 1))
+
+
+def defining_sum(n: int, p: int, e: int, ctx: PadicContext) -> PadicNumber:
+    """f^(n-1) sum_{a=1}^{f} omega^e(a) B_n(a/f) in Q_p, the definition of
+    B_{n, omega^e}, with the conductor f = 1 for e = 0 and f = p otherwise."""
+    f = 1 if e == 0 else p
+    terms = [
+        teichmuller(a, ctx) ** e
+        * PadicNumber.from_rational(f ** (n - 1) * bernoulli_polynomial_at(n, Fraction(a, f)), ctx)
+        for a in range(1, f + 1)
+        if a % p
+    ]
+    return sum(terms[1:], terms[0])
 
 
 def binomial_recurrence(n: int) -> list[Fraction]:
@@ -132,44 +144,6 @@ class TestBernoulliNumbers:
         assert bernoulli._cache == oracle
 
 
-class TestBernoulliPolynomials:
-    def test_constant(self):
-        assert bernoulli_polynomial(0) == [Fraction(1)]
-
-    def test_linear(self):
-        assert bernoulli_polynomial(1) == [Fraction(-1, 2), Fraction(1)]
-
-    def test_quadratic_by_binomial_expansion(self):
-        # sum_k C(2,k) B_k x^(2-k) = x^2 - x + 1/6
-        from math import comb
-
-        expected = [Fraction(0)] * 3
-        for k in range(3):
-            expected[2 - k] += comb(2, k) * bernoulli_number(k)
-        assert bernoulli_polynomial(2) == expected
-        assert bernoulli_polynomial(2) == [Fraction(1, 6), Fraction(-1), Fraction(1)]
-
-    def test_evaluation(self):
-        assert bernoulli_polynomial_at(2, Fraction(1, 5)) == Fraction(1, 150)
-        assert bernoulli_polynomial_at(1, Fraction(1)) == Fraction(1, 2)
-
-    def test_distribution_relation(self):
-        # f^(n-1) sum_{a=1..f} B_n(a/f) = B_n exactly, for n >= 2; the n = 1
-        # case lands on the +1/2 convention instead
-        for f in (5, 7):
-            total1 = sum(bernoulli_polynomial_at(1, Fraction(a, f)) for a in range(1, f + 1))
-            assert total1 == Fraction(1, 2)
-            for n in range(2, 11):
-                total = sum(bernoulli_polynomial_at(n, Fraction(a, f)) for a in range(1, f + 1))
-                assert Fraction(f) ** (n - 1) * total == bernoulli_number(n)
-
-    def test_reflection(self):
-        # B_n(1-x) = (-1)^n B_n(x)
-        x = Fraction(2, 7)
-        for n in range(8):
-            assert bernoulli_polynomial_at(n, 1 - x) == (-1) ** n * bernoulli_polynomial_at(n, x)
-
-
 class TestGeneralizedBernoulli:
     def test_trivial_character_reduces_to_bn(self):
         ctx = PadicContext(5, 15)
@@ -205,6 +179,17 @@ class TestGeneralizedBernoulli:
             ctx = PadicContext(5, precision)
             got = generalized_bernoulli(2, chi, ctx)
             assert got == PadicNumber.from_rational(expected, ctx)
+
+    @pytest.mark.parametrize("p,e", [(p, e) for p in (5, 7, 11) for e in range(p - 1)])
+    def test_against_the_defining_sum(self, p, e):
+        chi = TeichCharacter(p, e)
+        for n in range(1, 13):
+            for N in (1, 2, 6, 20):
+                got = generalized_bernoulli(n, chi, PadicContext(p, N))
+                oracle = defining_sum(n, p, e, PadicContext(p, N + 5))
+                # every digit got claims is one of the oracle's, and at most
+                # the p^(-1) of a valuation -1 value is lost to the N-digit cut
+                assert agreement_precision(got, oracle) >= got.abs_precision >= N - 1, (n, N)
 
     def test_odd_quadratic_at_n1(self):
         # p=7: omega^3 is the quadratic character mod 7; B_{1,chi} = (1/7) sum a*chi(a)

@@ -32,11 +32,6 @@ def test_conductor_p_kills_p():
     assert chi.value(10, CTX5).is_zero_to_precision
 
 
-def test_conductors():
-    assert TeichCharacter(5, 0).conductor == 1
-    assert TeichCharacter(5, 3).conductor == 5
-
-
 def test_parity():
     ctx7 = PadicContext(7, 8)
     # omega(-1) = -1, so omega^i(-1) = (-1)^i

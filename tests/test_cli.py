@@ -69,6 +69,14 @@ def test_lp_both_routes(capsys):
     assert "routes agree modulo 5^" in out
 
 
+def test_lp_interpolation_keeps_the_digit_of_a_unit_value(capsys):
+    # the value is a unit, so one digit survives at precision 1
+    rc = main(["lp", "--p", "5", "--branch", "2", "--s", "0", "--precision", "1",
+               "--route", "interpolation"])
+    assert rc == 0
+    assert "[interpolation] = 2 + O(5^1)  (precision 1)" in capsys.readouterr().out
+
+
 def test_lp_pole_rejected(capsys):
     rc = main(["lp", "--p", "5", "--branch", "0", "--s", "1"])
     assert rc == 2

@@ -167,18 +167,19 @@ def test_twin_coefficients_survive_a_deeper_rerun(point, rerun):
     assert lo.first_mismatch(hi) is None, (p, k, i, N, g)
 
 
-# (p, branch, n): every even branch, n over two periods of p - 1 at p = 7
-INTERP_POINTS = [(p, j, n) for p in (3, 5, 7) for j in range(0, p - 1, 2) for n in range(1, 13)]
+# (p, branch, n): every even branch and n = 1..14, which spans two periods of
+# p - 1 at p = 7 and reaches n = p, where v_p(n) = 1, at every p
+INTERP_POINTS = [(p, j, n) for p in (3, 5, 7, 11, 13) for j in range(0, p - 1, 2)
+                 for n in range(1, 15)]
 
 
 def test_lp_interpolation_digits_survive_a_deeper_rerun():
-    # exhaustive over INTERP_POINTS, N in 1..6 and a rerun at N + 1 and N + 3
+    # exhaustive over INTERP_POINTS, N in 1..6 and a rerun at N + 1 and N + 3;
+    # every point must answer
     for p, j, n in INTERP_POINTS:
         for N in range(1, 7):
+            lo = lp_interpolation(n, j, PadicContext(p, N))
             for g in (1, 3):
-                lo = _or_none(lambda: lp_interpolation(n, j, PadicContext(p, N)))
-                hi = _or_none(lambda: lp_interpolation(n, j, PadicContext(p, N + g)))
-                if lo is None or hi is None:
-                    continue
+                hi = lp_interpolation(n, j, PadicContext(p, N + g))
                 stated = min(lo.precision_achieved, hi.precision_achieved)
                 assert agreement_precision(lo.value, hi.value) >= stated, (p, j, n, N, g)
