@@ -387,7 +387,18 @@ def state_agreement(p: int, a: tuple, b: tuple) -> int:
 
 def state_eq(p: int, a: tuple, b: tuple) -> bool:
     """Equality holds to the lower of the two absolute precisions."""
-    return state_agreement(p, a, b) >= min(a[0] + a[2], b[0] + b[2])
+    va, ua, ra = a
+    vb, ub, rb = b
+    if ua is None or ub is None:
+        return state_agreement(p, a, b) >= min(va + ra, vb + rb)
+    # two nonzero canonical states: a difference of valuations leaves a unit
+    # times p^min(va, vb), below both absolute precisions; at one valuation the
+    # units must agree mod p^min(ra, rb), and both are reduced mod p^rel
+    if va != vb:
+        return False
+    if ra == rb:
+        return ua == ub
+    return (ua - ub) % p ** (ra if ra < rb else rb) == 0
 
 
 # -- Teichmuller lift and one-unit functions -------------------------------

@@ -18,6 +18,7 @@ theta^(k-1) (a_n -> n^(k-1) a_n) maps weight 2-k to weight k.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .kubota import WeightPoint, zeta_weight
 from .padic import (
@@ -190,9 +191,21 @@ def theta_pow(f: QExpansion, r: int) -> QExpansion:
         raise ValueError("theta power must be >= 0")
     if r == 0:
         return f
-    p, N = f.ctx.p, f.ctx.precision
-    states = tuple(state_mul(p, state_of_int(p, N, n**r), a) for n, a in enumerate(f.states))
+    p = f.ctx.p
+    n_r = _theta_multipliers(p, f.ctx.precision, r, f.truncation)
+    states = tuple(state_mul(p, m, a) for m, a in zip(n_r, f.states))
     return QExpansion._of_states(f.ctx, f.weight + 2 * r, f.char_exponent, states)
+
+
+THETA_CACHE_SIZE = 16
+
+
+@lru_cache(maxsize=THETA_CACHE_SIZE)
+def _theta_multipliers(p: int, N: int, r: int, M: int) -> tuple:
+    """The states of n^r for n = 0..M.  Cached per (p, N, r, M), least
+    recently used first out beyond THETA_CACHE_SIZE = 16 entries, which holds
+    the 14 keys of a scan over p 5..23 and a two-wide k window."""
+    return tuple(state_of_int(p, N, n**r) for n in range(M + 1))
 
 
 # -- verification -------------------------------------------------------------
@@ -238,8 +251,9 @@ def verify_eigensystem(f: QExpansion) -> EigenReport:
     checks = []
     for l in [l for l in primes_up_to(PRIMES_BOUND) if l != p] + [p]:
         image = hecke_Up(f) if l == p else hecke_Tl(f, l)
+        a_l = a[l]
         bad = next((n for n, c in enumerate(image.states)
-                    if not state_eq(p, c, state_mul(p, a[l], a[n]))), None)
+                    if not state_eq(p, c, state_mul(p, a_l, a[n]))), None)
         checks.append(OperatorCheck(f"{'U' if l == p else 'T'}_{l}", bad is None, bad))
     return EigenReport(all(c.passed for c in checks), tuple(checks))
 

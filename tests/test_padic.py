@@ -15,7 +15,9 @@ from eiszeta.padic import (
     exp_small,
     format_padic,
     log_one_unit,
+    state_agreement,
     state_char,
+    state_eq,
     state_normalize,
     teichmuller,
 )
@@ -375,6 +377,34 @@ def _state_pair(draw):
     return p, N, a, b
 
 
+@st.composite
+def _eq_decided_pair(draw):
+    """(p, a, b, kind): a pair that state_eq decides without a subtraction,
+    built on purpose because random pairs are almost never equal.  kind is
+    "agree" or "differ" for one valuation with units that agree or differ mod
+    p^min(rel), "valuation" for two valuations and "zero" for a nonzero state
+    against a zero one; the pair comes in either order."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    N = draw(st.integers(1, 6))
+    v, ra, rb = draw(st.integers(-3, 5)), draw(st.integers(1, N)), draw(st.integers(1, N))
+    ua = draw(st.integers(1, p**ra - 1).filter(lambda u: u % p))
+    kind = draw(st.sampled_from(["agree", "differ", "valuation", "zero"]))
+    low = min(ra, rb)
+    if kind == "agree":  # a's unit cut or lifted to rb digits
+        b = v, (ua + p**low * draw(st.integers(0, p**N))) % p**rb, rb
+    elif kind == "differ":  # a's unit changed at a digit below p^min(rel)
+        j, t = draw(st.integers(0, low - 1)), draw(st.integers(1, p**N).filter(lambda t: t % p))
+        b = v, (ua + p**j * t) % p**rb, rb
+        assume(b[1] % p)
+    elif kind == "valuation":
+        b = v + draw(st.sampled_from([-3, -2, -1, 1, 2, 3])), \
+            draw(st.integers(1, p**rb - 1).filter(lambda u: u % p)), rb
+    else:
+        b = draw(st.integers(1, 8)), None, 0
+    a = v, ua, ra
+    return (p, b, a, kind) if draw(st.booleans()) else (p, a, b, kind)
+
+
 def _value(p, s):
     """The rational unit * p^val a state stands for (0 for a zero)."""
     return Fraction(0) if s[1] is None else s[1] * Fraction(p) ** s[0]
@@ -457,6 +487,21 @@ class TestStateKernels:
         neg = state_neg(p, a)
         assert _known_to(p, -xa, neg) and neg[0] + neg[2] == absa
         assert (neg[1] is None) == (a[1] is None)
+
+    @given(_eq_decided_pair())
+    @settings(max_examples=400, deadline=None)
+    def test_eq_closed_form_matches_agreement_and_exact_values(self, case):
+        # state_eq decides two nonzero states from valuations, rels and units
+        # alone; it must say what the agreement exponent and the exact
+        # rationals say, and the pairs must be equal exactly when built so
+        p, a, b, kind = case
+        absa, absb = a[0] + a[2], b[0] + b[2]
+        eq = state_eq(p, a, b)
+        assert eq == (state_agreement(p, a, b) >= min(absa, absb))
+        diff = _vq(_value(p, a) - _value(p, b), p)
+        assert eq == (diff is None or diff >= min(absa, absb))
+        if kind != "zero":
+            assert eq == (kind == "agree")
 
     @given(st.sampled_from([3, 5, 7, 37]), st.integers(1, 8), st.integers(-9, 9),
            st.integers(1, 500), st.integers(-4, 6))

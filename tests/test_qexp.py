@@ -8,11 +8,14 @@ import pytest
 
 from eiszeta.characters import TeichCharacter
 from eiszeta.kubota import AdmissibilityError, WeightPoint, zeta_weight
-from eiszeta.padic import PadicContext, PadicNumber
-from eiszeta.primes import smallest_prime_factors
+from eiszeta.padic import PadicContext, PadicNumber, state_agreement, state_mul
+from eiszeta.primes import primes_up_to, smallest_prime_factors
 from eiszeta.qexp import (
+    THETA_CACHE_SIZE,
+    OperatorCheck,
     QExpansion,
     _ordinary,
+    _theta_multipliers,
     dump_lines,
     eisenstein_critical,
     eisenstein_ordinary,
@@ -204,6 +207,51 @@ class TestTheta:
         for n in range(25):
             assert lhs.coeff(n) == rhs_a.coeff(n) + rhs_b.coeff(n), n
 
+    def test_cached_multipliers_match_padic_products(self):
+        # two truncations that share (p, N, r) read different cache entries,
+        # and a repeated call reads its entry: every coefficient is n^r a_n
+        # formed with PadicNumbers
+        ctx = PadicContext(7, 10)
+        f = eisenstein_ordinary(WeightPoint.classical(7, 5, 1).twin(), 90, ctx)
+        _theta_multipliers.cache_clear()
+        for M in (40, 90, 40):
+            g = QExpansion(ctx, f.weight, f.char_exponent, f.coeffs[: M + 1])
+            th = theta_pow(g, 4)
+            assert th.truncation == M and th.weight == g.weight + 8
+            for n in range(M + 1):
+                want = PadicNumber.from_int(n**4, ctx) * g.coeff(n)
+                assert th.states[n] == want.state, (M, n)
+        info = _theta_multipliers.cache_info()
+        assert (info.misses, info.hits) == (2, 1)
+
+    def test_multiplier_cache_stays_within_its_bound(self):
+        # the bound README "Caches" states
+        assert _theta_multipliers.cache_info().maxsize == THETA_CACHE_SIZE == 16
+        _theta_multipliers.cache_clear()
+        f = _crit_54()
+        for r in range(1, 40):
+            theta_pow(f, r)
+            assert _theta_multipliers.cache_info().currsize <= 16
+        assert _theta_multipliers.cache_info().currsize == 16
+
+
+def _reference_checks(f):
+    """The operator checks of verify_eigensystem, rebuilt: every index where
+    the image of T_l or U_p disagrees with a_l a_n, compared by the agreement
+    exponent, and the first of them."""
+    p, a = f.ctx.p, f.states
+    checks = []
+    for l in [l for l in primes_up_to(20) if l != p] + [p]:
+        image = hecke_Up(f) if l == p else hecke_Tl(f, l)
+        fails = []
+        for n, c in enumerate(image.states):
+            prod = state_mul(p, a[l], a[n])
+            if state_agreement(p, c, prod) < min(c[0] + c[2], prod[0] + prod[2]):
+                fails.append(n)
+        name = f"U_{l}" if l == p else f"T_{l}"
+        checks.append(OperatorCheck(name, not fails, fails[0] if fails else None))
+    return tuple(checks)
+
 
 class TestVerifyEigensystem:
     def test_critical_passes(self):
@@ -227,6 +275,30 @@ class TestVerifyEigensystem:
         t2 = next(c for c in rep.checks if c.operator == "T_2")
         assert not t2.passed
         assert t2.first_fail_index == 20
+
+    @pytest.mark.parametrize("p,k,i", [(5, 4, 0), (7, 5, 1), (13, 6, 4)])
+    @pytest.mark.parametrize("family", ["critical", "ordinary"])
+    def test_corruption_keeps_every_first_failing_index(self, p, k, i, family):
+        # one corrupted a_(n0), in its first or a higher digit, must give the
+        # operator checks a reference builds from the images of T_l and U_p,
+        # scanning every n and comparing by the agreement exponent
+        ctx = PadicContext(p, 12)
+        if family == "critical":
+            f = eisenstein_critical(p, k, i, 200, ctx)
+        else:
+            f = eisenstein_ordinary(WeightPoint.classical(p, k, i), 200, ctx)
+        assert verify_eigensystem(f).all_passed
+        for n0 in (2, 6, 13, p, p * p, 77, 199, 200):
+            for digit in (0, 3):
+                coeffs = list(f.coeffs)
+                coeffs[n0] = coeffs[n0] + PadicNumber.from_int(p**digit, ctx)
+                bad = QExpansion(ctx, f.weight, f.char_exponent, tuple(coeffs))
+                rep = verify_eigensystem(bad)
+                want = _reference_checks(bad)
+                assert rep.checks == want, (n0, digit)
+                # a_199 is read by no check at M = 200: no l <= 20 divides 199,
+                # and 199 l > 200
+                assert rep.all_passed == (n0 == 199)
 
     def test_requires_normalization(self):
         f = _crit_54()
