@@ -197,14 +197,15 @@ def theta_pow(f: QExpansion, r: int) -> QExpansion:
     return QExpansion._of_states(f.ctx, f.weight + 2 * r, f.char_exponent, states)
 
 
-THETA_CACHE_SIZE = 16
+THETA_CACHE_SIZE = 1
 
 
 @lru_cache(maxsize=THETA_CACHE_SIZE)
 def _theta_multipliers(p: int, N: int, r: int, M: int) -> tuple:
-    """The states of n^r for n = 0..M.  Cached per (p, N, r, M), least
-    recently used first out beyond THETA_CACHE_SIZE = 16 entries, which holds
-    the 14 keys of a scan over p 5..23 and a two-wide k window."""
+    """The states of n^r for n = 0..M, cached for the last (p, N, r, M) only:
+    a scan visits the points of one (p, k), which share r = k - 1, in one
+    unbroken run and never returns to that key, so a larger cache gains no
+    hits and only holds memory."""
     return tuple(state_of_int(p, N, n**r) for n in range(M + 1))
 
 

@@ -379,8 +379,8 @@ def _state_pair(draw):
 
 @st.composite
 def _eq_decided_pair(draw):
-    """(p, a, b, kind): a pair that state_eq decides without a subtraction,
-    built on purpose because random pairs are almost never equal.  kind is
+    """(p, a, b, kind): a pair that state_eq decides from valuations and
+    units alone, built on purpose because random pairs are almost never equal.  kind is
     "agree" or "differ" for one valuation with units that agree or differ mod
     p^min(rel), "valuation" for two valuations and "zero" for a nonzero state
     against a zero one; the pair comes in either order."""

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from eiszeta.analyzer import scan_records
 from eiszeta.characters import TeichCharacter
 from eiszeta.kubota import AdmissibilityError, WeightPoint, zeta_weight
 from eiszeta.padic import PadicContext, PadicNumber, state_agreement, state_mul
@@ -214,7 +215,7 @@ class TestTheta:
         ctx = PadicContext(7, 10)
         f = eisenstein_ordinary(WeightPoint.classical(7, 5, 1).twin(), 90, ctx)
         _theta_multipliers.cache_clear()
-        for M in (40, 90, 40):
+        for M in (40, 40, 90):
             g = QExpansion(ctx, f.weight, f.char_exponent, f.coeffs[: M + 1])
             th = theta_pow(g, 4)
             assert th.truncation == M and th.weight == g.weight + 8
@@ -226,13 +227,29 @@ class TestTheta:
 
     def test_multiplier_cache_stays_within_its_bound(self):
         # the bound README "Caches" states
-        assert _theta_multipliers.cache_info().maxsize == THETA_CACHE_SIZE == 16
+        assert _theta_multipliers.cache_info().maxsize == THETA_CACHE_SIZE == 1
         _theta_multipliers.cache_clear()
         f = _crit_54()
-        for r in range(1, 40):
+        for r in range(1, 5):
             theta_pow(f, r)
-            assert _theta_multipliers.cache_info().currsize <= 16
-        assert _theta_multipliers.cache_info().currsize == 16
+            assert _theta_multipliers.cache_info().currsize == 1
+
+    def test_a_scan_uses_each_multiplier_key_in_one_run(self, monkeypatch):
+        # the one-entry cache misses once per key only if a scan never
+        # returns to a key it has left
+        import eiszeta.qexp as qexp_mod
+
+        keys = []
+        cached = qexp_mod._theta_multipliers
+
+        def recording(*key):
+            keys.append(key)
+            return cached(*key)
+
+        monkeypatch.setattr(qexp_mod, "_theta_multipliers", recording)
+        list(scan_records(5, 11, k_from=2, k_to=5, precision=8, terms=30))
+        runs = [key for n, key in enumerate(keys) if n == 0 or keys[n - 1] != key]
+        assert len(set(keys)) > 1 and len(runs) == len(set(keys)) < len(keys)
 
 
 def _reference_checks(f):
