@@ -24,6 +24,7 @@ from .kubota import (
     LValue,
     WeightPoint,
     check_irregular_prime,
+    even_branch,
     irregular_branches,
     lp_interpolation,
     zeta_weight,
@@ -253,11 +254,10 @@ def padic_to_dict(x: PadicNumber) -> dict:
 
 
 def _lvalue_to_dict(lv: LValue) -> dict:
-    arg = lv.argument
     return {
         "value": padic_to_dict(lv.value),
         "branch": lv.branch,
-        "argument": arg if isinstance(arg, int) else padic_to_dict(arg),
+        "argument": lv.argument,  # the int k - 1 of a twin
         "route": lv.route,
         "precision_achieved": lv.precision_achieved,
     }
@@ -331,15 +331,17 @@ def scan_records(
     critical point in the requested window.
 
     The arguments are validated before the stream is returned, so a caller
-    can reject a scan before opening its output: the budget, the i-mode, and
-    in stream order the checks :func:`analyze_point` makes before any
-    arithmetic (:func:`_check_point`), the Bernoulli ceiling also for a prime
-    without points.
+    can reject a scan before opening its output: the budget, the i-mode and
+    its target branch, and in stream order the checks :func:`analyze_point`
+    makes before any arithmetic (:func:`_check_point`), the Bernoulli
+    ceiling also for a prime without points.
     """
     if i_mode not in ("all", "branch"):
         raise ValueError("i_mode must be 'all' or 'branch'")
-    if i_mode == "branch" and target_branch is None:
-        raise ValueError("branch-targeted scans need a target branch")
+    if i_mode == "branch":
+        if target_branch is None:
+            raise ValueError("branch-targeted scans need a target branch")
+        even_branch(target_branch)
     check_budget(precision, terms)
     with_points = not irregular_only and k_from is not None and k_to is not None
     ks = range(k_from, k_to + 1) if with_points else ()

@@ -72,6 +72,7 @@ __all__ = [
     "AdmissibilityError",
     "PoleError",
     "WeightPoint",
+    "even_branch",
     "LValue",
     "lp_interpolation",
     "lp_series",
@@ -93,15 +94,12 @@ class PoleError(ValueError):
 
 @dataclass(frozen=True)
 class WeightPoint:
-    """A point of weight space in intrinsic coordinates (branch j, coordinate
-    s), with the classical view (k, i) attached when the point is classical
-    or a twin with integer coordinate."""
+    """The classical weight z^k omega^i of weight space; it sits on branch
+    j = k + i with coordinate s = k (module docstring)."""
 
     p: int
-    branch: int
-    s: object  # int for classical/twin points, PadicNumber in general
-    k: int | None = None
-    i: int | None = None
+    k: int
+    i: int
 
     @classmethod
     def classical(cls, p: int, k: int, i: int) -> "WeightPoint":
@@ -111,7 +109,7 @@ class WeightPoint:
             raise AdmissibilityError(
                 f"character parity (-1)^{i} must match weight parity (-1)^{k}"
             )
-        return cls(p=p, branch=(k + i) % (p - 1), s=k, k=k, i=i)
+        return cls(p=p, k=k, i=i)
 
     @classmethod
     def critical(cls, p: int, k: int, i: int) -> "WeightPoint":
@@ -126,45 +124,32 @@ class WeightPoint:
             )
         return w
 
-    @classmethod
-    def intrinsic(cls, p: int, branch: int, s) -> "WeightPoint":
-        require_odd_prime(p)
-        branch = branch % (p - 1)
-        if branch % 2 != 0:
-            raise AdmissibilityError("weight space is even: branch exponent must be even")
-        return cls(p=p, branch=branch, s=s)
+    @property
+    def branch(self) -> int:
+        return (self.k + self.i) % (self.p - 1)
+
+    @property
+    def s(self) -> int:
+        return self.k
 
     @property
     def is_trivial(self) -> bool:
-        if isinstance(self.s, PadicNumber):
-            s_zero = self.s.is_zero_to_precision
-        else:
-            s_zero = self.s == 0
-        return self.branch == 0 and s_zero
+        return self.k == 0 and self.i == 0
 
     def twin(self) -> "WeightPoint":
         """The ordinary partner z^(2-k) eps^(-1) of a critical weight."""
-        if self.k is None:
-            raise AdmissibilityError("twin is defined for classical weights")
         return WeightPoint.classical(self.p, 2 - self.k, -self.i)
 
-    def value_at(self, a: int, ctx: PadicContext) -> PadicNumber:
-        """w(a) = omega^j(a) <a>^s for a coprime to p."""
-        if a % self.p == 0:
-            raise ValueError("weight characters are evaluated away from p")
-        p, N = self.p, ctx.precision
-        if isinstance(self.s, int):
-            # exact route: omega^(j-s)(a) a^s, as one int
-            return PadicNumber.from_state(ctx, state_char(p, N, self.branch - self.s, a, self.s))
-        s = _as_padic_integer(self.s, ctx)
-        gamma = exp_small(s * _log_gamma_a(p, N, a))  # <a>^s
-        return PadicNumber.from_state(ctx, state_mul(p, state_char(p, N, self.branch, a, 0),
-                                                     gamma.state))
-
     def describe(self) -> str:
-        if self.k is not None:
-            return f"z^{self.k} * omega^{self.i} (branch {self.branch}, s = {self.k})"
-        return f"branch {self.branch}, s = {self.s!r}"
+        return f"z^{self.k} * omega^{self.i} (branch {self.branch}, s = {self.k})"
+
+
+def even_branch(j: int) -> int:
+    """The branch exponent j, refused when odd: weight space has only even
+    branches, and reducing j modulo the even p - 1 keeps its parity."""
+    if j % 2 != 0:
+        raise AdmissibilityError("weight space is even: branch exponent must be even")
+    return j
 
 
 @dataclass(frozen=True)
@@ -187,7 +172,7 @@ def lp_interpolation(n: int, j: int, ctx: PadicContext) -> LValue:
     if n < 1:
         raise ValueError("interpolation needs n >= 1")
     p, N = ctx.p, ctx.precision
-    j = WeightPoint.intrinsic(p, j, 1 - n).branch
+    j = even_branch(j) % (p - 1)
     chi = TeichCharacter(p, j - n)
     G = N + state_of_int(p, N, n)[0]  # N + v_p(n)
     bn = generalized_bernoulli(n, chi, PadicContext(p, G)).state
@@ -234,8 +219,7 @@ def _branch_free_terms(p: int, N: int, t: tuple) -> tuple:
     Cached per (p, N, t), least recently used first out beyond
     LP_TERMS_CACHE_SIZE = 8 entries of p - 1 states each.  Binomial
     coefficients C(t, m) are built iteratively on int states."""
-    ctx = PadicContext(p, N)
-    gamma = WeightPoint.intrinsic(p, 0, PadicNumber.from_state(ctx, t))  # a -> <a>^t
+    t_padic = PadicNumber.from_state(PadicContext(p, N), t)
     # inner-sum length: tail terms have valuation >= m + v(B_m) >= m - 1
     M = N + 1
     binom = state_of_int(p, N, 1)
@@ -259,7 +243,8 @@ def _branch_free_terms(p: int, N: int, t: tuple) -> tuple:
             inner = state_mul(p, inner, inv_a)
             if c is not None:
                 inner = state_add(p, N, inner, c)
-        terms.append(state_mul(p, gamma.value_at(a, ctx).state, inner))
+        gamma = exp_small(t_padic * _log_gamma_a(p, N, a))  # <a>^t = exp(t log<a>)
+        terms.append(state_mul(p, gamma.state, inner))
     return tuple(terms)
 
 
@@ -276,7 +261,7 @@ def lp_series(s, j: int, ctx: PadicContext) -> LValue:
     p, N = ctx.p, ctx.precision
     arg = s
     t = PadicNumber.from_int(1, ctx) - _as_padic_integer(s, ctx)
-    j = WeightPoint.intrinsic(p, j, t).branch
+    j = even_branch(j) % (p - 1)
     s_minus_1 = state_neg(p, t.state)
     if s_minus_1[1] is None:  # s = 1 to precision
         if j == 0:
@@ -320,11 +305,7 @@ def zeta_weight(w: WeightPoint, ctx: PadicContext) -> LValue:
         raise ValueError("context prime differs from the weight's prime")
     if w.is_trivial:
         raise PoleError("zeta_p is undefined at the trivial weight")
-    if isinstance(w.s, int):
-        arg = 1 - w.s
-    else:
-        arg = PadicNumber.from_int(1, ctx) - w.s
-    return lp_series(arg, w.branch, ctx)
+    return lp_series(1 - w.k, w.branch, ctx)
 
 
 # -- irregular primes and the zero locus ------------------------------------

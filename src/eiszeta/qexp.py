@@ -142,25 +142,22 @@ def eisenstein_critical(p: int, k: int, i: int, M: int, ctx: PadicContext) -> QE
 
 
 def eisenstein_ordinary(w: WeightPoint, M: int, ctx: PadicContext) -> QExpansion:
-    """The ordinary Eisenstein series at a weight-space point with integer
-    coordinate.  The trivial weight degenerates to the constant 1 (weight
-    tag 0, coefficients 1, 0, ..., 0) rather than being rejected."""
+    """The ordinary Eisenstein series at a classical weight.  The trivial
+    weight degenerates to the constant 1 (weight tag 0, coefficients 1, 0,
+    ..., 0) rather than being rejected."""
     if ctx.p != w.p:
         raise ValueError("context prime differs from the weight's prime")
     if w.is_trivial:
         return QExpansion(ctx, 0, 0, (PadicNumber.from_int(1, ctx),) + (ctx.zero(),) * M)
-    if not isinstance(w.s, int):
-        raise ValueError("q-expansions are built at integer weight coordinates")
     return _ordinary(w, M, ctx, zeta_weight(w, ctx).value / PadicNumber.from_int(2, ctx))
 
 
 def _ordinary(w: WeightPoint, M: int, ctx: PadicContext, a0: PadicNumber) -> QExpansion:
-    """The ordinary series at a nontrivial weight with integer coordinate,
-    with the constant term a0 given."""
-    k = w.s
-    # a_l = 1 + w(l)/l, and w(l)/l = omega^(j-k)(l) l^(k-1)
+    """The ordinary series at a nontrivial classical weight, with the
+    constant term a0 given."""
+    # a_l = 1 + w(l)/l, and w(l)/l = omega^i(l) l^(k-1)
     one = state_of_int(ctx.p, ctx.precision, 1)
-    return _assemble(ctx, M, a0.state, one, (0, 0), (w.branch - k, k - 1))
+    return _assemble(ctx, M, a0.state, one, (0, 0), (w.i, w.k - 1))
 
 
 # -- operators ---------------------------------------------------------------

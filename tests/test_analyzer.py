@@ -201,6 +201,11 @@ class TestScan:
             list(scan_records(5, 7, i_mode="nope"))
         with pytest.raises(ValueError):
             list(scan_records(5, 7, i_mode="branch"))
+        # an odd target branch would leave no point to analyse; it is refused
+        # when the records are requested, not when they are read
+        for j in (3, -1):
+            with pytest.raises(AdmissibilityError, match="branch exponent must be even"):
+                scan_records(5, 13, k_from=4, k_to=4, i_mode="branch", target_branch=j)
 
     def test_plan_yields_exactly_the_critical_points(self):
         # the plan's filter and WeightPoint.critical must state one rule

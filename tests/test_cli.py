@@ -357,6 +357,11 @@ SCAN_FAILURES = [
      "the largest supported prime is 2003"),
     (["--p-from", "5", "--p-to", "7", "--k-from", "4", "--k-to", "4",
       "--qexp-terms", "0"], 2, "precision and terms must be positive"),
+    # every exponent aimed at an odd branch fails the parity filter, so the
+    # scan would analyse nothing; it is refused as `lp --branch 3` is
+    (["--p-from", "5", "--p-to", "13", "--k-from", "4", "--k-to", "4",
+      "--i-mode", "branch", "--target-branch", "3"], 2,
+     "weight space is even: branch exponent must be even"),
 ]
 
 

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from hypothesis import example, given, settings, strategies as st
+
 from eiszeta import kubota, padic
 from eiszeta.bernoulli import bernoulli_number
 from eiszeta.kubota import (
@@ -17,7 +19,15 @@ from eiszeta.kubota import (
     lp_series,
     zeta_weight,
 )
-from eiszeta.padic import PadicContext, PadicNumber, PrecisionLossError, agreement_precision
+from eiszeta.padic import (
+    PadicContext,
+    PadicNumber,
+    PrecisionLossError,
+    agreement_precision,
+    exp_small,
+    log_one_unit,
+    teichmuller,
+)
 
 
 class TestWeightPoint:
@@ -49,28 +59,22 @@ class TestWeightPoint:
         w2 = WeightPoint.classical(37, 4, 2)
         assert w2.twin().branch == (2 - 4 - 2) % 36 == 32
 
-    def test_intrinsic_rejects_odd_branch(self):
-        with pytest.raises(AdmissibilityError):
-            WeightPoint.intrinsic(5, 1, 0)
-
-    def test_value_at(self):
-        ctx = PadicContext(5, 12)
-        w = WeightPoint.classical(5, 4, 0)
-        assert w.value_at(2, ctx) == PadicNumber.from_int(16, ctx)
-        tw = w.twin()
-        assert tw.value_at(2, ctx) == PadicNumber.from_rational(Fraction(1, 4), ctx)
-
-    def test_value_at_padic_coordinate_matches_integer(self):
-        # a PadicNumber coordinate goes through omega^j(a) <a>^s; at an
-        # integer s it must agree with the exact route a^s omega^(j-s)(a)
-        for N in (1, 12):
-            for p, j in ((5, 2), (7, 4), (11, 0)):
-                ctx = PadicContext(p, N)
-                for s in (0, 1, 3, -1, -2, -5, -8, 7, 25):
-                    exact = WeightPoint.intrinsic(p, j, s)
-                    padic = WeightPoint.intrinsic(p, j, PadicNumber.from_int(s, ctx))
-                    for a in (1, 2, 3, p - 1, p + 1, 2 * p + 3):
-                        assert padic.value_at(a, ctx) == exact.value_at(a, ctx), (p, j, s, a, N)
+    @given(st.sampled_from([3, 5, 7, 13]), st.integers(-8, 12))
+    @example(13, 0)  # the trivial weight
+    @settings(max_examples=80, deadline=None)
+    def test_classical_weight_is_determined_by_p_k_i(self, p, k):
+        # branch and coordinate follow from (p, k, i), i counts mod p - 1, and
+        # the ordinary twin is an involution; only z^0 omega^0 is the pole
+        ctx = PadicContext(p, 4)
+        for i in range(k % 2, p - 1, 2):
+            w = WeightPoint.classical(p, k, i)
+            assert (w.branch, w.s) == ((k + i) % (p - 1), k)
+            assert WeightPoint.classical(p, k, i + (p - 1)) == w
+            assert w.twin().twin() == w
+            assert w.is_trivial == (k == 0 and i == 0)
+            if w.is_trivial:
+                with pytest.raises(PoleError):
+                    zeta_weight(w, ctx)
 
     def test_trivial_weight_detection(self):
         assert WeightPoint.classical(5, 0, 0).is_trivial
@@ -181,36 +185,49 @@ class TestSeries:
         assert at1.precision_achieved == h + 1
         assert at1.value.is_zero_to_precision and at1.value.abs_precision == h + 1
 
+    def test_odd_branch_rejected(self):
+        ctx = PadicContext(5, 10)
+        for j in (3, -1, 1 + (5 - 1)):
+            with pytest.raises(AdmissibilityError, match="branch exponent must be even"):
+                lp_series(2, j, ctx)
+
+    def test_exp_of_t_log_gamma_is_the_exact_power(self):
+        # the series takes <a>^t as exp(t log<a>); at an integer t this is
+        # the exact omega(a)^(-t) a^t, digit for digit
+        for N in (1, 12):
+            for p in (3, 5, 7, 11):
+                ctx = PadicContext(p, N)
+                for t in (0, 1, 3, -1, -2, -5, -8, 7, 25):
+                    for a in range(1, p):
+                        got = exp_small(PadicNumber.from_int(t, ctx) * kubota._log_gamma_a(p, N, a))
+                        want = teichmuller(a, ctx) ** (-t) * PadicNumber.from_int(a, ctx) ** t
+                        assert got.state == want.state, (p, t, a, N)
+
     @pytest.mark.parametrize("p,j,s", [(5, 2, 3), (7, 4, -2), (37, 32, Fraction(1, 2)),
                                        (7, 2, 1), (5, 0, 1 + 5)])
-    def test_summand_is_the_weight_character(self, monkeypatch, p, j, s):
-        # <a>^(1-s) is the weight character at (branch 0, coordinate t = 1-s):
-        # on a cold cache one value_at call per a in 1..p-1, also at s = 1,
-        # whose value is the one series sum at the neighbour 1 + p^h; a second
-        # branch at the same argument reuses those terms and calls none
+    def test_summand_is_the_weight_character(self, p, j, s):
+        # the summand omega^j(a) <a>^t inner_a splits into omega^j(a) and the
+        # p - 1 branch-free X_a = <a>^t inner_a, t = 1 - s: a cold call builds
+        # them once (also at s = 1, whose value is the one series sum at the
+        # neighbour 1 + p^h), and a second branch at the same argument reads
+        # them back
         N = 8
         ctx = PadicContext(p, N)
         t = PadicNumber.from_int(1, ctx) - (1 + p ** (N // 2) if s == 1 else s)
-        calls = []
-        real = WeightPoint.value_at
-
-        def spy(w, a, ctx):
-            calls.append((w.branch, w.s.state, a))
-            return real(w, a, ctx)
-
-        monkeypatch.setattr(WeightPoint, "value_at", spy)
-        kubota._branch_free_terms.cache_clear()
+        cache = kubota._branch_free_terms
+        assert len(cache.__wrapped__(p, N, t.state)) == p - 1
+        cache.cache_clear()
         lp_series(s, j, ctx)
-        assert sorted(calls) == [(0, t.state, a) for a in range(1, p)]
-        calls.clear()
+        assert cache.cache_info()[:4] == (0, 1, 8, 1)  # hits, misses, maxsize, size
         lp_series(s, (j + 2) % (p - 1), ctx)
-        assert calls == []
+        assert cache.cache_info()[:4] == (1, 1, 8, 1)
 
     @pytest.mark.parametrize("p", [5, 7])
     def test_series_is_the_sum_of_weight_characters(self, p):
         # the split sum equals, state for state, the summand written as one
         # weight character per a: sum_a w_j(a) * inner_a / (p(s-1)), with
-        # w_j = omega^j <.>^(1-s) and inner_a = sum_m C(1-s, m) B_m (p/a)^m
+        # w_j(a) = omega^j(a) <a>^(1-s) built here from the Teichmuller lift
+        # and inner_a = sum_m C(1-s, m) B_m (p/a)^m
         N = 8
         ctx = PadicContext(p, N)
 
@@ -218,7 +235,6 @@ class TestSeries:
             if s == 1:  # the neighbour, known to p^(h+1)
                 return reference(1 + p ** (N // 2), j) + ctx.zero(N // 2 + 1)
             t = PadicNumber.from_int(1, ctx) - kubota._as_padic_integer(s, ctx)
-            w = WeightPoint.intrinsic(p, j, t)
             binom, coeffs = PadicNumber.from_int(1, ctx), []
             for m in range(N + 2):
                 if m:
@@ -234,7 +250,9 @@ class TestSeries:
                     inner = inner / a
                     if c is not None:
                         inner = inner + c
-                term = w.value_at(a, ctx) * inner
+                omega = teichmuller(a, ctx)
+                gamma = exp_small(t * log_one_unit(PadicNumber.from_int(a, ctx) / omega))
+                term = omega**j * gamma * inner  # omega^j(a) <a>^t inner_a
                 total = term if total is None else total + term
             return total / (-t * p)
 

@@ -9,7 +9,7 @@ import pytest
 from eiszeta.analyzer import scan_records
 from eiszeta.characters import TeichCharacter
 from eiszeta.kubota import AdmissibilityError, WeightPoint, zeta_weight
-from eiszeta.padic import PadicContext, PadicNumber, state_agreement, state_mul
+from eiszeta.padic import PadicContext, PadicNumber, state_agreement, state_mul, teichmuller
 from eiszeta.primes import primes_up_to, smallest_prime_factors
 from eiszeta.qexp import (
     THETA_CACHE_SIZE,
@@ -447,19 +447,20 @@ def _oracle_critical(p, k, i, M, ctx):
 
 
 def _oracle_ordinary(w, M, ctx):
-    """a_(l^r) as the geometric sum of (w(l)/l)^t for t <= r; a_(p^r) = 1."""
+    """a_(l^r) as the geometric sum of (w(l)/l)^t for t <= r, with
+    w(l) = omega^i(l) l^k; a_(p^r) = 1."""
     one = PadicNumber.from_int(1, ctx)
 
     def prime_power(l, r):
         if l == w.p:
             return one
-        x = w.value_at(l, ctx) / PadicNumber.from_int(l, ctx)
+        x = teichmuller(l, ctx) ** w.i * PadicNumber.from_int(l, ctx) ** (w.k - 1)  # w(l)/l
         total = one
         for t in range(1, r + 1):
             total = total + x**t
         return total
 
-    return _oracle_series(ctx, w.s, (w.branch - w.s) % (w.p - 1), M, ctx.zero(), prime_power)
+    return _oracle_series(ctx, w.k, w.i, M, ctx.zero(), prime_power)
 
 
 def _outcome(build):

@@ -1,7 +1,9 @@
 """The benchmark tracer (perfbench/tracer.py) wraps eiszeta functions and
 PadicNumber dunders by name and reads a few attributes of their results; a
-name deleted or renamed here must fail tier-1, not only a traced benchmark run."""
+name deleted or renamed here, or a route count the benchmark predicts that
+falls to zero, must fail tier-1, not only a traced benchmark run."""
 
+import json
 import os
 import pathlib
 import subprocess
@@ -30,3 +32,33 @@ def test_tracer_installs_over_every_name_it_wraps():
     done = subprocess.run([sys.executable, "-c", TRACED], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+# PREDICTED in perfbench/run.py requires these route counts to be nonzero on
+# the traced zero_locus and scan_window runs: padic.exp_small and padic.mul
+# calls from the L-value series, TeichCharacter.value calls from the
+# q-series, and lp_series itself; one small call of each kind reaches them
+ROUTES = """
+import json, sys
+sys.path.insert(0, "perfbench")
+from tracer import Tracer
+tracer = Tracer()
+tracer.install()
+from eiszeta import analyzer, kubota
+from eiszeta.padic import PadicContext
+kubota.irregular_scan(37, PadicContext(37, 4))
+analyzer.analyze_point(5, 4, 2, precision=6, terms=30)
+print(json.dumps(tracer.summary()))
+"""
+
+
+def test_traced_calls_make_the_route_counts_the_benchmark_predicts():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", ROUTES], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    summary = json.loads(done.stdout)
+    calls, counts = summary["calls"], summary["counts"]
+    for name in ("padic.exp_small", "characters.value", "kubota.lp_series"):
+        assert calls.get(name, 0) > 0, name
+    assert counts.get("padic.mul.calls", 0) > 0
