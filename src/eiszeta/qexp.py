@@ -90,25 +90,32 @@ class QExpansion:
     def coeff(self, n: int) -> PadicNumber:
         return PadicNumber.from_state(self.ctx, self.states[n])
 
-    def first_mismatch(self, other: "QExpansion", start: int = 0) -> int | None:
+    def first_mismatch(self, other: "QExpansion") -> int | None:
         """Smallest index where the two expansions disagree at the carried
         precision, over the common truncation; None when they agree."""
-        p, a, b = self.ctx.p, self.states, other.states
-        end = min(self.truncation, other.truncation)
-        return next((n for n in range(start, end + 1) if not state_eq(p, a[n], b[n])), None)
+        p = self.ctx.p
+        return next((n for n, (a, b) in enumerate(zip(self.states, other.states))
+                     if not state_eq(p, a, b)), None)
 
 
 def _assemble(ctx, M, a0, a_p, alpha, beta):
     """The normalized eigenform with constant term a0, eigenvalue a_p at p (int
     states) and a_l = alpha(l) + beta(l) at primes l != p, where (e, n) stands
-    for l -> omega^e(l) l^n and alpha * beta is the nebentypus factor; filled
-    in index order from its own earlier coefficients."""
+    for l -> omega^e(l) l^n and alpha * beta is the nebentypus factor."""
+    (ea, na), (eb, nb) = alpha, beta
+    return QExpansion._of_states(ctx, na + nb + 1, (ea + eb) % (ctx.p - 1),
+                                 tuple(_eigenstates(ctx, M, a0, a_p, alpha, beta)))
+
+
+def _eigenstates(ctx, M, a0, a_p, alpha, beta):
+    """The states a_0, ..., a_M of the eigenform ``_assemble`` builds, yielded
+    in index order, each from earlier ones: a reader that stops, stops the build."""
     if M < 1:
         raise ValueError("truncation order must be >= 1")
     p, N = ctx.p, ctx.precision
     (ea, na), (eb, nb) = alpha, beta
-    weight, char_exponent = na + nb + 1, (ea + eb) % (p - 1)
     c = [a0, state_of_int(p, N, 1)] + [None] * (M - 1)
+    yield from c[:2]
     back = {}  # l -> the state of -eps(l) l^(weight-1), built once per prime
     spf = smallest_prime_factors(M)
     for n in range(2, M + 1):
@@ -125,10 +132,10 @@ def _assemble(ctx, M, a0, a_p, alpha, beta):
             c[n] = state_mul(p, c[n // l], a_p)
         else:
             if l not in back:
-                back[l] = state_neg(p, state_char(p, N, char_exponent, l, weight - 1))
+                back[l] = state_neg(p, state_char(p, N, ea + eb, l, na + nb))
             c[n] = state_add(p, N, state_mul(p, c[l], c[n // l]),
                              state_mul(p, back[l], c[n // (l * l)]))
-    return QExpansion._of_states(ctx, weight, char_exponent, tuple(c))
+        yield c[n]
 
 
 def eisenstein_critical(p: int, k: int, i: int, M: int, ctx: PadicContext) -> QExpansion:
@@ -155,9 +162,14 @@ def eisenstein_ordinary(w: WeightPoint, M: int, ctx: PadicContext) -> QExpansion
 def _ordinary(w: WeightPoint, M: int, ctx: PadicContext, a0: PadicNumber) -> QExpansion:
     """The ordinary series at a nontrivial classical weight, with the
     constant term a0 given."""
-    # a_l = 1 + w(l)/l, and w(l)/l = omega^i(l) l^(k-1)
-    one = state_of_int(ctx.p, ctx.precision, 1)
-    return _assemble(ctx, M, a0.state, one, (0, 0), (w.i, w.k - 1))
+    return QExpansion._of_states(ctx, w.k, w.i, tuple(_ordinary_states(w, M, ctx, a0.state)))
+
+
+def _ordinary_states(w: WeightPoint, M: int, ctx: PadicContext, a0: tuple):
+    """The states of ``_ordinary(w, M, ctx, a0)`` as ``_eigenstates`` yields
+    them, a0 being the state of the constant term."""
+    # a_p = 1; a_l = 1 + w(l)/l, and w(l)/l = omega^i(l) l^(k-1)
+    return _eigenstates(ctx, M, a0, state_of_int(ctx.p, ctx.precision, 1), (0, 0), (w.i, w.k - 1))
 
 
 # -- operators ---------------------------------------------------------------
@@ -275,22 +287,25 @@ class TwinCheckReport:
 def theta_twin_check(crit: QExpansion) -> TwinCheckReport:
     """Check the critical series ``crit`` against the ordinary series at its
     twin weight under both character conventions (eps^(-1), the stated twin,
-    and eps): apply theta^(k-1) to the ordinary series and compare
-    coefficientwise.  p, k, i and M are read off the tags of ``crit``.
+    and eps): compare n^(k-1) a_n(twin) with a_n(crit) from n = 1 as the twin
+    is built, up to the first mismatch or n = M.  p, k, i, M are crit's tags.
 
     The two conventions coincide exactly when eps is quadratic or trivial.
     If neither matches, something is broken internally and the check aborts
     loudly instead of reporting a verdict.
     """
     ctx, k, i, M = crit.ctx, crit.weight, crit.char_exponent, crit.truncation
-    p = ctx.p
+    p, N = ctx.p, ctx.precision
     conventions = {"inverse": (-i) % (p - 1), "direct": i}
     first_bad = {}  # keyed by the twin's character exponent
     for i_star in dict.fromkeys(conventions.values()):
         tw = WeightPoint.classical(p, 2 - k, i_star)
         # theta^(k-1) annihilates a_0 = zeta_p(tw)/2, so it is not evaluated
-        lifted = theta_pow(_ordinary(tw, M, ctx, ctx.zero()), k - 1)
-        first_bad[i_star] = lifted.first_mismatch(crit, start=1)
+        # and n = 0 is not compared
+        lifted = zip(_theta_multipliers(p, N, k - 1, M),
+                     _ordinary_states(tw, M, ctx, state_zero(N)), crit.states)
+        first_bad[i_star] = next((n for n, (m, a, c) in enumerate(lifted)
+                                  if n and not state_eq(p, state_mul(p, m, a), c)), None)
     mism = {label: first_bad[e] for label, e in conventions.items()}
     matched = tuple(label for label, bad in mism.items() if bad is None)
     if not matched:

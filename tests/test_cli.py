@@ -124,17 +124,16 @@ def test_internal_check_failure_exit_code(monkeypatch, capsys):
     # the analyzer must surface exit code 4, not a report
     import eiszeta.qexp as qexp_mod
     from eiszeta.padic import PadicNumber
-    from eiszeta.qexp import QExpansion
 
-    real = qexp_mod._ordinary
+    real = qexp_mod._ordinary_states
 
     def corrupted(w, M, ctx, a0):
-        f = real(w, M, ctx, a0)
-        coeffs = list(f.coeffs)
-        coeffs[2] = coeffs[2] + PadicNumber.from_int(1, ctx)
-        return QExpansion(ctx, f.weight, f.char_exponent, tuple(coeffs))
+        for n, a in enumerate(real(w, M, ctx, a0)):
+            if n == 2:
+                a = (PadicNumber.from_state(ctx, a) + PadicNumber.from_int(1, ctx)).state
+            yield a
 
-    monkeypatch.setattr(qexp_mod, "_ordinary", corrupted)
+    monkeypatch.setattr(qexp_mod, "_ordinary_states", corrupted)
     rc = main(["analyze", "--p", "5", "--k", "4", "--eps-exponent", "0",
                "--precision", "10", "--qexp-terms", "20"])
     assert rc == 4

@@ -2,20 +2,22 @@
 `eiszeta qexp` dumps and a grid of `lp_series` values.  The scan and qexp
 digests were recorded before the q-series of an analysed point was built once
 instead of twice, the `lp_series` digest when an exact s = 1 mod p^N other than
-1 on the trivial branch became a loss of precision instead of a pole; any
+1 on the trivial branch became a loss of precision instead of a pole, and the
+analyzer grid digest before the theta-twin lift was compared as it is built; any
 change that alters a reported digit, precision, verdict, refusal or record
 layout changes them."""
 
 import contextlib
 import hashlib
 import io
+import json
 from fractions import Fraction
 
 import pytest
 
-from eiszeta.analyzer import scan_records, write_scan
+from eiszeta.analyzer import analyze_point, report_to_dict, scan_records, write_scan
 from eiszeta.cli import main
-from eiszeta.kubota import PoleError, lp_series
+from eiszeta.kubota import AdmissibilityError, PoleError, lp_series
 from eiszeta.padic import PadicContext, PrecisionLossError, format_padic
 
 
@@ -81,3 +83,26 @@ def _lp_series_lines():
 
 def test_lp_series_digest():
     assert _sha256("".join(_lp_series_lines())) == LP_SERIES_DIGEST
+
+
+ANALYZE_GRID_DIGEST = "59723c53ceb21afe2e59e16b13f13f33e661785a7fa9582f0c452d3ef27a98d6"
+
+
+def _analyze_grid_lines():
+    # 1728 points, 1084 of them refused: the refusal and its message are part
+    # of the record, as is every field of each report
+    for p in (3, 5, 7, 13):
+        for k in range(2, 8):
+            for i in range(p - 1):
+                for N in (1, 2, 3, 4, 8, 20):
+                    for M in (20, 60):
+                        try:
+                            out = json.dumps(report_to_dict(analyze_point(p, k, i, N, M)),
+                                             sort_keys=True)
+                        except (AdmissibilityError, PrecisionLossError) as e:
+                            out = f"{type(e).__name__}: {e}"
+                        yield f"{p} {k} {i} {N} {M}: {out}\n"
+
+
+def test_analyze_grid_digest():
+    assert _sha256("".join(_analyze_grid_lines())) == ANALYZE_GRID_DIGEST

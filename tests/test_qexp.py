@@ -15,6 +15,8 @@ from eiszeta.qexp import (
     THETA_CACHE_SIZE,
     OperatorCheck,
     QExpansion,
+    TwinCheckReport,
+    TwinConventionError,
     _ordinary,
     _theta_multipliers,
     dump_lines,
@@ -329,7 +331,77 @@ class TestVerifyEigensystem:
             verify_eigensystem(f)
 
 
+def _reference_twin_report(crit):
+    """theta_twin_check rebuilt: each twin lifted in full by theta_pow, every
+    index n >= 1 where it disagrees with ``crit`` found by the agreement
+    exponent, and the first of them per convention."""
+    ctx, k, i, M = crit.ctx, crit.weight, crit.char_exponent, crit.truncation
+    p = ctx.p
+    conventions = {"inverse": (-i) % (p - 1), "direct": i}
+    mism = {}
+    for label, e in conventions.items():
+        tw = WeightPoint.classical(p, 2 - k, e)
+        lifted = theta_pow(_ordinary(tw, M, ctx, ctx.zero()), k - 1)
+        fails = [n for n in range(1, M + 1)
+                 if state_agreement(p, a := lifted.states[n], c := crit.states[n])
+                 < min(a[0] + a[2], c[0] + c[2])]
+        mism[label] = fails[0] if fails else None
+    matched = tuple(label for label, bad in mism.items() if bad is None)
+    return TwinCheckReport(matched, mism, len(set(conventions.values())) == 1,
+                           crit.coeff(0).is_zero_to_precision)
+
+
+def _twin_grid():
+    """Critical series at p in {5, 7, 13}, k = 2..7, every admissible i,
+    M in {20, 60} and N in {2, 20}."""
+    for p in (5, 7, 13):
+        for N in (2, 20):
+            ctx = PadicContext(p, N)
+            for k in range(2, 8):
+                for i in range(k % 2, p - 1, 2):
+                    if (k, i) != (2, 0):
+                        for M in (20, 60):
+                            yield eisenstein_critical(p, k, i, M, ctx)
+
+
 class TestThetaTwin:
+    def test_stream_gives_the_report_of_the_full_lift(self):
+        # stopping each twin at its first mismatch keeps every verdict and
+        # every first mismatching index of the full lift
+        failing = 0
+        for crit in _twin_grid():
+            want = _reference_twin_report(crit)
+            assert theta_twin_check(crit) == want, (crit.ctx.p, crit.weight,
+                                                    crit.char_exponent, crit.truncation)
+            failing += "inverse" not in want.matched
+        assert failing > 0
+
+    def test_stream_builds_each_twin_only_to_its_first_mismatch(self, monkeypatch):
+        # a failing convention yields a_0..a_(first mismatch), a matching one
+        # a_0..a_M
+        import eiszeta.qexp as qexp_mod
+
+        real = qexp_mod._ordinary_states
+        yielded = {}
+
+        def counting(w, M, ctx, a0):
+            yielded[w.i] = 0
+            for a in real(w, M, ctx, a0):
+                yielded[w.i] += 1
+                yield a
+
+        monkeypatch.setattr(qexp_mod, "_ordinary_states", counting)
+        stopped = 0
+        for crit in _twin_grid():
+            yielded.clear()
+            rep = theta_twin_check(crit)
+            p, i, M = crit.ctx.p, crit.char_exponent, crit.truncation
+            for label, e in (("inverse", (-i) % (p - 1)), ("direct", i)):
+                bad = rep.first_mismatch[label]
+                assert yielded[e] == (M + 1 if bad is None else bad + 1), (p, crit.weight, i, M)
+                stopped += bad is not None
+        assert stopped > 0
+
     def test_trivial_character_conventions_coincide(self):
         rep = theta_twin_check(eisenstein_critical(5, 4, 0, 200, CTX))
         assert rep.passed
@@ -354,20 +426,19 @@ class TestThetaTwin:
         assert rep.first_mismatch["inverse"] is not None
 
     def test_aborts_loudly_when_nothing_matches(self, monkeypatch):
-        # sabotage the ordinary constructor: no convention can match, which
-        # must surface as an error rather than a report
+        # sabotage a_2 of the twin's coefficient stream: no convention can
+        # match, which must surface as an error rather than a report
         import eiszeta.qexp as qexp_mod
-        from eiszeta.qexp import TwinConventionError
 
-        real = qexp_mod._ordinary
+        real = qexp_mod._ordinary_states
 
         def corrupted(w, M, ctx, a0):
-            f = real(w, M, ctx, a0)
-            coeffs = list(f.coeffs)
-            coeffs[2] = coeffs[2] + PadicNumber.from_int(1, ctx)
-            return QExpansion(ctx, f.weight, f.char_exponent, tuple(coeffs))
+            for n, a in enumerate(real(w, M, ctx, a0)):
+                if n == 2:
+                    a = (PadicNumber.from_state(ctx, a) + PadicNumber.from_int(1, ctx)).state
+                yield a
 
-        monkeypatch.setattr(qexp_mod, "_ordinary", corrupted)
+        monkeypatch.setattr(qexp_mod, "_ordinary_states", corrupted)
         with pytest.raises(TwinConventionError):
             theta_twin_check(eisenstein_critical(5, 4, 0, 30, CTX))
 
@@ -388,8 +459,6 @@ class TestThetaTwin:
     def test_corrupted_critical_series_names_the_index(self, p, k, i, n):
         # the check compares the series it is given: one wrong coefficient of
         # the critical side fails both conventions at exactly that index
-        from eiszeta.qexp import TwinConventionError
-
         ctx = PadicContext(p, 12)
         crit = eisenstein_critical(p, k, i, 30, ctx)
         coeffs = list(crit.coeffs)
