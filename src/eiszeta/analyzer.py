@@ -151,28 +151,19 @@ def analyze_point(
     twin = w.twin()
     zeta_twin = zeta_weight(twin, ctx)
 
-    regular = not irregular_branches(p)
-    if regular:
-        verdict = EtaleVerdict(
-            status="etale_provably",
-            precision=zeta_twin.precision_achieved,
-            detail=f"p = {p} is regular, so zeta_p has no zeros and the "
-            "weight map is etale at every critical Eisenstein point",
-        )
+    if not irregular_branches(p):
+        status, detail = "etale_provably", (
+            f"p = {p} is regular, so zeta_p has no zeros and the "
+            "weight map is etale at every critical Eisenstein point")
     elif not zeta_twin.value.is_zero_to_precision:
-        verdict = EtaleVerdict(
-            status="etale_at_precision",
-            precision=zeta_twin.precision_achieved,
-            detail=f"zeta_p(twin) is nonzero at the carried precision "
-            f"(valuation {zeta_twin.value.valuation})",
-        )
+        status, detail = "etale_at_precision", (
+            f"zeta_p(twin) is nonzero at the carried precision "
+            f"(valuation {zeta_twin.value.valuation})")
     else:
-        verdict = EtaleVerdict(
-            status="zero_to_precision",
-            precision=zeta_twin.precision_achieved,
-            detail="zeta_p(twin) is indistinguishable from zero at the carried "
-            "precision; no definite zero is claimed",
-        )
+        status, detail = "zero_to_precision", (
+            "zeta_p(twin) is indistinguishable from zero at the carried "
+            "precision; no definite zero is claimed")
+    verdict = EtaleVerdict(status=status, precision=zeta_twin.precision_achieved, detail=detail)
 
     crit = eisenstein_critical(p, k, i, terms, ctx)
     ordinary = eisenstein_ordinary(w, terms, ctx)

@@ -20,6 +20,7 @@ is always reduced modulo p^N at most.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -46,33 +47,20 @@ class PrecisionLossError(ArithmeticError):
     """A result would keep no digit of precision."""
 
 
+@dataclass(frozen=True)
 class PadicContext:
     """An odd prime p together with a working precision N (digits carried)."""
 
+    # slots=True would make the frozen __setattr__ raise TypeError, not
+    # AttributeError, for a name that is not a field
     __slots__ = ("p", "precision")
+    p: int
+    precision: int
 
-    def __init__(self, p: int, precision: int):
-        require_odd_prime(p)
-        if not isinstance(precision, int) or precision < 1:
+    def __post_init__(self):
+        require_odd_prime(self.p)
+        if not isinstance(self.precision, int) or self.precision < 1:
             raise ValueError("precision must be a positive integer")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "precision", precision)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PadicContext is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PadicContext)
-            and self.p == other.p
-            and self.precision == other.precision
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.precision))
-
-    def __repr__(self):
-        return f"PadicContext(p={self.p}, precision={self.precision})"
 
     def zero(self, abs_prec: int | None = None) -> "PadicNumber":
         abs_prec = self.precision if abs_prec is None else abs_prec

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -36,19 +38,17 @@ def require_odd_prime(p) -> None:
 
 
 def primes_up_to(bound: int) -> list[int]:
-    """All primes <= bound, by sieve."""
+    """All primes <= bound, read from the sieve of smallest prime factors."""
     if bound < 2:
         return []
-    sieve = bytearray([1]) * (bound + 1)
-    sieve[0] = sieve[1] = 0
-    for q in range(2, int(bound**0.5) + 1):
-        if sieve[q]:
-            sieve[q * q :: q] = bytearray(len(sieve[q * q :: q]))
-    return [n for n in range(2, bound + 1) if sieve[n]]
+    spf = smallest_prime_factors(bound)
+    return [n for n in range(2, bound + 1) if spf[n] == n]
 
 
-def smallest_prime_factors(bound: int) -> list[int]:
-    """spf[n] = smallest prime factor of n, for 0 <= n <= bound (spf[0] = spf[1] = 0)."""
+@lru_cache(maxsize=1)
+def smallest_prime_factors(bound: int) -> tuple[int, ...]:
+    """spf[n] = smallest prime factor of n, for 0 <= n <= bound (spf[0] = spf[1] = 0),
+    cached for the last bound only: a scan builds every series at one truncation M."""
     spf = list(range(bound + 1))
     if bound >= 1:
         spf[1] = 0
@@ -57,4 +57,4 @@ def smallest_prime_factors(bound: int) -> list[int]:
             for m in range(q * q, bound + 1, q):
                 if spf[m] == m:
                     spf[m] = q
-    return spf
+    return tuple(spf)

@@ -68,16 +68,10 @@ class QExpansion:
 
     __slots__ = ("ctx", "weight", "char_exponent", "states")
 
-    def __init__(self, ctx: PadicContext, weight: int, char_exponent: int, coeffs):
-        """The series with PadicNumber coefficients ``coeffs`` = (a_0, ..., a_M)."""
+    def __init__(self, ctx: PadicContext, weight: int, char_exponent: int, states):
+        """The series whose coefficients a_0, ..., a_M have the int states ``states``."""
         self.ctx, self.weight, self.char_exponent = ctx, weight, char_exponent
-        self.states = tuple(a.state for a in coeffs)
-
-    @classmethod
-    def _of_states(cls, ctx, weight, char_exponent, states) -> "QExpansion":
-        f = object.__new__(cls)
-        f.ctx, f.weight, f.char_exponent, f.states = ctx, weight, char_exponent, states
-        return f
+        self.states = tuple(states)
 
     @property
     def truncation(self) -> int:
@@ -98,18 +92,12 @@ class QExpansion:
                      if not state_eq(p, a, b)), None)
 
 
-def _assemble(ctx, M, a0, a_p, alpha, beta):
-    """The normalized eigenform with constant term a0, eigenvalue a_p at p (int
-    states) and a_l = alpha(l) + beta(l) at primes l != p, where (e, n) stands
-    for l -> omega^e(l) l^n and alpha * beta is the nebentypus factor."""
-    (ea, na), (eb, nb) = alpha, beta
-    return QExpansion._of_states(ctx, na + nb + 1, (ea + eb) % (ctx.p - 1),
-                                 tuple(_eigenstates(ctx, M, a0, a_p, alpha, beta)))
-
-
 def _eigenstates(ctx, M, a0, a_p, alpha, beta):
-    """The states a_0, ..., a_M of the eigenform ``_assemble`` builds, yielded
-    in index order, each from earlier ones: a reader that stops, stops the build."""
+    """The states a_0, ..., a_M of the normalized eigenform with constant term
+    a0, eigenvalue a_p at p (int states) and a_l = alpha(l) + beta(l) at
+    primes l != p, where (e, n) stands for l -> omega^e(l) l^n and alpha * beta
+    is the nebentypus factor.  They are yielded in index order, each from
+    earlier ones: a reader that stops, stops the build."""
     if M < 1:
         raise ValueError("truncation order must be >= 1")
     p, N = ctx.p, ctx.precision
@@ -140,12 +128,13 @@ def _eigenstates(ctx, M, a0, a_p, alpha, beta):
 
 def eisenstein_critical(p: int, k: int, i: int, M: int, ctx: PadicContext) -> QExpansion:
     """The critical Eisenstein eigenform at weight z^k omega^i, truncated at M."""
-    WeightPoint.critical(p, k, i)
+    w = WeightPoint.critical(p, k, i)
     if ctx.p != p:
         raise ValueError("context prime differs from p")
     N = ctx.precision
+    a0, a_p = state_zero(N), state_of_int(p, N, p ** (k - 1))
     # a_l = eps(l) + l^(k-1)
-    return _assemble(ctx, M, state_zero(N), state_of_int(p, N, p ** (k - 1)), (i, 0), (0, k - 1))
+    return QExpansion(ctx, w.k, w.i, _eigenstates(ctx, M, a0, a_p, (w.i, 0), (0, k - 1)))
 
 
 def eisenstein_ordinary(w: WeightPoint, M: int, ctx: PadicContext) -> QExpansion:
@@ -155,14 +144,15 @@ def eisenstein_ordinary(w: WeightPoint, M: int, ctx: PadicContext) -> QExpansion
     if ctx.p != w.p:
         raise ValueError("context prime differs from the weight's prime")
     if w.is_trivial:
-        return QExpansion(ctx, 0, 0, (PadicNumber.from_int(1, ctx),) + (ctx.zero(),) * M)
+        N = ctx.precision
+        return QExpansion(ctx, 0, 0, (state_of_int(w.p, N, 1),) + (state_zero(N),) * M)
     return _ordinary(w, M, ctx, zeta_weight(w, ctx).value / PadicNumber.from_int(2, ctx))
 
 
 def _ordinary(w: WeightPoint, M: int, ctx: PadicContext, a0: PadicNumber) -> QExpansion:
     """The ordinary series at a nontrivial classical weight, with the
     constant term a0 given."""
-    return QExpansion._of_states(ctx, w.k, w.i, tuple(_ordinary_states(w, M, ctx, a0.state)))
+    return QExpansion(ctx, w.k, w.i, _ordinary_states(w, M, ctx, a0.state))
 
 
 def _ordinary_states(w: WeightPoint, M: int, ctx: PadicContext, a0: tuple):
@@ -186,12 +176,12 @@ def hecke_Tl(f: QExpansion, l: int) -> QExpansion:
     states = list(a[::l])
     for n in range(0, len(states), l):  # includes n = 0
         states[n] = state_add(p, N, states[n], state_mul(p, back, a[n // l]))
-    return QExpansion._of_states(f.ctx, f.weight, f.char_exponent, tuple(states))
+    return QExpansion(f.ctx, f.weight, f.char_exponent, states)
 
 
 def hecke_Up(f: QExpansion) -> QExpansion:
     """U_p: a_n -> a_(np)."""
-    return QExpansion._of_states(f.ctx, f.weight, f.char_exponent, f.states[::f.ctx.p])
+    return QExpansion(f.ctx, f.weight, f.char_exponent, f.states[::f.ctx.p])
 
 
 def theta_pow(f: QExpansion, r: int) -> QExpansion:
@@ -202,8 +192,8 @@ def theta_pow(f: QExpansion, r: int) -> QExpansion:
         return f
     p = f.ctx.p
     n_r = _theta_multipliers(p, f.ctx.precision, r, f.truncation)
-    states = tuple(state_mul(p, m, a) for m, a in zip(n_r, f.states))
-    return QExpansion._of_states(f.ctx, f.weight + 2 * r, f.char_exponent, states)
+    states = (state_mul(p, m, a) for m, a in zip(n_r, f.states))
+    return QExpansion(f.ctx, f.weight + 2 * r, f.char_exponent, states)
 
 
 THETA_CACHE_SIZE = 1
@@ -238,12 +228,13 @@ class EigenReport:
 
 
 PRIMES_BOUND = 20
+CHECK_PRIMES = tuple(primes_up_to(PRIMES_BOUND))  # T_l is checked for each l here but p
 
 
 def check_terms(p: int, terms: int):
     """The eigensystem checks read a_l for every prime l <= PRIMES_BOUND and
     a_p, so the truncation must reach the largest of them."""
-    needed = max(primes_up_to(PRIMES_BOUND) + [p])
+    needed = max(CHECK_PRIMES[-1], p)
     if terms < needed:
         raise ValueError(
             f"terms = {terms} is below {needed}, the largest coefficient index "
@@ -256,10 +247,10 @@ def verify_eigensystem(f: QExpansion) -> EigenReport:
     U_p f = a_p f, coefficientwise on the truncation of the image."""
     p, a = f.ctx.p, f.states
     check_terms(p, f.truncation)
-    if not f.coeff(1) == 1:
+    if not state_eq(p, a[1], state_of_int(p, f.ctx.precision, 1)):
         raise ValueError("eigensystem verification expects a normalized expansion (a_1 = 1)")
     checks = []
-    for l in [l for l in primes_up_to(PRIMES_BOUND) if l != p] + [p]:
+    for l in [l for l in CHECK_PRIMES if l != p] + [p]:
         image = hecke_Up(f) if l == p else hecke_Tl(f, l)
         a_l = a[l]
         bad = next((n for n, c in enumerate(image.states)
@@ -317,8 +308,9 @@ def theta_twin_check(crit: QExpansion) -> TwinCheckReport:
         matched=matched,
         first_mismatch=mism,
         conventions_coincide=len(first_bad) == 1,
-        # the lifted twins have a_0 = 0 by construction
-        constant_term_annihilated=crit.coeff(0).is_zero_to_precision,
+        # the lifted twins have a_0 = 0 by construction; crit's a_0 is zero
+        # to precision when its state has no unit
+        constant_term_annihilated=crit.states[0][1] is None,
     )
 
 

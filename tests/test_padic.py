@@ -54,6 +54,15 @@ class TestContext:
         with pytest.raises(AttributeError):
             CTX.p = 7
 
+    def test_is_a_value_of_p_and_precision(self):
+        ctx = PadicContext(5, 20)
+        assert repr(ctx) == "PadicContext(p=5, precision=20)"
+        assert ctx == PadicContext(5, 20) and hash(ctx) == hash((5, 20))
+        assert ctx != PadicContext(5, 21) and ctx != PadicContext(7, 20) and ctx != (5, 20)
+        for name in ("precision", "unknown"):
+            with pytest.raises(AttributeError):
+                setattr(ctx, name, 3)
+
     def test_numbers_immutable(self):
         # values are built through the raw slot setters, which must not open
         # a way around the refusing __setattr__

@@ -1,16 +1,17 @@
 """q-expansions: the two Eisenstein families, Hecke and theta operators, and
 the eigensystem / twin verifications."""
 
+import io
 import random
 from fractions import Fraction
 
 import pytest
 
-from eiszeta.analyzer import scan_records
+from eiszeta.analyzer import scan_records, write_scan
 from eiszeta.characters import TeichCharacter
 from eiszeta.kubota import AdmissibilityError, WeightPoint, zeta_weight
 from eiszeta.padic import PadicContext, PadicNumber, state_agreement, state_mul, teichmuller
-from eiszeta.primes import primes_up_to, smallest_prime_factors
+from eiszeta.primes import is_prime, primes_up_to, smallest_prime_factors
 from eiszeta.qexp import (
     THETA_CACHE_SIZE,
     OperatorCheck,
@@ -43,13 +44,13 @@ def _multiply(f, g):
         coeffs.append(acc)
     p = f.ctx.p
     return QExpansion(f.ctx, f.weight + g.weight,
-                      (f.char_exponent + g.char_exponent) % (p - 1), tuple(coeffs))
+                      (f.char_exponent + g.char_exponent) % (p - 1), tuple(a.state for a in coeffs))
 
 
 def _scale(f, c, order=None):
     """c times f, truncated at ``order`` (default: f's own truncation)."""
     coeffs = f.coeffs if order is None else f.coeffs[: order + 1]
-    return QExpansion(f.ctx, f.weight, f.char_exponent, tuple(c * a for a in coeffs))
+    return QExpansion(f.ctx, f.weight, f.char_exponent, tuple((c * a).state for a in coeffs))
 
 
 def _crit_54():
@@ -160,7 +161,7 @@ class TestHecke:
         # degenerate sanity: a constant c maps to (1 + eps(l) l^(k-1)) c
         c = PadicNumber.from_int(3, CTX)
         zero = PadicNumber.from_int(0, CTX)
-        f = QExpansion(CTX, 4, 0, (c,) + (zero,) * 20)
+        f = QExpansion(CTX, 4, 0, (c.state,) + (zero.state,) * 20)
         t2 = hecke_Tl(f, 2)
         assert t2.coeff(0) == c * PadicNumber.from_int(1 + 2**3, CTX)
 
@@ -169,7 +170,7 @@ class TestHecke:
         coeffs = tuple(
             PadicNumber.from_int(rng.randrange(1, 5**6), CTX) for _ in range(121)
         )
-        f = QExpansion(CTX, 3, 1, coeffs)
+        f = QExpansion(CTX, 3, 1, tuple(a.state for a in coeffs))
         for l, m in ((2, 3), (2, 7), (3, 7)):
             a = hecke_Tl(hecke_Tl(f, l), m)
             b = hecke_Tl(hecke_Tl(f, m), l)
@@ -202,8 +203,8 @@ class TestTheta:
         rng = random.Random(7)
         fc = tuple(PadicNumber.from_int(rng.randrange(1, 5**5), CTX) for _ in range(25))
         gc = tuple(PadicNumber.from_int(rng.randrange(1, 5**5), CTX) for _ in range(25))
-        f = QExpansion(CTX, 2, 0, fc)
-        g = QExpansion(CTX, 4, 2, gc)
+        f = QExpansion(CTX, 2, 0, tuple(a.state for a in fc))
+        g = QExpansion(CTX, 4, 2, tuple(a.state for a in gc))
         lhs = theta_pow(_multiply(f, g), 1)
         rhs_a = _multiply(theta_pow(f, 1), g)
         rhs_b = _multiply(f, theta_pow(g, 1))
@@ -218,7 +219,7 @@ class TestTheta:
         f = eisenstein_ordinary(WeightPoint.classical(7, 5, 1).twin(), 90, ctx)
         _theta_multipliers.cache_clear()
         for M in (40, 40, 90):
-            g = QExpansion(ctx, f.weight, f.char_exponent, f.coeffs[: M + 1])
+            g = QExpansion(ctx, f.weight, f.char_exponent, f.states[: M + 1])
             th = theta_pow(g, 4)
             assert th.truncation == M and th.weight == g.weight + 8
             for n in range(M + 1):
@@ -287,7 +288,7 @@ class TestVerifyEigensystem:
         f = _crit_54()
         coeffs = list(f.coeffs)
         coeffs[40] = coeffs[40] + PadicNumber.from_int(1, CTX)
-        bad = QExpansion(CTX, f.weight, f.char_exponent, tuple(coeffs))
+        bad = QExpansion(CTX, f.weight, f.char_exponent, tuple(a.state for a in coeffs))
         rep = verify_eigensystem(bad)
         assert not rep.all_passed
         # T_2 sees the corruption at index 20 (20*2 = 40)
@@ -311,7 +312,7 @@ class TestVerifyEigensystem:
             for digit in (0, 3):
                 coeffs = list(f.coeffs)
                 coeffs[n0] = coeffs[n0] + PadicNumber.from_int(p**digit, ctx)
-                bad = QExpansion(ctx, f.weight, f.char_exponent, tuple(coeffs))
+                bad = QExpansion(ctx, f.weight, f.char_exponent, tuple(a.state for a in coeffs))
                 rep = verify_eigensystem(bad)
                 want = _reference_checks(bad)
                 assert rep.checks == want, (n0, digit)
@@ -463,7 +464,7 @@ class TestThetaTwin:
         crit = eisenstein_critical(p, k, i, 30, ctx)
         coeffs = list(crit.coeffs)
         coeffs[n] = coeffs[n] + PadicNumber.from_int(1, ctx)
-        bad = QExpansion(ctx, crit.weight, crit.char_exponent, tuple(coeffs))
+        bad = QExpansion(ctx, crit.weight, crit.char_exponent, tuple(a.state for a in coeffs))
         with pytest.raises(TwinConventionError) as err:
             theta_twin_check(bad)
         assert f"'direct': {n}" in str(err.value)
@@ -495,7 +496,7 @@ def _oracle_series(ctx, weight, i, M, a0, prime_power):
             m, r = m // l, r + 1
         alr = prime_power(l, r)
         coeffs[n] = alr if m == 1 else alr * coeffs[m]
-    return QExpansion(ctx, weight, i, tuple(coeffs))
+    return QExpansion(ctx, weight, i, tuple(a.state for a in coeffs))
 
 
 def _oracle_critical(p, k, i, M, ctx):
@@ -593,3 +594,43 @@ class TestBuildsOnStates:
                 counts[name, M] = len(made)
         assert counts["crit", 50] == counts["crit", 400], counts
         assert counts["ord", 50] == counts["ord", 400], counts
+
+    def test_checks_make_no_padic_number(self, monkeypatch):
+        # the a_1 = 1 test of verify_eigensystem and the constant-term test
+        # of theta_twin_check read states, like every comparison they make
+        ctx = PadicContext(7, 20)
+        crit = eisenstein_critical(7, 4, 2, 200, ctx)
+        ordinary = eisenstein_ordinary(WeightPoint.classical(7, 4, 2), 200, ctx)
+        real = PadicNumber.from_state.__func__
+        made = []
+
+        def counting(cls, *args):
+            made.append(1)
+            return real(cls, *args)
+
+        monkeypatch.setattr(PadicNumber, "from_state", classmethod(counting))
+        assert verify_eigensystem(crit).all_passed
+        assert verify_eigensystem(ordinary).all_passed
+        assert theta_twin_check(crit).passed
+        assert made == []
+
+
+class TestOneSieve:
+    def test_a_scan_sieves_once(self, monkeypatch):
+        # every series of a scan shares M, so the one-entry sieve cache
+        # misses once, and the checks read their primes from a constant
+        import eiszeta.qexp as qexp_mod
+
+        listed = []
+        monkeypatch.setattr(qexp_mod, "primes_up_to", lambda b: listed.append(b) or primes_up_to(b))
+        smallest_prime_factors.cache_clear()
+        assert write_scan(scan_records(5, 23, 2, 7), io.StringIO()) == 257
+        info = smallest_prime_factors.cache_info()
+        assert (info.misses, info.maxsize) == (1, 1) and listed == []
+
+    def test_primes_are_read_from_the_sieve(self):
+        want = [n for n in range(2101) if is_prime(n)]
+        for b in range(-1, 2101):
+            assert primes_up_to(b) == [q for q in want if q <= b], b
+        spf = smallest_prime_factors(2100)
+        assert isinstance(spf, tuple) and len(spf) == 2101
