@@ -216,7 +216,7 @@ def analyze_point(
         k=k,
         i=i % (p - 1),
         slope=k - 1,
-        up_eigenvalue=PadicNumber.from_int(p, ctx) ** (k - 1),
+        up_eigenvalue=crit.coeff(p),  # a_p = p^(k-1)
         twin=twin,
         zeta_twin=zeta_twin,
         verdict_smooth=True,

@@ -4,12 +4,15 @@ arithmetic is ever needed."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from .padic import PadicContext, PadicNumber, teichmuller
 from .primes import require_odd_prime
 
 __all__ = ["TeichCharacter"]
 
 
+@dataclass(frozen=True)
 class TeichCharacter:
     """omega^i modulo p, with 0 <= i < p-1 canonical.
 
@@ -17,15 +20,12 @@ class TeichCharacter:
     other one kills them (conductor 1 against conductor p).
     """
 
-    __slots__ = ("p", "exponent")
+    p: int
+    exponent: int
 
-    def __init__(self, p: int, exponent: int):
-        require_odd_prime(p)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "exponent", exponent % (p - 1))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TeichCharacter is immutable")
+    def __post_init__(self):
+        require_odd_prime(self.p)
+        object.__setattr__(self, "exponent", self.exponent % (self.p - 1))
 
     @property
     def is_trivial(self) -> bool:

@@ -118,6 +118,9 @@ def _cmd_scan(args) -> int:
     if (args.k_from is None) != (args.k_to is None):
         print("error: --k-from and --k-to must be given together", file=sys.stderr)
         return EXIT_INADMISSIBLE
+    if args.target_branch is not None and args.i_mode != "branch":
+        print("error: --target-branch needs --i-mode branch", file=sys.stderr)
+        return EXIT_INADMISSIBLE
     records = scan_records(
         args.p_from, args.p_to,
         k_from=args.k_from, k_to=args.k_to,

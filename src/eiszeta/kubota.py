@@ -160,7 +160,10 @@ class LValue:
     branch: int
     argument: object
     route: str  # "interpolation" | "series"
-    precision_achieved: int
+
+    @property
+    def precision_achieved(self) -> int:
+        return min(self.value.abs_precision, self.value.ctx.precision)
 
 
 def lp_interpolation(n: int, j: int, ctx: PadicContext) -> LValue:
@@ -179,9 +182,7 @@ def lp_interpolation(n: int, j: int, ctx: PadicContext) -> LValue:
     euler = 1 - p ** (n - 1) if chi.is_trivial else 1
     value = state_div(p, state_mul(p, bn, state_of_int(p, G, -euler)), state_of_int(p, G, n))
     value = PadicNumber.from_state(ctx, state_cut(p, N, value))
-    prec = min(value.abs_precision, N)
-    return LValue(value=value, branch=j, argument=1 - n, route="interpolation",
-                  precision_achieved=prec)
+    return LValue(value=value, branch=j, argument=1 - n, route="interpolation")
 
 
 LOG_GAMMA_CACHE_SIZE = 4096
@@ -281,17 +282,14 @@ def lp_series(s, j: int, ctx: PadicContext) -> LValue:
         near = lp_series(1 + p**h, j, ctx)
         # value + O(p^(h+1)): no digit past p^(h+1) is claimed, whatever the valuation
         value = PadicNumber.from_state(ctx, state_add(p, N, near.value.state, state_zero(h + 1)))
-        return LValue(value=value, branch=j, argument=arg, route="series",
-                      precision_achieved=min(value.abs_precision, N))
+        return LValue(value=value, branch=j, argument=arg, route="series")
     total = None
     for a, x in enumerate(_branch_free_terms(p, N, t.state), start=1):
         contrib = state_mul(p, state_char(p, N, j, a, 0), x)
         total = contrib if total is None else state_add(p, N, total, contrib)
     denominator = state_mul(p, state_of_int(p, N, p), s_minus_1)  # p (s - 1)
     value = PadicNumber.from_state(ctx, state_div(p, total, denominator))
-    prec = min(value.abs_precision, N)
-    return LValue(value=value, branch=j, argument=arg, route="series",
-                  precision_achieved=prec)
+    return LValue(value=value, branch=j, argument=arg, route="series")
 
 
 def zeta_weight(w: WeightPoint, ctx: PadicContext) -> LValue:

@@ -51,9 +51,6 @@ class PrecisionLossError(ArithmeticError):
 class PadicContext:
     """An odd prime p together with a working precision N (digits carried)."""
 
-    # slots=True would make the frozen __setattr__ raise TypeError, not
-    # AttributeError, for a name that is not a field
-    __slots__ = ("p", "precision")
     p: int
     precision: int
 
@@ -76,6 +73,7 @@ def _vp(n: int, p: int) -> int:
     return v
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class PadicNumber:
     """Immutable element of Q_p known to a definite absolute precision: a
     context and the canonical int state (see state_normalize) it stands for.
@@ -85,25 +83,15 @@ class PadicNumber:
     ``(A, None, 0)``, a value known to lie in p^A Z_p.
     """
 
-    __slots__ = ("ctx", "state")
-
-    def __init__(self, *args, **kwargs):
-        raise TypeError("use PadicNumber.from_int / from_rational / ctx.zero")
+    ctx: PadicContext
+    state: tuple
 
     # -- construction ------------------------------------------------------
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PadicNumber is immutable")
 
     @classmethod
     def from_state(cls, ctx, state) -> "PadicNumber":
         """The value whose canonical state is ``state``."""
-        # every PadicNumber is made here; the slot setters (bound below the
-        # class) skip the refusing __setattr__
-        self = _new(cls)
-        _set_ctx(self, ctx)
-        _set_state(self, state)
-        return self
+        return cls(ctx, state)
 
     @classmethod
     def from_int(cls, x: int, ctx: PadicContext) -> "PadicNumber":
@@ -230,11 +218,6 @@ class PadicNumber:
 
     def __repr__(self):
         return f"PadicNumber({format_padic(self)})"
-
-
-_new = object.__new__
-_set_ctx = PadicNumber.ctx.__set__
-_set_state = PadicNumber.state.__set__
 
 
 def agreement_precision(a: PadicNumber, b: PadicNumber) -> int:

@@ -361,6 +361,12 @@ SCAN_FAILURES = [
     (["--p-from", "5", "--p-to", "13", "--k-from", "4", "--k-to", "4",
       "--i-mode", "branch", "--target-branch", "3"], 2,
      "weight space is even: branch exponent must be even"),
+    # a target branch selects points only in branch mode; without it an even
+    # or an odd one would be ignored and the scan would run over every i
+    (["--p-from", "5", "--p-to", "7", "--k-from", "4", "--k-to", "4",
+      "--target-branch", "2"], 2, "--target-branch needs --i-mode branch"),
+    (["--p-from", "5", "--p-to", "7", "--k-from", "4", "--k-to", "4",
+      "--i-mode", "all", "--target-branch", "3"], 2, "--target-branch needs --i-mode branch"),
 ]
 
 

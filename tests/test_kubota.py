@@ -177,7 +177,7 @@ class TestSeries:
         def neighbour_of_high_valuation(s, j, ctx):
             if s == 1 + p**h:
                 return kubota.LValue(value=PadicNumber.from_int(2 * p ** (h + 2), ctx), branch=j,
-                                     argument=s, route="series", precision_achieved=N)
+                                     argument=s, route="series")
             return real(s, j, ctx)
 
         monkeypatch.setattr(kubota, "lp_series", neighbour_of_high_valuation)

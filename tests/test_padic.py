@@ -64,8 +64,7 @@ class TestContext:
                 setattr(ctx, name, 3)
 
     def test_numbers_immutable(self):
-        # values are built through the raw slot setters, which must not open
-        # a way around the refusing __setattr__
+        # a frozen dataclass refuses a field, a property and an unknown name
         x = PadicNumber.from_int(7, CTX) * PadicNumber.from_rational(Fraction(1, 3), CTX)
         for name, value in (("unit", 3), ("ctx", PadicContext(7, 20)), ("state", (1, 2, 3))):
             with pytest.raises(AttributeError):

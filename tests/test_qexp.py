@@ -6,11 +6,22 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from eiszeta.analyzer import scan_records, write_scan
 from eiszeta.characters import TeichCharacter
 from eiszeta.kubota import AdmissibilityError, WeightPoint, zeta_weight
-from eiszeta.padic import PadicContext, PadicNumber, state_agreement, state_mul, teichmuller
+from eiszeta.padic import (
+    PadicContext,
+    PadicNumber,
+    state_add,
+    state_agreement,
+    state_char,
+    state_eq,
+    state_mul,
+    state_of_int,
+    teichmuller,
+)
 from eiszeta.primes import is_prime, primes_up_to, smallest_prime_factors
 from eiszeta.qexp import (
     THETA_CACHE_SIZE,
@@ -569,6 +580,50 @@ class TestBuilderAgainstOracle:
         # some a_l vanish mod p (e.g. l = 2 at p = 3), so the recursion runs
         # through cancelled coefficients
         assert cancelled > 0
+
+
+def _divisor_sum(p, N, n, term):
+    """The state of the sum of term(d) over the divisors d of n, a term of
+    None standing for zero."""
+    total = None
+    for d in range(1, n + 1):
+        t = term(d) if n % d == 0 else None
+        if t is not None:
+            total = t if total is None else state_add(p, N, total, t)
+    return total
+
+
+class TestClosedForm:
+    @settings(max_examples=200, deadline=None)
+    @given(p=st.sampled_from([3, 5, 7, 13]), N=st.sampled_from([1, 3, 12]),
+           k=st.integers(2, 7), M=st.integers(1, 60), data=st.data())
+    def test_coefficients_are_divisor_sums(self, p, N, k, M, data):
+        # every a_n, n >= 1, against its closed form, where eps = omega^i is a
+        # character mod p (so eps(m) = 0 when p | m, also for i = 0):
+        #   critical:  sum_(d|n) eps(n/d) d^(k-1);
+        #   ordinary at weight kw and character omega^e:
+        #              sum_(d|n, p∤d) omega^e(d) d^(kw-1),
+        # at (k, i) and at the twin weight 2 - k under both conventions
+        exponents = [i for i in range(k % 2, p - 1, 2) if (k, i) != (2, 0)]
+        assume(exponents)
+        i = data.draw(st.sampled_from(exponents))
+        ctx = PadicContext(p, N)
+
+        def critical(n):
+            return _divisor_sum(p, N, n, lambda d: None if (n // d) % p == 0 else state_mul(
+                p, state_char(p, N, i, n // d, 0), state_of_int(p, N, d ** (k - 1))))
+
+        def ordinary(kw, e):
+            return lambda n: _divisor_sum(
+                p, N, n, lambda d: None if d % p == 0 else state_char(p, N, e, d, kw - 1))
+
+        cases = [("critical", eisenstein_critical(p, k, i, M, ctx), critical)]
+        for kw, e in ((k, i), (2 - k, -i), (2 - k, i)):
+            w = WeightPoint.classical(p, kw, e)
+            cases.append((f"ordinary {kw},{w.i}", _ordinary(w, M, ctx, ctx.zero()), ordinary(kw, e)))
+        for label, f, closed in cases:
+            for n in range(1, M + 1):
+                assert state_eq(p, f.states[n], closed(n)), (label, p, N, k, i, M, n)
 
 
 class TestBuildsOnStates:
