@@ -309,7 +309,6 @@ def scan_records(
     p_to: int,
     k_from: int | None = None,
     k_to: int | None = None,
-    i_mode: str = "all",
     target_branch: int | None = None,
     precision: int = 20,
     terms: int = 200,
@@ -319,35 +318,33 @@ def scan_records(
 
     Emits one ``irregular_branch`` record per zero-carrying branch of each
     prime, then (unless suppressed) one ``point`` record per admissible
-    critical point in the requested window.
+    critical point in the k window: every exponent i, or with a
+    ``target_branch`` J the one whose twin sits on branch J.
 
     The arguments are validated before the stream is returned, so a caller
-    can reject a scan before opening its output: the budget, the i-mode and
-    its target branch, and in stream order the checks :func:`analyze_point`
-    makes before any arithmetic (:func:`_check_point`), the Bernoulli
-    ceiling also for a prime without points.
+    can reject a scan before opening its output: the k window's bounds,
+    which come together or not at all, the budget, the target branch's
+    parity, and in stream order the checks :func:`analyze_point` makes
+    before any arithmetic (:func:`_check_point`), the Bernoulli ceiling also
+    for a prime without points.
     """
-    if i_mode not in ("all", "branch"):
-        raise ValueError("i_mode must be 'all' or 'branch'")
-    if i_mode == "branch":
-        if target_branch is None:
-            raise ValueError("branch-targeted scans need a target branch")
+    if (k_from is None) != (k_to is None):
+        raise ValueError("k_from and k_to must be given together")
+    if target_branch is not None:
         even_branch(target_branch)
     check_budget(precision, terms)
-    with_points = not irregular_only and k_from is not None and k_to is not None
-    ks = range(k_from, k_to + 1) if with_points else ()
-    for p, points in _scan_plan(p_from, p_to, ks, i_mode, target_branch):
+    ks = range(k_from, k_to + 1) if k_from is not None and not irregular_only else ()
+    for p, points in _scan_plan(p_from, p_to, ks, target_branch):
         for k, i in points:
             _check_point(p, k, i, terms)
         check_irregular_prime(p)
-    return _scan_stream(_scan_plan(p_from, p_to, ks, i_mode, target_branch),
-                        precision, terms)
+    return _scan_stream(_scan_plan(p_from, p_to, ks, target_branch), precision, terms)
 
 
-def _scan_plan(p_from, p_to, ks, i_mode, target_branch):
+def _scan_plan(p_from, p_to, ks, target_branch):
     """(p, [(k, i), ...]) for each prime of a scan, in stream order: every
-    exponent i (or, in branch mode, the one whose twin sits on the target
-    branch) of matching parity, without weight 2 with the trivial character.
+    exponent i (or, given a target branch, the one whose twin sits on it)
+    of matching parity, without weight 2 with the trivial character.
 
     Primes are found one at a time, not by a sieve up to p_to, so the
     validation pass stops at the first prime past the Bernoulli ceiling
@@ -356,7 +353,7 @@ def _scan_plan(p_from, p_to, ks, i_mode, target_branch):
         if not is_prime(p):
             continue
         yield p, [(k, i) for k in ks
-                  for i in (range(p - 1) if i_mode == "all"
+                  for i in (range(p - 1) if target_branch is None
                             else [(2 - k - target_branch) % (p - 1)])
                   if (k - i) % 2 == 0 and (k, i) != (2, 0)]
 

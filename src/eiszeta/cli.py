@@ -75,7 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--p-to", type=int, required=True)
     s.add_argument("--k-from", type=int)
     s.add_argument("--k-to", type=int)
-    s.add_argument("--i-mode", choices=("all", "branch"), default="all")
     s.add_argument("--target-branch", type=int)
     s.add_argument("--precision", type=int, default=20)
     s.add_argument("--qexp-terms", type=int, default=200)
@@ -115,16 +114,9 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    if (args.k_from is None) != (args.k_to is None):
-        print("error: --k-from and --k-to must be given together", file=sys.stderr)
-        return EXIT_INADMISSIBLE
-    if args.target_branch is not None and args.i_mode != "branch":
-        print("error: --target-branch needs --i-mode branch", file=sys.stderr)
-        return EXIT_INADMISSIBLE
     records = scan_records(
         args.p_from, args.p_to,
-        k_from=args.k_from, k_to=args.k_to,
-        i_mode=args.i_mode, target_branch=args.target_branch,
+        k_from=args.k_from, k_to=args.k_to, target_branch=args.target_branch,
         precision=args.precision, terms=args.qexp_terms,
         irregular_only=args.irregular_only,
     )
@@ -142,14 +134,12 @@ def _cmd_lp(args) -> int:
     check_budget(args.precision)
     ctx = PadicContext(args.p, args.precision)
     s = _parse_s(args.s)
+    if args.route != "series" and (not isinstance(s, int) or s > 0):
+        raise ValueError("the interpolation route needs s = 1 - n with n >= 1")
     results = []
     if args.route in ("series", "both"):
         results.append(lp_series(s, args.branch, ctx))
     if args.route in ("interpolation", "both"):
-        if not isinstance(s, int) or s > 0:
-            print("error: the interpolation route needs s = 1 - n with n >= 1",
-                  file=sys.stderr)
-            return EXIT_INADMISSIBLE
         results.append(lp_interpolation(1 - s, args.branch, ctx))
     for lv in results:
         print(f"L_p({args.s}, branch {lv.branch}) [{lv.route}] = "

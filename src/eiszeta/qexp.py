@@ -57,21 +57,24 @@ class TwinConventionError(RuntimeError):
     indicates an implementation bug, never a property of the input."""
 
 
+@dataclass(frozen=True, eq=False)
 class QExpansion:
     """q-series truncated at order M, tagged with weight and nebentypus.
 
     The weight is an arbitrary integer (twins have weight 2-k <= 0) and the
     character tag is the exponent i of eps = omega^i.  a_n is held as the int
     state ``states[n]`` (``PadicNumber.state``), on which everything below
-    computes; only coeff, coeffs and dump_lines make PadicNumbers.
+    computes; only coeff, coeffs and dump_lines make PadicNumbers.  The states
+    may be given as any iterable; they are stored as a tuple.
     """
 
-    __slots__ = ("ctx", "weight", "char_exponent", "states")
+    ctx: PadicContext
+    weight: int
+    char_exponent: int
+    states: tuple[int, ...]
 
-    def __init__(self, ctx: PadicContext, weight: int, char_exponent: int, states):
-        """The series whose coefficients a_0, ..., a_M have the int states ``states``."""
-        self.ctx, self.weight, self.char_exponent = ctx, weight, char_exponent
-        self.states = tuple(states)
+    def __post_init__(self):
+        object.__setattr__(self, "states", tuple(self.states))
 
     @property
     def truncation(self) -> int:

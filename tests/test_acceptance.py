@@ -279,8 +279,7 @@ def test_criterion_8_classical_nonvanishing():
 
 def test_criterion_9_scan_determinism():
     kw = dict(
-        p_from=5, p_to=31, k_from=3, k_to=4,
-        i_mode="branch", target_branch=2,
+        p_from=5, p_to=31, k_from=3, k_to=4, target_branch=2,
         precision=12, terms=40,
     )
     a, b = io.StringIO(), io.StringIO()

@@ -159,7 +159,7 @@ class TestScan:
     def test_branch_targeted(self):
         recs = list(
             scan_records(
-                5, 13, k_from=4, k_to=4, i_mode="branch", target_branch=2,
+                5, 13, k_from=4, k_to=4, target_branch=2,
                 precision=10, terms=20,
             )
         )
@@ -197,15 +197,15 @@ class TestScan:
         assert warm.getvalue().count('"type":"point"') > 20
 
     def test_bad_i_mode(self):
-        with pytest.raises(ValueError):
-            list(scan_records(5, 7, i_mode="nope"))
-        with pytest.raises(ValueError):
-            list(scan_records(5, 7, i_mode="branch"))
+        # a lone k bound is refused, not read as an empty window
+        for bounds in (dict(k_from=4), dict(k_to=4)):
+            with pytest.raises(ValueError, match="k_from and k_to must be given together"):
+                scan_records(5, 7, **bounds)
         # an odd target branch would leave no point to analyse; it is refused
         # when the records are requested, not when they are read
         for j in (3, -1):
             with pytest.raises(AdmissibilityError, match="branch exponent must be even"):
-                scan_records(5, 13, k_from=4, k_to=4, i_mode="branch", target_branch=j)
+                scan_records(5, 13, k_from=4, k_to=4, target_branch=j)
 
     def test_plan_yields_exactly_the_critical_points(self):
         # the plan's filter and WeightPoint.critical must state one rule
@@ -219,11 +219,11 @@ class TestScan:
             return True
 
         primes = []
-        for p, points in _scan_plan(3, 31, ks, "all", None):
+        for p, points in _scan_plan(3, 31, ks, None):
             primes.append(p)
             assert points == [(k, i) for k in ks for i in range(p - 1) if critical(p, k, i)], p
             for target in range(0, p - 1, 2):
-                [(q, points)] = _scan_plan(p, p, ks, "branch", target)
+                [(q, points)] = _scan_plan(p, p, ks, target)
                 exponents = [(k, (2 - k - target) % (p - 1)) for k in ks]
                 assert q == p
                 assert points == [(k, i) for k, i in exponents if critical(p, k, i)], (p, target)

@@ -82,6 +82,17 @@ def test_lp_pole_rejected(capsys):
     assert rc == 2
 
 
+def test_lp_interpolation_rule_is_checked_before_the_series(capsys, monkeypatch):
+    # s = 1/2 is not of the form 1 - n, so `--route both` is refused before
+    # the series route sums anything
+    calls = []
+    monkeypatch.setattr("eiszeta.cli.lp_series", lambda *a: calls.append(a))
+    rc = main(["lp", "--p", "5", "--branch", "2", "--s", "1/2", "--route", "both"])
+    assert rc == 2
+    assert "needs s = 1 - n with n >= 1" in _one_line_error(capsys)
+    assert calls == []
+
+
 def test_qexp_dump(capsys):
     rc = main(["qexp", "--p", "5", "--k", "4", "--eps-exponent", "0",
                "--terms", "8", "--which", "crit", "--precision", "10"])
@@ -343,8 +354,9 @@ def test_unwritable_out_is_exit_2(tmp_path, capsys, monkeypatch, failure):
 SCAN_FAILURES = [
     (["--p-from", "5", "--p-to", "7", "--k-from", "4", "--k-to", "4",
       "--precision", "0"], 2, "precision and terms must be positive"),
-    (["--p-from", "5", "--p-to", "7", "--k-from", "4", "--k-to", "4",
-      "--i-mode", "branch"], 2, "branch-targeted scans need a target branch"),
+    # a lone k bound would leave the window open at one end
+    (["--p-from", "5", "--p-to", "7", "--k-from", "4"], 2,
+     "k_from and k_to must be given together"),
     (["--p-from", "5", "--p-to", "41", "--k-from", "4", "--k-to", "4",
       "--qexp-terms", "30", "--precision", "4"], 2, "p = 31"),
     # a prime past the Bernoulli ceiling is refused before any arithmetic,
@@ -359,15 +371,25 @@ SCAN_FAILURES = [
     # every exponent aimed at an odd branch fails the parity filter, so the
     # scan would analyse nothing; it is refused as `lp --branch 3` is
     (["--p-from", "5", "--p-to", "13", "--k-from", "4", "--k-to", "4",
-      "--i-mode", "branch", "--target-branch", "3"], 2,
+      "--target-branch", "3"], 2,
      "weight space is even: branch exponent must be even"),
-    # a target branch selects points only in branch mode; without it an even
-    # or an odd one would be ignored and the scan would run over every i
-    (["--p-from", "5", "--p-to", "7", "--k-from", "4", "--k-to", "4",
-      "--target-branch", "2"], 2, "--target-branch needs --i-mode branch"),
-    (["--p-from", "5", "--p-to", "7", "--k-from", "4", "--k-to", "4",
-      "--i-mode", "all", "--target-branch", "3"], 2, "--target-branch needs --i-mode branch"),
+    # the target branch alone picks the points; --i-mode is not an option
+    (["--p-from", "5", "--p-to", "13", "--k-from", "4", "--k-to", "4",
+      "--i-mode", "branch", "--target-branch", "2"], 2,
+     "unrecognized arguments: --i-mode"),
 ]
+
+
+def test_scan_target_branch_picks_the_twins_on_it(tmp_path):
+    out = tmp_path / "branch.jsonl"
+    rc = main(["scan", "--p-from", "5", "--p-to", "13", "--k-from", "4", "--k-to", "4",
+               "--target-branch", "2", "--precision", "10", "--qexp-terms", "20",
+               "--out", str(out)])
+    assert rc == 0
+    points = [r for r in map(json.loads, out.read_text().splitlines())
+              if r["type"] == "point"]
+    assert points
+    assert all(r["twin"]["branch"] == 2 for r in points)
 
 
 @pytest.mark.parametrize("argv,code,message", SCAN_FAILURES)

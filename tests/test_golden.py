@@ -44,7 +44,8 @@ QEXP_DIGESTS = {
 @pytest.mark.parametrize("i_mode", sorted(SCAN_DIGESTS))
 def test_scan_output_digest(i_mode):
     buf = io.StringIO()
-    records = scan_records(5, 13, k_from=3, k_to=4, i_mode=i_mode, target_branch=2,
+    target_branch = 2 if i_mode == "branch" else None
+    records = scan_records(5, 13, k_from=3, k_to=4, target_branch=target_branch,
                            precision=12, terms=40)
     write_scan(records, buf)
     assert _sha256(buf.getvalue()) == SCAN_DIGESTS[i_mode]

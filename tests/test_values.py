@@ -1,6 +1,6 @@
 """Every value the package reports is a plain frozen dataclass, so a context,
-a p-adic number, a character, an L-value and a whole point report survive
-copy.deepcopy and pickle unchanged.
+a p-adic number, a character, an L-value, a q-series and a whole point
+report survive copy.deepcopy and pickle unchanged.
 
 This module needs neither pytest nor hypothesis: with ``src`` and ``tests``
 on the path, its test functions can be called from a bare interpreter."""
@@ -14,6 +14,7 @@ from eiszeta.analyzer import CriticalPointReport, analyze_point, report_to_dict
 from eiszeta.characters import TeichCharacter
 from eiszeta.kubota import LValue, lp_series
 from eiszeta.padic import PadicContext, PadicNumber
+from eiszeta.qexp import QExpansion, eisenstein_critical
 
 
 def _copies(x):
@@ -25,7 +26,8 @@ def _copies(x):
 
 
 def test_value_types_are_frozen_dataclasses():
-    for cls in (PadicContext, PadicNumber, TeichCharacter, LValue, CriticalPointReport):
+    for cls in (PadicContext, PadicNumber, TeichCharacter, LValue, QExpansion,
+                CriticalPointReport):
         assert dataclasses.is_dataclass(cls), cls
         assert cls.__dataclass_params__.frozen, cls
         assert "__slots__" not in vars(cls), cls
@@ -51,6 +53,11 @@ def test_values_survive_copy_and_pickle():
         assert (y.value.state, y.branch, y.argument, y.route) == \
             (lv.value.state, lv.branch, lv.argument, lv.route)
         assert y.precision_achieved == lv.precision_achieved
+
+    f = eisenstein_critical(7, 4, 2, 20, ctx)
+    for y in _copies(f):
+        assert (y.ctx, y.weight, y.char_exponent, y.states) == \
+            (f.ctx, f.weight, f.char_exponent, f.states)
 
 
 def test_reports_survive_copy_and_pickle():
