@@ -38,12 +38,12 @@ EXIT_INTERNAL = 4
 
 
 def _parse_s(text: str) -> object:
-    if "/" in text:
-        try:
-            return Fraction(text)
-        except ZeroDivisionError:
-            raise ValueError(f"--s {text} has a zero denominator") from None
-    return int(text)
+    try:
+        return Fraction(text) if "/" in text else int(text)
+    except ZeroDivisionError:
+        raise ValueError(f"--s {text} has a zero denominator") from None
+    except ValueError:
+        raise ValueError(f"--s {text} is not an integer or a fraction a/b") from None
 
 
 class _Parser(argparse.ArgumentParser):

@@ -204,7 +204,7 @@ class PadicNumber:
         v, u, r = self.state
         if u is None:
             return self.ctx.zero(v * e)
-        return PadicNumber.from_state(self.ctx, (v * e, pow(u, e, self.ctx.p**r), r))
+        return PadicNumber.from_state(self.ctx, (v * e, pow(u, e, _pow(self.ctx.p, r)), r))
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -237,26 +237,62 @@ def agreement_precision(a: PadicNumber, b: PadicNumber) -> int:
 # without an object per operation.
 
 
+# The kernels read every power of p they need from one table, p^0..p^E for the
+# last prime asked only: a scan computes at one prime in an unbroken run. A
+# longer exponent replaces the table whole by a new tuple, never by appending,
+# so a thread that switches primes or grows it cannot leave another thread a
+# wrong power; exponents past POWER_TABLE_TOP are built on the spot.
+
+POWER_TABLE_TOP = 512
+
+_powers = (None, ())  # (p, (p^0, ..., p^E)), E <= POWER_TABLE_TOP
+
+
+def _pow(p: int, e: int) -> int:
+    """p^e for e >= 0, read from the power table when it reaches e."""
+    q, table = _powers
+    if q == p and e < len(table):
+        return table[e]
+    if e > POWER_TABLE_TOP:
+        return p**e
+    return _grow_powers(p, e)[e]
+
+
+def _grow_powers(p: int, e: int) -> tuple:
+    """A new table of p^0..p^E with e <= E <= POWER_TABLE_TOP, which replaces the
+    last one: twice the length of this prime's old table, at least 64."""
+    global _powers
+    q, old = _powers
+    table = old if q == p else (1,)
+    top = min(max(e, 2 * len(table) - 1, 63), POWER_TABLE_TOP)
+    last, more = table[-1], []
+    for _ in range(top + 1 - len(table)):
+        last *= p
+        more.append(last)
+    table += tuple(more)
+    _powers = (p, table)
+    return table
+
+
 def state_normalize(p: int, N: int, val: int, unit: int, rel: int) -> tuple:
     """Canonical state of unit * p^val to rel <= N digits, zero when no unit digit
     survives; PrecisionLossError when not even the zero keeps a digit."""
-    rel = min(rel, N)
+    if rel > N:
+        rel = N
     if rel <= 0:
         # no digits survive: all that remains is the valuation bound
         if val < 1:
             raise ValueError("value carries no usable precision")
         return val, None, 0
-    unit %= p**rel
+    unit %= _pow(p, rel)
+    if unit % p:  # already a unit, as most results are
+        return val, unit, rel
     if unit == 0:
         if val + rel < 1:
             raise PrecisionLossError("cancellation left no digit of precision")
         return val + rel, None, 0
     shift = _vp(unit, p)
-    if shift:
-        unit //= p**shift
-        val += shift
-        rel -= shift
-    return val, unit, rel
+    return val + shift, unit // _pow(p, shift), rel - shift
 
 
 def state_cut(p: int, N: int, a: tuple) -> tuple:
@@ -273,8 +309,10 @@ def state_zero(abs_prec: int) -> tuple:
 def state_of_int(p: int, N: int, x: int) -> tuple:
     if x == 0:
         return N, None, 0
+    if x % p:
+        return state_normalize(p, N, 0, x, N)
     v = _vp(abs(x), p)
-    return state_normalize(p, N, v, x // p**v, N)
+    return state_normalize(p, N, v, x // _pow(p, v), N)
 
 
 def state_of_rational(p: int, N: int, x) -> tuple:
@@ -283,7 +321,7 @@ def state_of_rational(p: int, N: int, x) -> tuple:
         return N, None, 0
     num, den = x.numerator, x.denominator
     vn, vd = _vp(abs(num), p), _vp(den, p)
-    unit = num // p**vn * pow(den // p**vd, -1, p**N)
+    unit = num // _pow(p, vn) * pow(den // _pow(p, vd), -1, _pow(p, N))
     return state_normalize(p, N, vn - vd, unit, N)
 
 
@@ -295,7 +333,7 @@ def state_mul(p: int, a: tuple, b: tuple) -> tuple:
         return state_zero(va + vb)
     rel = ra if ra < rb else rb
     # units prime to p multiply to such a unit, so no normalisation is needed
-    return va + vb, ua * ub % p**rel, rel
+    return va + vb, ua * ub % _pow(p, rel), rel
 
 
 def state_div(p: int, a: tuple, b: tuple) -> tuple:
@@ -310,14 +348,14 @@ def state_div(p: int, a: tuple, b: tuple) -> tuple:
             raise PrecisionLossError("quotient has no surviving precision")
         return va - vb, None, 0
     rel = ra if ra < rb else rb
-    mod = p**rel
+    mod = _pow(p, rel)
     return va - vb, ua * pow(ub, -1, mod) % mod, rel
 
 
 def state_neg(p: int, a: tuple) -> tuple:
     """-a, to the same precision."""
     v, u, r = a
-    return a if u is None else (v, p**r - u, r)
+    return a if u is None else (v, _pow(p, r) - u, r)
 
 
 def state_add(p: int, N: int, a: tuple, b: tuple) -> tuple:
@@ -326,31 +364,36 @@ def state_add(p: int, N: int, a: tuple, b: tuple) -> tuple:
     vb, ub, rb = b
     if ua is None:
         if ub is None:
-            return min(va, vb), None, 0
+            return (va if va < vb else vb), None, 0
         va, ua, ra, vb, ub = vb, ub, rb, va, ua  # the nonzero one first
     if ub is None:  # b lies in p^vb Z_p
         if va >= vb:
             return vb, None, 0
-        return state_normalize(p, N, va, ua, min(ra, vb - va))
-    absprec = min(va + ra, vb + rb)
-    base = min(va, vb)
-    return state_normalize(p, N, base, ua * p ** (va - base) + ub * p ** (vb - base),
-                           absprec - base)
+        gap = vb - va
+        return state_normalize(p, N, va, ua, ra if ra < gap else gap)
+    if va == vb:
+        return state_normalize(p, N, va, ua + ub, ra if ra < rb else rb)
+    absa, absb = va + ra, vb + rb
+    absprec = absa if absa < absb else absb
+    if va < vb:
+        return state_normalize(p, N, va, ua + ub * _pow(p, vb - va), absprec - va)
+    return state_normalize(p, N, vb, ua * _pow(p, va - vb) + ub, absprec - vb)
 
 
 def state_agreement(p: int, a: tuple, b: tuple) -> int:
     """Exponent A such that a == b mod p^A (see :func:`agreement_precision`)."""
     va, ua, ra = a
     vb, ub, rb = b
-    absprec = min(va + ra, vb + rb)
+    absa, absb = va + ra, vb + rb
+    absprec = absa if absa < absb else absb
     if ua is None:
-        return absprec if ub is None else min(vb, absprec)
+        return absprec if ub is None else (vb if vb < absprec else absprec)
     if ub is None:
-        return min(va, absprec)
-    base = min(va, vb)
-    rep = ua * p ** (va - base) - ub * p ** (vb - base)
-    mod = p ** max(absprec - base, 0)
-    rep = rep % mod if mod > 1 else 0
+        return va if va < absprec else absprec
+    base = va if va < vb else vb
+    rep = ua * _pow(p, va - base) - ub * _pow(p, vb - base)
+    top = absprec - base
+    rep = rep % _pow(p, top) if top > 0 else 0
     if rep == 0:
         return absprec
     return base + _vp(rep, p)
@@ -361,17 +404,18 @@ def state_eq(p: int, a: tuple, b: tuple) -> bool:
     va, ua, ra = a
     vb, ub, rb = b
     if ua is None or ub is None:
-        return state_agreement(p, a, b) >= min(va + ra, vb + rb)
+        absa, absb = va + ra, vb + rb
+        return state_agreement(p, a, b) >= (absa if absa < absb else absb)
     # two nonzero canonical states: a difference of valuations leaves a unit
     # times p^min(va, vb), below both absolute precisions; at one valuation the
     # units must agree mod p^min(ra, rb), and both are reduced mod p^rel
     if va != vb:
         return False
-    # equal rels, 98% of a scan's comparisons, skip building p^rel: this
-    # halves state_eq's time on the pairs of a scan_window window
+    # equal rels, 98% of a scan's comparisons, compare the reduced units as
+    # they are, with no power of p and no reduction
     if ra == rb:
         return ua == ub
-    return (ua - ub) % p ** (ra if ra < rb else rb) == 0
+    return (ua - ub) % _pow(p, ra if ra < rb else rb) == 0
 
 
 # -- Teichmuller lift and one-unit functions -------------------------------
@@ -394,7 +438,7 @@ def _teich_unit(p: int, precision: int, a: int) -> int:
 def state_char(p: int, N: int, e: int, a: int, n: int) -> tuple:
     """State of omega^e(a) * a^n for an integer a prime to p (n may be
     negative): a unit known to N digits."""
-    mod = p**N
+    mod = _pow(p, N)
     # omega(a)^e = omega(a^e mod p): one cached lift
     return 0, _teich_unit(p, N, pow(a, e % (p - 1), p)) * pow(a, n, mod) % mod, N
 

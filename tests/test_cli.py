@@ -163,6 +163,13 @@ def test_lp_zero_denominator_rejected(capsys):
     assert "zero denominator" in _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("s", ["1.5", "x", "1/x"])
+def test_lp_unparsable_s_names_the_option(capsys, s):
+    rc = main(["lp", "--p", "5", "--branch", "2", "--s", s])
+    assert rc == 2
+    assert _one_line_error(capsys) == f"error: --s {s} is not an integer or a fraction a/b"
+
+
 def test_qexp_terms_below_primes_bound_rejected(capsys):
     rc = main(["analyze", "--p", "5", "--k", "4", "--eps-exponent", "0",
                "--qexp-terms", "5"])

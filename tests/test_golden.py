@@ -3,9 +3,10 @@
 digests were recorded before the q-series of an analysed point was built once
 instead of twice, the `lp_series` digest when an exact s = 1 mod p^N other than
 1 on the trivial branch became a loss of precision instead of a pole, and the
-analyzer grid digest before the theta-twin lift was compared as it is built; any
-change that alters a reported digit, precision, verdict, refusal or record
-layout changes them."""
+analyzer grid digest before the theta-twin lift was compared as it is built, and
+the high-precision digest before the state kernels read powers of p from a
+table; any change that alters a reported digit, precision, verdict, refusal or
+record layout changes them."""
 
 import contextlib
 import hashlib
@@ -107,3 +108,17 @@ def _analyze_grid_lines():
 
 def test_analyze_grid_digest():
     assert _sha256("".join(_analyze_grid_lines())) == ANALYZE_GRID_DIGEST
+
+
+HIGH_PRECISION_DIGEST = "03bf77093ba35f498d326c0bf4946bce15c434e9607dd55f2e994fde8cbe88f2"
+
+# (p, k, i, N, M) above the grid's N = 20, with the primes interleaved
+HIGH_PRECISION_POINTS = [(37, 4, 28, 120, 400), (23, 4, 2, 60, 200),
+                         (5, 6, 0, 500, 200), (7, 5, 1, 500, 100)]
+
+
+def test_high_precision_analyze_digest():
+    text = "".join(f"{p} {k} {i} {N} {M}: "
+                   + json.dumps(report_to_dict(analyze_point(p, k, i, N, M)), sort_keys=True)
+                   + "\n" for p, k, i, N, M in HIGH_PRECISION_POINTS)
+    assert _sha256(text) == HIGH_PRECISION_DIGEST

@@ -19,6 +19,7 @@ from eiszeta.padic import (
     state_char,
     state_eq,
     state_normalize,
+    state_of_int,
     teichmuller,
 )
 
@@ -364,17 +365,19 @@ class TestPrecisionMonotonicity:
 
 
 @st.composite
-def _state_pair(draw):
-    """(p, N, a, b): two canonical states, with b often cancelling a."""
-    p = draw(st.sampled_from([3, 5, 7]))
-    N = draw(st.integers(1, 6))
+def _state_pair(draw, primes=(3, 5, 7), max_N=6, vals=st.integers(-3, 5),
+                zeros=st.integers(1, 8)):
+    """(p, N, a, b): two canonical states, with b often cancelling a; valuations
+    drawn from vals, the exponents of zeros from zeros."""
+    p = draw(st.sampled_from(primes))
+    N = draw(st.integers(1, max_N))
 
     def state():
         if draw(st.integers(0, 4)) == 0:
-            return draw(st.integers(1, 8)), None, 0  # zero modulo p^A
+            return draw(zeros), None, 0  # zero modulo p^A
         r = draw(st.integers(1, N))
         u = draw(st.integers(1, p**r - 1).filter(lambda u: u % p))
-        return draw(st.integers(-3, 5)), u, r
+        return draw(vals), u, r
 
     a, b = state(), state()
     if a[1] is not None and draw(st.booleans()):
@@ -443,6 +446,87 @@ def _outcome(fn):
         return type(e).__name__
 
 
+def _assert_honest(p, N, a, b):
+    """Every digit a kernel result claims holds for the exact rationals the inputs
+    stand for; a product or quotient keeps all the precision its inputs allow
+    and a sum never claims more than the coarser summand."""
+    from eiszeta.padic import state_add, state_div, state_eq, state_mul, state_neg
+
+    xa, xb = _value(p, a), _value(p, b)
+    absa, absb = a[0] + a[2], b[0] + b[2]
+    prod = _outcome(lambda: state_mul(p, a, b))
+    if not isinstance(prod, str):
+        assert _known_to(p, xa * xb, prod)
+        if a[1] is not None and b[1] is not None:
+            assert prod[0] + prod[2] == min(absa + b[0], absb + a[0])
+    for sign in (1, -1):
+        other = b if sign == 1 else (b[0], None if b[1] is None else p**b[2] - b[1], b[2])
+        total = _outcome(lambda: state_add(p, N, a, other))
+        if not isinstance(total, str):
+            assert _known_to(p, xa + sign * xb, total)
+            assert total[0] + total[2] <= min(absa, absb)
+    diff = _vq(xa - xb, p)
+    assert state_eq(p, a, b) == (diff is None or diff >= min(absa, absb))
+    quo = _outcome(lambda: state_div(p, a, b))
+    if b[1] is None:
+        assert quo == "ZeroDivisionError"
+    elif a[1] is None:
+        # a zero numerator keeps its bound shifted by v(b), while a digit is left
+        assert quo == ((a[0] - b[0], None, 0) if a[0] - b[0] >= 1 else "PrecisionLossError")
+    else:
+        assert _known_to(p, xa / xb, quo)
+        assert quo[2] == min(a[2], b[2]) and quo[0] == a[0] - b[0]
+    neg = state_neg(p, a)
+    assert _known_to(p, -xa, neg) and neg[0] + neg[2] == absa
+    assert (neg[1] is None) == (a[1] is None)
+
+
+def _sum_by_hand(p, N, a, b):
+    """Canonical state of a + b built from the exact rationals with p ** e: known
+    modulo p^A, A the coarser absolute precision, to at most N digits above the
+    lowest valuation of a nonzero summand."""
+    A = min(a[0] + a[2], b[0] + b[2])
+    vals = [s[0] for s in (a, b) if s[1] is not None]
+    if not vals or min(vals) >= A:
+        return A, None, 0
+    top = min(A, min(vals) + N)
+    exact = _value(p, a) + _value(p, b)
+    v = _vq(exact, p)
+    if v is None or v >= top:
+        return (top, None, 0) if top >= 1 else "PrecisionLossError"
+    unit, mod = exact / Fraction(p) ** v, p ** (top - v)
+    return v, unit.numerator * pow(unit.denominator, -1, mod) % mod, top - v
+
+
+def _assert_by_hand(p, N, a, b):
+    """The kernels give the states built here with p ** e, whatever the power
+    table held before."""
+    from eiszeta.padic import state_add, state_div, state_mul, state_neg
+
+    (va, ua, ra), (vb, ub, rb) = a, b
+    rel = min(ra, rb)
+    if ua is None or ub is None:
+        prod = (va + vb, None, 0) if va + vb >= 1 else "ValueError"
+    else:
+        prod = va + vb, ua * ub % p**rel, rel
+    assert _outcome(lambda: state_mul(p, a, b)) == prod
+    if ub is None:
+        quo = "ZeroDivisionError"
+    elif ua is None:
+        quo = (va - vb, None, 0) if va - vb >= 1 else "PrecisionLossError"
+    else:
+        quo = va - vb, ua * pow(ub, -1, p**rel) % p**rel, rel
+    assert _outcome(lambda: state_div(p, a, b)) == quo
+    assert _outcome(lambda: state_add(p, N, a, b)) == _sum_by_hand(p, N, a, b)
+    assert state_neg(p, a) == (a if ua is None else (va, p**ra - ua, ra))
+    diff, A = _vq(_value(p, a) - _value(p, b), p), min(va + ra, vb + rb)
+    assert state_agreement(p, a, b) == (A if diff is None or diff >= A else diff)
+    if ua is not None:
+        for sign in (1, -1):
+            assert state_of_int(p, N, sign * ua * p**ra) == (ra, sign * ua % p**N, N)
+            assert state_char(p, N, 0, ua, 3 * sign) == (0, pow(ua, 3 * sign, p**N), N)
+
+
 class TestStateKernels:
     @given(_state_pair())
     @settings(max_examples=400, deadline=None)
@@ -462,39 +546,38 @@ class TestStateKernels:
     @given(_state_pair())
     @settings(max_examples=400, deadline=None)
     def test_kernels_are_honest_about_exact_values(self, case):
-        # every digit a result claims holds for the exact rationals the inputs
-        # stand for; a product or quotient keeps all the precision its inputs
-        # allow and a sum never claims more than the coarser summand
-        from eiszeta.padic import state_add, state_div, state_eq, state_mul, state_neg
+        _assert_honest(*case)
 
-        p, N, a, b = case
-        xa, xb = _value(p, a), _value(p, b)
-        absa, absb = a[0] + a[2], b[0] + b[2]
-        prod = _outcome(lambda: state_mul(p, a, b))
-        if not isinstance(prod, str):
-            assert _known_to(p, xa * xb, prod)
-            if a[1] is not None and b[1] is not None:
-                assert prod[0] + prod[2] == min(absa + b[0], absb + a[0])
-        for sign in (1, -1):
-            other = b if sign == 1 else (b[0], None if b[1] is None else p**b[2] - b[1], b[2])
-            total = _outcome(lambda: state_add(p, N, a, other))
-            if not isinstance(total, str):
-                assert _known_to(p, xa + sign * xb, total)
-                assert total[0] + total[2] <= min(absa, absb)
-        diff = _vq(xa - xb, p)
-        assert state_eq(p, a, b) == (diff is None or diff >= min(absa, absb))
-        quo = _outcome(lambda: state_div(p, a, b))
-        if b[1] is None:
-            assert quo == "ZeroDivisionError"
-        elif a[1] is None:
-            # a zero numerator keeps its bound shifted by v(b), while a digit is left
-            assert quo == ((a[0] - b[0], None, 0) if a[0] - b[0] >= 1 else "PrecisionLossError")
-        else:
-            assert _known_to(p, xa / xb, quo)
-            assert quo[2] == min(a[2], b[2]) and quo[0] == a[0] - b[0]
-        neg = state_neg(p, a)
-        assert _known_to(p, -xa, neg) and neg[0] + neg[2] == absa
-        assert (neg[1] is None) == (a[1] is None)
+    @given(_state_pair(primes=(23, 691, 2003, 5), max_N=500,
+                       vals=st.integers(-3, 5) | st.integers(400, 700),
+                       zeros=st.integers(1, 8) | st.integers(400, 700)))
+    @settings(max_examples=150, deadline=None)
+    def test_kernels_at_large_primes_and_exponents(self, case):
+        # primes change between examples and exponents run past the power
+        # table's top, so the table is rebuilt, grown and bypassed
+        _assert_honest(*case)
+        _assert_by_hand(*case)
+        from eiszeta.padic import _pow
+
+        p, N = case[:2]
+        for e in (0, 1, N - 1, N, N + 1, 511, 512, 513, 700):
+            assert _pow(p, e) == p**e
+
+    def test_power_table_holds_the_last_prime_only(self):
+        from eiszeta import padic
+        from eiszeta.padic import state_add, state_div, state_mul
+
+        for p, N in ((5, 500), (7, 3)):
+            x, y = state_char(p, N, 0, 2, 3), state_of_int(p, N, 3 * p**2)  # 8 and 3p^2
+            for s, exact in ((state_mul(p, x, y), 24 * p**2),
+                             (state_div(p, y, x), Fraction(3 * p**2, 8)),
+                             (state_add(p, N, x, y), 8 + 3 * p**2)):
+                assert _known_to(p, exact, s) and s[2] == N
+            if p == 5:
+                assert len(padic._powers[1]) > 500  # grown to reach p^500
+        q, table = padic._powers
+        assert q == 7 and len(table) <= padic.POWER_TABLE_TOP + 1
+        assert table == tuple(7**e for e in range(len(table)))
 
     @given(_eq_decided_pair())
     @settings(max_examples=400, deadline=None)
@@ -524,3 +607,56 @@ class TestStateKernels:
         root = u * pow(a, -n, mod) % mod
         assert pow(root, p - 1, mod) == 1
         assert root % p == pow(a, e % (p - 1), p)
+
+
+def test_power_table_is_safe_to_share_between_threads():
+    # for a second, more threads than cores walk jobs over alternating primes,
+    # two threads to a prime at a time, so they switch primes and grow the one
+    # power table past its length while others read it: every result must be
+    # the state built here with p ** e, which a lost or misplaced power breaks
+    import os
+    import sys
+    import threading
+    import time
+
+    from eiszeta.padic import state_add, state_div, state_mul
+
+    jobs = []
+    for n in range(16):
+        p, N = (5, 7, 23, 691)[n % 4], (70, 150, 300, 500)[n // 4]
+        mod, gap = p**N, 1 + n * 37 % N
+        u, w = pow(2, 3 * N + 1, mod), pow(3, 2 * N + 1, mod)
+        jobs.append((p, N, (0, u, N), (gap, w, N), (
+            (gap, u * w % mod, N),
+            (0, (u + w * p**gap) % mod, N),
+            (-gap, u * pow(w, -1, mod) % mod, N),
+            (0, pow(2, N + n, mod), N),
+        )))
+    done, wrong = [], []
+
+    def work(offset):
+        j = offset
+        while time.monotonic() < deadline:
+            p, N, a, b, want = jobs[j % len(jobs)]
+            got = (state_mul(p, a, b), state_add(p, N, a, b), state_div(p, a, b),
+                   state_char(p, N, 0, 2, N + j % len(jobs)))
+            if got != want:
+                wrong.append((p, N, got, want))
+            j += 1
+        done.append(j - offset)
+
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    threads = [threading.Thread(target=work, args=(n // 2,)) for n in range((cores or 1) + 2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        deadline = time.monotonic() + 1.0
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(done) == len(threads) and sum(done) > len(jobs)
+    assert not wrong, wrong[:1]
