@@ -12,13 +12,17 @@ Conventions, pinned here and exercised by the tests:
   summed over twisted power sums (see generalized_bernoulli).
 
 B_n is computed and cached as an exact rational from the tangent numbers
-(Brent-Harvey, "Fast computation of Bernoulli, Tangent and Secant numbers",
-2011): Seidel's boustrophedon advances one row of the Entringer triangle per
-index using integer additions only, its last entry is the zigzag number
-A_{n-1}, and A_{2k-1} is the tangent number T_k, with
-B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)).  Embedding into Q_p is the very
-last step, which keeps an exact divisibility oracle available for the
-irregular-prime machinery.
+T_k, with B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)), by the TangentNumbers
+recurrence of Brent and Harvey ("Fast computation of Bernoulli, Tangent and
+Secant numbers", 2011) run one column at a time.  Their in-place pass over
+T[1..n] sets T[j] = (j-1)! and then, at stage s = 2, ..., n, updates
+T[j] <- (j-s) T[j-1] + (j-s+2) T[j] for j = s, ..., n.  The values T[K]
+takes after stages 1, ..., K, the last being T_K, form tangent column K,
+and column K + 1 follows from column K alone in K multiply-adds.  So the
+fill to T_k costs about k^2/2 multiply-adds of a big integer by a small
+one, where Seidel's boustrophedon costs about 2k^2 additions.  Embedding
+into Q_p is the very last step, which keeps an exact divisibility oracle
+available for the irregular-prime machinery.
 """
 
 from __future__ import annotations
@@ -40,15 +44,16 @@ __all__ = [
 MAX_BERNOULLI_INDEX = 2000
 
 _cache: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
-# The last boustrophedon row, row len(_cache) - 2 of the Entringer triangle;
-# extended together with _cache under the same lock.
+# The last tangent column K (module docstring): the values T[K] takes after
+# stages 1, ..., K, so _row[-1] = T_K.  Column 1 is [0!] = [T_1], which B_2
+# reads; extended together with _cache under the same lock.
 _row: list[int] = [1]
 _cache_lock = threading.Lock()
 
 
 def bernoulli_number(n: int) -> Fraction:
-    """B_n as an exact rational (B_1 = -1/2), from the tangent number
-    T_k = A_{2k-1} of Seidel's boustrophedon, memoized."""
+    """B_n as an exact rational (B_1 = -1/2), from the tangent number T_k of
+    the last tangent column, memoized."""
     if n < 0:
         raise ValueError("Bernoulli index must be >= 0")
     if n > MAX_BERNOULLI_INDEX:
@@ -56,15 +61,19 @@ def bernoulli_number(n: int) -> Fraction:
     with _cache_lock:
         while len(_cache) <= n:
             m = len(_cache)
-            # row m-1 = [0] + running sums of row m-2 reversed, in place
-            _row.reverse()
-            for i in range(1, len(_row)):
-                _row[i] += _row[i - 1]
-            _row.insert(0, 0)
             if m % 2 == 1:  # B_odd = 0 for odd >= 3
                 _cache.append(Fraction(0))
                 continue
             k = m // 2
+            if len(_row) < k:  # column k from column k - 1, in k multiply-adds
+                t = (k - 1) * _row[0]  # (k-1)! after stage 1
+                col = [t]
+                # stage s = 2, ..., k-1 with w = k - s: w T[k-1] + (w+2) T[k]
+                for w, prev in zip(range(k - 2, 0, -1), _row[1:]):
+                    t = w * prev + (w + 2) * t
+                    col.append(t)
+                col.append(2 * t)  # stage k, where w = 0
+                _row[:] = col
             _cache.append(Fraction((-1) ** (k - 1) * m * _row[-1], 4**k * (4**k - 1)))
         return _cache[n]
 
@@ -108,4 +117,5 @@ def generalized_bernoulli(n: int, chi: TeichCharacter, ctx: PadicContext) -> Pad
         # C(n,i) B_{n-i} p^(n-i) is p-integral
         c = comb(n, i) * bernoulli_number(n - i) * p ** (n - i)
         total += c.numerator * pow(c.denominator, -1, mod) * s
-    return PadicNumber.from_state(ctx, state_cut(p, N, state_normalize(p, G, -1, total, G)))
+    P = guard.powers
+    return PadicNumber.from_state(ctx, state_cut(P, N, state_normalize(P, G, -1, total, G)))

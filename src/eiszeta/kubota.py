@@ -60,6 +60,7 @@ from .padic import (
     state_char,
     state_cut,
     state_div,
+    state_div_int,
     state_mul,
     state_neg,
     state_of_int,
@@ -177,11 +178,13 @@ def lp_interpolation(n: int, j: int, ctx: PadicContext) -> LValue:
     p, N = ctx.p, ctx.precision
     j = even_branch(j) % (p - 1)
     chi = TeichCharacter(p, j - n)
-    G = N + state_of_int(p, N, n)[0]  # N + v_p(n)
-    bn = generalized_bernoulli(n, chi, PadicContext(p, G)).state
+    G = N + state_of_int(ctx.powers, N, n)[0]  # N + v_p(n)
+    guard = PadicContext(p, G)
+    P = guard.powers
+    bn = generalized_bernoulli(n, chi, guard).state
     euler = 1 - p ** (n - 1) if chi.is_trivial else 1
-    value = state_div(p, state_mul(p, bn, state_of_int(p, G, -euler)), state_of_int(p, G, n))
-    value = PadicNumber.from_state(ctx, state_cut(p, N, value))
+    value = state_div(P, state_mul(P, bn, state_of_int(P, G, -euler)), state_of_int(P, G, n))
+    value = PadicNumber.from_state(ctx, state_cut(P, N, value))
     return LValue(value=value, branch=j, argument=1 - n, route="interpolation")
 
 
@@ -195,7 +198,7 @@ def _log_gamma_a(p: int, precision: int, a: int) -> PadicNumber:
     any one prime below 4096 at one N."""
     ctx = PadicContext(p, precision)
     # <a> = omega(a)^(-1) * a
-    return log_one_unit(PadicNumber.from_state(ctx, state_char(p, precision, -1, a, 1)))
+    return log_one_unit(PadicNumber.from_state(ctx, state_char(ctx.powers, precision, -1, a, 1)))
 
 
 def _as_padic_integer(s, ctx: PadicContext) -> PadicNumber:
@@ -220,32 +223,34 @@ def _branch_free_terms(p: int, N: int, t: tuple) -> tuple:
     Cached per (p, N, t), least recently used first out beyond
     LP_TERMS_CACHE_SIZE = 8 entries of p - 1 states each.  Binomial
     coefficients C(t, m) are built iteratively on int states."""
-    t_padic = PadicNumber.from_state(PadicContext(p, N), t)
+    ctx = PadicContext(p, N)
+    P = ctx.powers
+    t_padic = PadicNumber.from_state(ctx, t)
     # inner-sum length: tail terms have valuation >= m + v(B_m) >= m - 1
     M = N + 1
-    binom = state_of_int(p, N, 1)
+    binom = state_of_int(P, N, 1)
     # c_m = C(t, m) B_m p^m, None where B_m = 0; trailing zeros trimmed
-    coeffs: list[tuple | None] = [state_of_rational(p, N, bernoulli_number(0))]
+    coeffs: list[tuple | None] = [state_of_rational(P, N, bernoulli_number(0))]
     for m in range(1, M + 1):
-        factor = state_add(p, N, t, state_of_int(p, N, 1 - m))  # t - (m - 1)
-        binom = state_div(p, state_mul(p, binom, factor), state_of_int(p, N, m))
+        factor = state_add(P, N, t, state_of_int(P, N, 1 - m))  # t - (m - 1)
+        binom = state_div_int(P, N, state_mul(P, binom, factor), m)
         b = bernoulli_number(m)
         coeffs.append(None if b == 0 else
-                      state_mul(p, binom, state_of_rational(p, N, b * Fraction(p) ** m)))
+                      state_mul(P, binom, state_of_rational(P, N, b * Fraction(p) ** m)))
     while coeffs[-1] is None:
         coeffs.pop()
     terms = []
     for a in range(1, p):
         # sum_m c_m a^(-m) by Horner; multiplying by the unit 1/a keeps every
         # partial sum's precision, so this equals the termwise sum digit for digit
-        inv_a = state_char(p, N, 0, a, -1)
+        inv_a = state_char(P, N, 0, a, -1)
         inner = coeffs[-1]
         for c in reversed(coeffs[:-1]):
-            inner = state_mul(p, inner, inv_a)
+            inner = state_mul(P, inner, inv_a)
             if c is not None:
-                inner = state_add(p, N, inner, c)
+                inner = state_add(P, N, inner, c)
         gamma = exp_small(t_padic * _log_gamma_a(p, N, a))  # <a>^t = exp(t log<a>)
-        terms.append(state_mul(p, gamma.state, inner))
+        terms.append(state_mul(P, gamma.state, inner))
     return tuple(terms)
 
 
@@ -259,11 +264,11 @@ def lp_series(s, j: int, ctx: PadicContext) -> LValue:
     same state; achieved precision is reported from honest propagation
     rather than assumed.
     """
-    p, N = ctx.p, ctx.precision
+    p, N, P = ctx.p, ctx.precision, ctx.powers
     arg = s
     t = PadicNumber.from_int(1, ctx) - _as_padic_integer(s, ctx)
     j = even_branch(j) % (p - 1)
-    s_minus_1 = state_neg(p, t.state)
+    s_minus_1 = state_neg(P, t.state)
     if s_minus_1[1] is None:  # s = 1 to precision
         if j == 0:
             if isinstance(s, PadicNumber) or s == 1:
@@ -281,14 +286,14 @@ def lp_series(s, j: int, ctx: PadicContext) -> LValue:
         h = N // 2
         near = lp_series(1 + p**h, j, ctx)
         # value + O(p^(h+1)): no digit past p^(h+1) is claimed, whatever the valuation
-        value = PadicNumber.from_state(ctx, state_add(p, N, near.value.state, state_zero(h + 1)))
+        value = PadicNumber.from_state(ctx, state_add(P, N, near.value.state, state_zero(h + 1)))
         return LValue(value=value, branch=j, argument=arg, route="series")
     total = None
     for a, x in enumerate(_branch_free_terms(p, N, t.state), start=1):
-        contrib = state_mul(p, state_char(p, N, j, a, 0), x)
-        total = contrib if total is None else state_add(p, N, total, contrib)
-    denominator = state_mul(p, state_of_int(p, N, p), s_minus_1)  # p (s - 1)
-    value = PadicNumber.from_state(ctx, state_div(p, total, denominator))
+        contrib = state_mul(P, state_char(P, N, j, a, 0), x)
+        total = contrib if total is None else state_add(P, N, total, contrib)
+    denominator = state_mul(P, state_of_int(P, N, p), s_minus_1)  # p (s - 1)
+    value = PadicNumber.from_state(ctx, state_div(P, total, denominator))
     return LValue(value=value, branch=j, argument=arg, route="series")
 
 

@@ -59,18 +59,14 @@ class PadicContext:
         if not isinstance(self.precision, int) or self.precision < 1:
             raise ValueError("precision must be a positive integer")
 
+    @property
+    def powers(self) -> tuple:
+        """p^0..p^N, the power tuple the state kernels take at this context."""
+        return powers(self.p, self.precision)
+
     def zero(self, abs_prec: int | None = None) -> "PadicNumber":
         abs_prec = self.precision if abs_prec is None else abs_prec
         return PadicNumber.from_state(self, state_zero(abs_prec))
-
-
-def _vp(n: int, p: int) -> int:
-    """p-adic valuation of a nonzero integer."""
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -95,11 +91,11 @@ class PadicNumber:
 
     @classmethod
     def from_int(cls, x: int, ctx: PadicContext) -> "PadicNumber":
-        return cls.from_state(ctx, state_of_int(ctx.p, ctx.precision, x))
+        return cls.from_state(ctx, state_of_int(ctx.powers, ctx.precision, x))
 
     @classmethod
     def from_rational(cls, x, ctx: PadicContext) -> "PadicNumber":
-        return cls.from_state(ctx, state_of_rational(ctx.p, ctx.precision, x))
+        return cls.from_state(ctx, state_of_rational(ctx.powers, ctx.precision, x))
 
     # -- state -------------------------------------------------------------
 
@@ -164,13 +160,13 @@ class PadicNumber:
             return NotImplemented
         self._check_ctx(other)
         ctx = self.ctx
-        return PadicNumber.from_state(ctx, state_add(ctx.p, ctx.precision,
+        return PadicNumber.from_state(ctx, state_add(ctx.powers, ctx.precision,
                                                      self.state, other.state))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PadicNumber.from_state(self.ctx, state_neg(self.ctx.p, self.state))
+        return PadicNumber.from_state(self.ctx, state_neg(self.ctx.powers, self.state))
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -183,7 +179,7 @@ class PadicNumber:
         if other is None:
             return NotImplemented
         self._check_ctx(other)
-        return PadicNumber.from_state(self.ctx, state_mul(self.ctx.p, self.state, other.state))
+        return PadicNumber.from_state(self.ctx, state_mul(self.ctx.powers, self.state, other.state))
 
     __rmul__ = __mul__
 
@@ -192,7 +188,7 @@ class PadicNumber:
         if other is None:
             return NotImplemented
         self._check_ctx(other)
-        return PadicNumber.from_state(self.ctx, state_div(self.ctx.p, self.state, other.state))
+        return PadicNumber.from_state(self.ctx, state_div(self.ctx.powers, self.state, other.state))
 
     def __pow__(self, e: int):
         if not isinstance(e, int):
@@ -204,15 +200,13 @@ class PadicNumber:
         v, u, r = self.state
         if u is None:
             return self.ctx.zero(v * e)
-        return PadicNumber.from_state(self.ctx, (v * e, pow(u, e, _pow(self.ctx.p, r)), r))
+        return PadicNumber.from_state(self.ctx, (v * e, pow(u, e, self.ctx.powers[r]), r))
 
     def __eq__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.ctx.p != other.ctx.p:
-            raise ContextMismatchError("agreement requires the same prime")
-        return state_eq(self.ctx.p, self.state, other.state)
+        return state_eq(_shared_powers(self, other), self.state, other.state)
 
     __hash__ = None  # equality is precision-dependent
 
@@ -223,9 +217,15 @@ class PadicNumber:
 def agreement_precision(a: PadicNumber, b: PadicNumber) -> int:
     """Exponent A such that a == b mod p^A: the shared absolute precision when
     they agree, otherwise the valuation of the difference."""
+    return state_agreement(_shared_powers(a, b), a.state, b.state)
+
+
+def _shared_powers(a: PadicNumber, b: PadicNumber) -> tuple:
+    """The power tuple that reaches the digits of both a and b, which may
+    carry different precisions but must share the prime."""
     if a.ctx.p != b.ctx.p:
         raise ContextMismatchError("agreement requires the same prime")
-    return state_agreement(a.ctx.p, a.state, b.state)
+    return (a if a.ctx.precision >= b.ctx.precision else b).ctx.powers
 
 
 # -- the precision rules on int states ---------------------------------------
@@ -235,46 +235,40 @@ def agreement_precision(a: PadicNumber, b: PadicNumber) -> int:
 # PadicNumber's arithmetic and equality are these functions on its state; the
 # q-series, the L-value series, exp_small and log_one_unit call them directly,
 # without an object per operation.
+#
+# Every kernel takes P = powers(p, top) in place of p, fetched once by its
+# caller per series or value, and reads each power of p as a subscript P[e].
+# It needs top >= N and top >= the rel of every state it is given; a wider
+# shift than top, such as a large valuation gap in a sum, lands past the
+# digits kept and is never looked up.
 
 
-# The kernels read every power of p they need from one table, p^0..p^E for the
-# last prime asked only: a scan computes at one prime in an unbroken run. A
-# longer exponent replaces the table whole by a new tuple, never by appending,
-# so a thread that switches primes or grows it cannot leave another thread a
-# wrong power; exponents past POWER_TABLE_TOP are built on the spot.
-
-POWER_TABLE_TOP = 512
-
-_powers = (None, ())  # (p, (p^0, ..., p^E)), E <= POWER_TABLE_TOP
+POWERS_CACHE_SIZE = 16
 
 
-def _pow(p: int, e: int) -> int:
-    """p^e for e >= 0, read from the power table when it reaches e."""
-    q, table = _powers
-    if q == p and e < len(table):
-        return table[e]
-    if e > POWER_TABLE_TOP:
-        return p**e
-    return _grow_powers(p, e)[e]
-
-
-def _grow_powers(p: int, e: int) -> tuple:
-    """A new table of p^0..p^E with e <= E <= POWER_TABLE_TOP, which replaces the
-    last one: twice the length of this prime's old table, at least 64."""
-    global _powers
-    q, old = _powers
-    table = old if q == p else (1,)
-    top = min(max(e, 2 * len(table) - 1, 63), POWER_TABLE_TOP)
-    last, more = table[-1], []
-    for _ in range(top + 1 - len(table)):
+@lru_cache(maxsize=POWERS_CACHE_SIZE)
+def powers(p: int, top: int) -> tuple:
+    """The immutable tuple (p^0, p^1, ..., p^top), so P[1] == p.  Cached per
+    (p, top), least recently used first out beyond POWERS_CACHE_SIZE = 16
+    entries: a scan asks for a few tops (N, and N + 1 or so for guard
+    digits) at one prime in an unbroken run."""
+    table, last = [1], 1
+    for _ in range(top):
         last *= p
-        more.append(last)
-    table += tuple(more)
-    _powers = (p, table)
-    return table
+        table.append(last)
+    return tuple(table)
 
 
-def state_normalize(p: int, N: int, val: int, unit: int, rel: int) -> tuple:
+def _split(n: int, p: int) -> tuple:
+    """(v, n / p^v) for a nonzero integer n, v its p-adic valuation."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v, n
+
+
+def state_normalize(P: tuple, N: int, val: int, unit: int, rel: int) -> tuple:
     """Canonical state of unit * p^val to rel <= N digits, zero when no unit digit
     survives; PrecisionLossError when not even the zero keeps a digit."""
     if rel > N:
@@ -284,20 +278,20 @@ def state_normalize(p: int, N: int, val: int, unit: int, rel: int) -> tuple:
         if val < 1:
             raise ValueError("value carries no usable precision")
         return val, None, 0
-    unit %= _pow(p, rel)
-    if unit % p:  # already a unit, as most results are
+    unit %= P[rel]
+    if unit % P[1]:  # already a unit, as most results are
         return val, unit, rel
     if unit == 0:
         if val + rel < 1:
             raise PrecisionLossError("cancellation left no digit of precision")
         return val + rel, None, 0
-    shift = _vp(unit, p)
-    return val + shift, unit // _pow(p, shift), rel - shift
+    shift, unit = _split(unit, P[1])
+    return val + shift, unit, rel - shift
 
 
-def state_cut(p: int, N: int, a: tuple) -> tuple:
+def state_cut(P: tuple, N: int, a: tuple) -> tuple:
     """a to at most N relative digits."""
-    return a if a[1] is None else state_normalize(p, N, *a)
+    return a if a[1] is None else state_normalize(P, N, *a)
 
 
 def state_zero(abs_prec: int) -> tuple:
@@ -306,26 +300,24 @@ def state_zero(abs_prec: int) -> tuple:
     return abs_prec, None, 0
 
 
-def state_of_int(p: int, N: int, x: int) -> tuple:
+def state_of_int(P: tuple, N: int, x: int) -> tuple:
     if x == 0:
         return N, None, 0
-    if x % p:
-        return state_normalize(p, N, 0, x, N)
-    v = _vp(abs(x), p)
-    return state_normalize(p, N, v, x // _pow(p, v), N)
+    if x % P[1]:
+        return state_normalize(P, N, 0, x, N)
+    return state_normalize(P, N, *_split(x, P[1]), N)
 
 
-def state_of_rational(p: int, N: int, x) -> tuple:
+def state_of_rational(P: tuple, N: int, x) -> tuple:
     x = Fraction(x)
     if x == 0:
         return N, None, 0
-    num, den = x.numerator, x.denominator
-    vn, vd = _vp(abs(num), p), _vp(den, p)
-    unit = num // _pow(p, vn) * pow(den // _pow(p, vd), -1, _pow(p, N))
-    return state_normalize(p, N, vn - vd, unit, N)
+    p = P[1]
+    (vn, num), (vd, den) = _split(x.numerator, p), _split(x.denominator, p)
+    return state_normalize(P, N, vn - vd, num * pow(den, -1, P[N]), N)
 
 
-def state_mul(p: int, a: tuple, b: tuple) -> tuple:
+def state_mul(P: tuple, a: tuple, b: tuple) -> tuple:
     """a * b: valuations add, relative precisions meet."""
     va, ua, ra = a
     vb, ub, rb = b
@@ -333,10 +325,10 @@ def state_mul(p: int, a: tuple, b: tuple) -> tuple:
         return state_zero(va + vb)
     rel = ra if ra < rb else rb
     # units prime to p multiply to such a unit, so no normalisation is needed
-    return va + vb, ua * ub % _pow(p, rel), rel
+    return va + vb, ua * ub % P[rel], rel
 
 
-def state_div(p: int, a: tuple, b: tuple) -> tuple:
+def state_div(P: tuple, a: tuple, b: tuple) -> tuple:
     """a / b: valuations subtract, relative precisions meet; a zero numerator
     keeps its bound shifted by v(b)."""
     va, ua, ra = a
@@ -348,17 +340,43 @@ def state_div(p: int, a: tuple, b: tuple) -> tuple:
             raise PrecisionLossError("quotient has no surviving precision")
         return va - vb, None, 0
     rel = ra if ra < rb else rb
-    mod = _pow(p, rel)
+    mod = P[rel]
     return va - vb, ua * pow(ub, -1, mod) % mod, rel
 
 
-def state_neg(p: int, a: tuple) -> tuple:
+RECIPROCAL_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=RECIPROCAL_CACHE_SIZE)
+def _reciprocal(p: int, N: int, n: int) -> tuple:
+    """The state of 1/n to N digits for an integer n != 0.  Cached per
+    (p, N, n), least recently used first out beyond RECIPROCAL_CACHE_SIZE =
+    1024 entries: the series of exp_small and log_one_unit and the binomial
+    coefficients of the L-value series divide by n <= 2N + 1, so one (p, N)
+    needs at most 2N + 1 entries."""
+    P = powers(p, N)
+    return state_div(P, state_of_int(P, N, 1), state_of_int(P, N, n))
+
+
+def state_div_int(P: tuple, N: int, a: tuple, n: int) -> tuple:
+    """a / n for an integer n != 0: a times the cached state of 1/n, which
+    gives the state, or raises the exception, of
+    state_div(P, a, state_of_int(P, N, n)) without a modular inverse."""
+    va, ua, ra = a
+    if ua is None:  # the bound shifts by v(n), or PrecisionLossError
+        return state_div(P, a, state_of_int(P, N, n))
+    vb, ub, rb = _reciprocal(P[1], N, n)
+    rel = ra if ra < rb else rb
+    return va + vb, ua * ub % P[rel], rel
+
+
+def state_neg(P: tuple, a: tuple) -> tuple:
     """-a, to the same precision."""
     v, u, r = a
-    return a if u is None else (v, _pow(p, r) - u, r)
+    return a if u is None else (v, P[r] - u, r)
 
 
-def state_add(p: int, N: int, a: tuple, b: tuple) -> tuple:
+def state_add(P: tuple, N: int, a: tuple, b: tuple) -> tuple:
     """a + b: absolute precisions meet; cancellation raises the valuation."""
     va, ua, ra = a
     vb, ub, rb = b
@@ -370,17 +388,21 @@ def state_add(p: int, N: int, a: tuple, b: tuple) -> tuple:
         if va >= vb:
             return vb, None, 0
         gap = vb - va
-        return state_normalize(p, N, va, ua, ra if ra < gap else gap)
+        return state_normalize(P, N, va, ua, ra if ra < gap else gap)
     if va == vb:
-        return state_normalize(p, N, va, ua + ub, ra if ra < rb else rb)
+        return state_normalize(P, N, va, ua + ub, ra if ra < rb else rb)
     absa, absb = va + ra, vb + rb
     absprec = absa if absa < absb else absb
-    if va < vb:
-        return state_normalize(p, N, va, ua + ub * _pow(p, vb - va), absprec - va)
-    return state_normalize(p, N, vb, ua * _pow(p, va - vb) + ub, absprec - vb)
+    if va > vb:  # the lower valuation first
+        va, ua, vb, ub = vb, ub, va, ua
+    rel, gap = absprec - va, vb - va
+    if rel > N:
+        rel = N
+    # shifted by gap >= rel digits, the other summand vanishes modulo p^rel
+    return state_normalize(P, N, va, ua if gap >= rel else ua + ub * P[gap], rel)
 
 
-def state_agreement(p: int, a: tuple, b: tuple) -> int:
+def state_agreement(P: tuple, a: tuple, b: tuple) -> int:
     """Exponent A such that a == b mod p^A (see :func:`agreement_precision`)."""
     va, ua, ra = a
     vb, ub, rb = b
@@ -390,32 +412,50 @@ def state_agreement(p: int, a: tuple, b: tuple) -> int:
         return absprec if ub is None else (vb if vb < absprec else absprec)
     if ub is None:
         return va if va < absprec else absprec
-    base = va if va < vb else vb
-    rep = ua * _pow(p, va - base) - ub * _pow(p, vb - base)
-    top = absprec - base
-    rep = rep % _pow(p, top) if top > 0 else 0
-    if rep == 0:
+    if va > vb:  # the lower valuation first; b - a agrees with a - b
+        va, ua, vb, ub = vb, ub, va, ua
+    # a - b = p^va * rep, known modulo p^top with top <= the rel of a; shifted
+    # by gap >= top digits, b vanishes modulo p^top
+    top, gap = absprec - va, vb - va
+    if top <= 0:
         return absprec
-    return base + _vp(rep, p)
+    rep = (ua if gap >= top else ua - ub * P[gap]) % P[top]
+    return absprec if rep == 0 else va + _split(rep, P[1])[0]
 
 
-def state_eq(p: int, a: tuple, b: tuple) -> bool:
+def state_eq(P: tuple, a: tuple, b: tuple) -> bool:
     """Equality holds to the lower of the two absolute precisions."""
     va, ua, ra = a
     vb, ub, rb = b
     if ua is None or ub is None:
         absa, absb = va + ra, vb + rb
-        return state_agreement(p, a, b) >= (absa if absa < absb else absb)
+        return state_agreement(P, a, b) >= (absa if absa < absb else absb)
     # two nonzero canonical states: a difference of valuations leaves a unit
     # times p^min(va, vb), below both absolute precisions; at one valuation the
     # units must agree mod p^min(ra, rb), and both are reduced mod p^rel
     if va != vb:
         return False
     # equal rels, 98% of a scan's comparisons, compare the reduced units as
-    # they are, with no power of p and no reduction
+    # they are, with no reduction
     if ra == rb:
         return ua == ub
-    return (ua - ub) % _pow(p, ra if ra < rb else rb) == 0
+    return (ua - ub) % P[ra if ra < rb else rb] == 0
+
+
+def state_eq_product(P: tuple, c: tuple, x: tuple, y: tuple) -> bool:
+    """state_eq(P, c, state_mul(P, x, y)), the same answer or exception,
+    decided without building the product's state."""
+    vx, ux, rx = x
+    vy, uy, ry = y
+    vc, uc, rc = c
+    if ux is None or uy is None or uc is None:
+        return state_eq(P, c, state_mul(P, x, y))
+    # the product is (vx + vy, ux * uy mod p^rel, rel) with rel = min(rx, ry),
+    # and state_eq compares its unit with uc modulo p^min(rel, rc)
+    if vc != vx + vy:
+        return False
+    rel = rx if rx < ry else ry
+    return (ux * uy - uc) % P[rel if rel < rc else rc] == 0
 
 
 # -- Teichmuller lift and one-unit functions -------------------------------
@@ -435,10 +475,10 @@ def _teich_unit(p: int, precision: int, a: int) -> int:
     return pow(a, p ** (precision - 1), p**precision)
 
 
-def state_char(p: int, N: int, e: int, a: int, n: int) -> tuple:
+def state_char(P: tuple, N: int, e: int, a: int, n: int) -> tuple:
     """State of omega^e(a) * a^n for an integer a prime to p (n may be
     negative): a unit known to N digits."""
-    mod = _pow(p, N)
+    p, mod = P[1], P[N]
     # omega(a)^e = omega(a^e mod p): one cached lift
     return 0, _teich_unit(p, N, pow(a, e % (p - 1), p)) * pow(a, n, mod) % mod, N
 
@@ -447,7 +487,7 @@ def teichmuller(a: int, ctx: PadicContext) -> PadicNumber:
     """Teichmuller lift omega(a) for an integer a coprime to p."""
     if a % ctx.p == 0:
         raise ValueError(f"{a} is divisible by p = {ctx.p}; no Teichmuller lift")
-    return PadicNumber.from_state(ctx, state_char(ctx.p, ctx.precision, 1, a, 0))
+    return PadicNumber.from_state(ctx, state_char(ctx.powers, ctx.precision, 1, a, 0))
 
 
 def log_one_unit(u: PadicNumber) -> PadicNumber:
@@ -463,7 +503,7 @@ def log_one_unit(u: PadicNumber) -> PadicNumber:
     if z.valuation < 1:
         raise ValueError("log_one_unit needs u = 1 mod p")
     ctx = u.ctx
-    N, p = ctx.precision, ctx.p
+    N, p, P = ctx.precision, ctx.p, ctx.powers
     vz = z.valuation
     total = zpow = zs = z.state
     n = 1
@@ -474,9 +514,9 @@ def log_one_unit(u: PadicNumber) -> PadicNumber:
         if bound >= N:
             break
         n = nxt
-        zpow = state_mul(p, zpow, zs)
-        term = state_div(p, zpow, state_of_int(p, N, n))
-        total = state_add(p, N, total, state_neg(p, term) if n % 2 == 0 else term)
+        zpow = state_mul(P, zpow, zs)
+        term = state_div_int(P, N, zpow, n)
+        total = state_add(P, N, total, state_neg(P, term) if n % 2 == 0 else term)
     return PadicNumber.from_state(ctx, total)
 
 
@@ -495,14 +535,14 @@ def exp_small(x: PadicNumber) -> PadicNumber:
     working precision.
     """
     ctx = x.ctx
-    N, p = ctx.precision, ctx.p
+    N, p, P = ctx.precision, ctx.p, ctx.powers
     if x.is_zero_to_precision:
-        return PadicNumber.from_state(ctx, state_normalize(p, N, 0, 1, x.min_valuation))
+        return PadicNumber.from_state(ctx, state_normalize(P, N, 0, 1, x.min_valuation))
     if x.valuation < 1:
         raise ValueError("exp_small needs v(x) >= 1")
     vx = x.valuation
     term = xs = x.state
-    total = state_add(p, N, state_of_int(p, N, 1), xs)
+    total = state_add(P, N, state_of_int(P, N, 1), xs)
     n = 1
     while True:
         nxt = n + 1
@@ -510,8 +550,8 @@ def exp_small(x: PadicNumber) -> PadicNumber:
         if (nxt * vx) * (p - 1) - n >= N * (p - 1):
             break
         n = nxt
-        term = state_div(p, state_mul(p, term, xs), state_of_int(p, N, n))
-        total = state_add(p, N, total, term)
+        term = state_div_int(P, N, state_mul(P, term, xs), n)
+        total = state_add(P, N, total, term)
     return PadicNumber.from_state(ctx, total)
 
 

@@ -27,10 +27,12 @@ from .padic import (
     state_add,
     state_char,
     state_eq,
+    state_eq_product,
     state_mul,
     state_neg,
     state_of_int,
     state_zero,
+    powers,
 )
 from .primes import is_prime, primes_up_to, smallest_prime_factors
 
@@ -90,9 +92,9 @@ class QExpansion:
     def first_mismatch(self, other: "QExpansion") -> int | None:
         """Smallest index where the two expansions disagree at the carried
         precision, over the common truncation; None when they agree."""
-        p = self.ctx.p
+        P = powers(self.ctx.p, max(self.ctx.precision, other.ctx.precision))
         return next((n for n, (a, b) in enumerate(zip(self.states, other.states))
-                     if not state_eq(p, a, b)), None)
+                     if not state_eq(P, a, b)), None)
 
 
 def _eigenstates(ctx, M, a0, a_p, alpha, beta):
@@ -103,9 +105,9 @@ def _eigenstates(ctx, M, a0, a_p, alpha, beta):
     earlier ones: a reader that stops, stops the build."""
     if M < 1:
         raise ValueError("truncation order must be >= 1")
-    p, N = ctx.p, ctx.precision
+    p, N, P = ctx.p, ctx.precision, ctx.powers
     (ea, na), (eb, nb) = alpha, beta
-    c = [a0, state_of_int(p, N, 1)] + [None] * (M - 1)
+    c = [a0, state_of_int(P, N, 1)] + [None] * (M - 1)
     yield from c[:2]
     back = {}  # l -> the state of -eps(l) l^(weight-1), built once per prime
     spf = smallest_prime_factors(M)
@@ -115,17 +117,17 @@ def _eigenstates(ctx, M, a0, a_p, alpha, beta):
         while m % l == 0:
             m //= l
         if m > 1:  # n = l^r * m with m > 1 coprime to l
-            c[n] = state_mul(p, c[n // m], c[m])
+            c[n] = state_mul(P, c[n // m], c[m])
         elif n == l:
-            c[n] = a_p if l == p else state_add(p, N, state_char(p, N, ea, l, na),
-                                                state_char(p, N, eb, l, nb))
+            c[n] = a_p if l == p else state_add(P, N, state_char(P, N, ea, l, na),
+                                                state_char(P, N, eb, l, nb))
         elif l == p:
-            c[n] = state_mul(p, c[n // l], a_p)
+            c[n] = state_mul(P, c[n // l], a_p)
         else:
             if l not in back:
-                back[l] = state_neg(p, state_char(p, N, ea + eb, l, na + nb))
-            c[n] = state_add(p, N, state_mul(p, c[l], c[n // l]),
-                             state_mul(p, back[l], c[n // (l * l)]))
+                back[l] = state_neg(P, state_char(P, N, ea + eb, l, na + nb))
+            c[n] = state_add(P, N, state_mul(P, c[l], c[n // l]),
+                             state_mul(P, back[l], c[n // (l * l)]))
         yield c[n]
 
 
@@ -135,7 +137,7 @@ def eisenstein_critical(p: int, k: int, i: int, M: int, ctx: PadicContext) -> QE
     if ctx.p != p:
         raise ValueError("context prime differs from p")
     N = ctx.precision
-    a0, a_p = state_zero(N), state_of_int(p, N, p ** (k - 1))
+    a0, a_p = state_zero(N), state_of_int(ctx.powers, N, p ** (k - 1))
     # a_l = eps(l) + l^(k-1)
     return QExpansion(ctx, w.k, w.i, _eigenstates(ctx, M, a0, a_p, (w.i, 0), (0, k - 1)))
 
@@ -148,7 +150,7 @@ def eisenstein_ordinary(w: WeightPoint, M: int, ctx: PadicContext) -> QExpansion
         raise ValueError("context prime differs from the weight's prime")
     if w.is_trivial:
         N = ctx.precision
-        return QExpansion(ctx, 0, 0, (state_of_int(w.p, N, 1),) + (state_zero(N),) * M)
+        return QExpansion(ctx, 0, 0, (state_of_int(ctx.powers, N, 1),) + (state_zero(N),) * M)
     return _ordinary(w, M, ctx, zeta_weight(w, ctx).value / PadicNumber.from_int(2, ctx))
 
 
@@ -162,7 +164,8 @@ def _ordinary_states(w: WeightPoint, M: int, ctx: PadicContext, a0: tuple):
     """The states of ``_ordinary(w, M, ctx, a0)`` as ``_eigenstates`` yields
     them, a0 being the state of the constant term."""
     # a_p = 1; a_l = 1 + w(l)/l, and w(l)/l = omega^i(l) l^(k-1)
-    return _eigenstates(ctx, M, a0, state_of_int(ctx.p, ctx.precision, 1), (0, 0), (w.i, w.k - 1))
+    one = state_of_int(ctx.powers, ctx.precision, 1)
+    return _eigenstates(ctx, M, a0, one, (0, 0), (w.i, w.k - 1))
 
 
 # -- operators ---------------------------------------------------------------
@@ -174,11 +177,11 @@ def hecke_Tl(f: QExpansion, l: int) -> QExpansion:
         raise ValueError(f"l = {l} is not prime")
     if l == f.ctx.p:
         raise ValueError("T_l is not defined at l = p; use hecke_Up")
-    p, N, a = f.ctx.p, f.ctx.precision, f.states
-    back = state_char(p, N, f.char_exponent, l, f.weight - 1)  # eps(l) l^(k-1)
+    P, N, a = f.ctx.powers, f.ctx.precision, f.states
+    back = state_char(P, N, f.char_exponent, l, f.weight - 1)  # eps(l) l^(k-1)
     states = list(a[::l])
     for n in range(0, len(states), l):  # includes n = 0
-        states[n] = state_add(p, N, states[n], state_mul(p, back, a[n // l]))
+        states[n] = state_add(P, N, states[n], state_mul(P, back, a[n // l]))
     return QExpansion(f.ctx, f.weight, f.char_exponent, states)
 
 
@@ -193,9 +196,9 @@ def theta_pow(f: QExpansion, r: int) -> QExpansion:
         raise ValueError("theta power must be >= 0")
     if r == 0:
         return f
-    p = f.ctx.p
-    n_r = _theta_multipliers(p, f.ctx.precision, r, f.truncation)
-    states = (state_mul(p, m, a) for m, a in zip(n_r, f.states))
+    P = f.ctx.powers
+    n_r = _theta_multipliers(f.ctx.p, f.ctx.precision, r, f.truncation)
+    states = (state_mul(P, m, a) for m, a in zip(n_r, f.states))
     return QExpansion(f.ctx, f.weight + 2 * r, f.char_exponent, states)
 
 
@@ -208,7 +211,8 @@ def _theta_multipliers(p: int, N: int, r: int, M: int) -> tuple:
     a scan visits the points of one (p, k), which share r = k - 1, in one
     unbroken run and never returns to that key, so a larger cache gains no
     hits and only holds memory."""
-    return tuple(state_of_int(p, N, n**r) for n in range(M + 1))
+    P = powers(p, N)
+    return tuple(state_of_int(P, N, n**r) for n in range(M + 1))
 
 
 # -- verification -------------------------------------------------------------
@@ -248,16 +252,16 @@ def check_terms(p: int, terms: int):
 def verify_eigensystem(f: QExpansion) -> EigenReport:
     """Check T_l f = a_l f for primes l <= PRIMES_BOUND (l != p) and
     U_p f = a_p f, coefficientwise on the truncation of the image."""
-    p, a = f.ctx.p, f.states
+    p, P, a = f.ctx.p, f.ctx.powers, f.states
     check_terms(p, f.truncation)
-    if not state_eq(p, a[1], state_of_int(p, f.ctx.precision, 1)):
+    if not state_eq(P, a[1], state_of_int(P, f.ctx.precision, 1)):
         raise ValueError("eigensystem verification expects a normalized expansion (a_1 = 1)")
     checks = []
     for l in [l for l in CHECK_PRIMES if l != p] + [p]:
         image = hecke_Up(f) if l == p else hecke_Tl(f, l)
         a_l = a[l]
         bad = next((n for n, c in enumerate(image.states)
-                    if not state_eq(p, c, state_mul(p, a_l, a[n]))), None)
+                    if not state_eq_product(P, c, a_l, a[n])), None)
         checks.append(OperatorCheck(f"{'U' if l == p else 'T'}_{l}", bad is None, bad))
     return EigenReport(all(c.passed for c in checks), tuple(checks))
 
@@ -289,7 +293,7 @@ def theta_twin_check(crit: QExpansion) -> TwinCheckReport:
     loudly instead of reporting a verdict.
     """
     ctx, k, i, M = crit.ctx, crit.weight, crit.char_exponent, crit.truncation
-    p, N = ctx.p, ctx.precision
+    p, N, P = ctx.p, ctx.precision, ctx.powers
     conventions = {"inverse": (-i) % (p - 1), "direct": i}
     first_bad = {}  # keyed by the twin's character exponent
     for i_star in dict.fromkeys(conventions.values()):
@@ -299,7 +303,7 @@ def theta_twin_check(crit: QExpansion) -> TwinCheckReport:
         lifted = zip(_theta_multipliers(p, N, k - 1, M),
                      _ordinary_states(tw, M, ctx, state_zero(N)), crit.states)
         first_bad[i_star] = next((n for n, (m, a, c) in enumerate(lifted)
-                                  if n and not state_eq(p, state_mul(p, m, a), c)), None)
+                                  if n and not state_eq_product(P, c, m, a)), None)
     mism = {label: first_bad[e] for label, e in conventions.items()}
     matched = tuple(label for label, bad in mism.items() if bad is None)
     if not matched:

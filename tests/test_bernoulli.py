@@ -1,11 +1,12 @@
 """Exact Bernoulli machinery, checked against independent algorithms
-(Akiyama-Tanigawa, the binomial recurrence) and the classical structure
-theorems."""
+(Akiyama-Tanigawa, the binomial recurrence, Seidel's boustrophedon) and the
+classical structure theorems."""
 
 from fractions import Fraction
 from math import comb
 
 import pytest
+from bernoulli_oracle import boustrophedon
 
 from eiszeta import bernoulli
 from eiszeta.bernoulli import MAX_BERNOULLI_INDEX, bernoulli_number, generalized_bernoulli
@@ -73,6 +74,11 @@ class TestBernoulliNumbers:
         oracle = binomial_recurrence(700)
         for n in range(701):
             assert bernoulli_number(n) == oracle[n], f"B_{n}"
+
+    def test_boustrophedon_oracle_matches_binomial_recurrence(self):
+        # the oracle a CI step compares every B_n, n <= MAX_BERNOULLI_INDEX, with
+        assert boustrophedon(120) == binomial_recurrence(120)
+        assert boustrophedon(0) == [1] and boustrophedon(2) == [1, Fraction(-1, 2), Fraction(1, 6)]
 
     def test_fill_order_does_not_matter(self, monkeypatch):
         monkeypatch.setattr(bernoulli, "_cache", [Fraction(1), Fraction(-1, 2)])

@@ -4,7 +4,7 @@ one-unit analytic functions."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from eiszeta.padic import (
     ContextMismatchError,
@@ -20,6 +20,7 @@ from eiszeta.padic import (
     state_eq,
     state_normalize,
     state_of_int,
+    powers,
     teichmuller,
 )
 
@@ -179,7 +180,7 @@ class TestRingOps:
         ctx = PadicContext(p, 6)
 
         def canonical(v, u, rel):
-            return PadicNumber.from_state(ctx, state_normalize(p, 6, v, u, rel))
+            return PadicNumber.from_state(ctx, state_normalize(ctx.powers, 6, v, u, rel))
 
         a, b = (canonical(v, q * p + r, rel) for v, q, r, rel in (x, y))
         rel = min(a.rel_precision, b.rel_precision)
@@ -261,7 +262,7 @@ class TestTeichmuller:
         # <a> = omega(a)^(-1) * a is the one-unit factor of a
         x = PadicNumber.from_int(a, CTX)
         w = teichmuller(a, CTX)
-        u = PadicNumber.from_state(CTX, state_char(5, CTX.precision, -1, a, 1))
+        u = PadicNumber.from_state(CTX, state_char(CTX.powers, CTX.precision, -1, a, 1))
         assert x == w * u
         assert (u - PadicNumber.from_int(1, CTX)).min_valuation >= 1
 
@@ -452,22 +453,23 @@ def _assert_honest(p, N, a, b):
     and a sum never claims more than the coarser summand."""
     from eiszeta.padic import state_add, state_div, state_eq, state_mul, state_neg
 
+    P = powers(p, N)
     xa, xb = _value(p, a), _value(p, b)
     absa, absb = a[0] + a[2], b[0] + b[2]
-    prod = _outcome(lambda: state_mul(p, a, b))
+    prod = _outcome(lambda: state_mul(P, a, b))
     if not isinstance(prod, str):
         assert _known_to(p, xa * xb, prod)
         if a[1] is not None and b[1] is not None:
             assert prod[0] + prod[2] == min(absa + b[0], absb + a[0])
     for sign in (1, -1):
         other = b if sign == 1 else (b[0], None if b[1] is None else p**b[2] - b[1], b[2])
-        total = _outcome(lambda: state_add(p, N, a, other))
+        total = _outcome(lambda: state_add(P, N, a, other))
         if not isinstance(total, str):
             assert _known_to(p, xa + sign * xb, total)
             assert total[0] + total[2] <= min(absa, absb)
     diff = _vq(xa - xb, p)
-    assert state_eq(p, a, b) == (diff is None or diff >= min(absa, absb))
-    quo = _outcome(lambda: state_div(p, a, b))
+    assert state_eq(P, a, b) == (diff is None or diff >= min(absa, absb))
+    quo = _outcome(lambda: state_div(P, a, b))
     if b[1] is None:
         assert quo == "ZeroDivisionError"
     elif a[1] is None:
@@ -476,7 +478,7 @@ def _assert_honest(p, N, a, b):
     else:
         assert _known_to(p, xa / xb, quo)
         assert quo[2] == min(a[2], b[2]) and quo[0] == a[0] - b[0]
-    neg = state_neg(p, a)
+    neg = state_neg(P, a)
     assert _known_to(p, -xa, neg) and neg[0] + neg[2] == absa
     assert (neg[1] is None) == (a[1] is None)
 
@@ -503,28 +505,29 @@ def _assert_by_hand(p, N, a, b):
     table held before."""
     from eiszeta.padic import state_add, state_div, state_mul, state_neg
 
+    P = powers(p, N)
     (va, ua, ra), (vb, ub, rb) = a, b
     rel = min(ra, rb)
     if ua is None or ub is None:
         prod = (va + vb, None, 0) if va + vb >= 1 else "ValueError"
     else:
         prod = va + vb, ua * ub % p**rel, rel
-    assert _outcome(lambda: state_mul(p, a, b)) == prod
+    assert _outcome(lambda: state_mul(P, a, b)) == prod
     if ub is None:
         quo = "ZeroDivisionError"
     elif ua is None:
         quo = (va - vb, None, 0) if va - vb >= 1 else "PrecisionLossError"
     else:
         quo = va - vb, ua * pow(ub, -1, p**rel) % p**rel, rel
-    assert _outcome(lambda: state_div(p, a, b)) == quo
-    assert _outcome(lambda: state_add(p, N, a, b)) == _sum_by_hand(p, N, a, b)
-    assert state_neg(p, a) == (a if ua is None else (va, p**ra - ua, ra))
+    assert _outcome(lambda: state_div(P, a, b)) == quo
+    assert _outcome(lambda: state_add(P, N, a, b)) == _sum_by_hand(p, N, a, b)
+    assert state_neg(P, a) == (a if ua is None else (va, p**ra - ua, ra))
     diff, A = _vq(_value(p, a) - _value(p, b), p), min(va + ra, vb + rb)
-    assert state_agreement(p, a, b) == (A if diff is None or diff >= A else diff)
+    assert state_agreement(P, a, b) == (A if diff is None or diff >= A else diff)
     if ua is not None:
         for sign in (1, -1):
-            assert state_of_int(p, N, sign * ua * p**ra) == (ra, sign * ua % p**N, N)
-            assert state_char(p, N, 0, ua, 3 * sign) == (0, pow(ua, 3 * sign, p**N), N)
+            assert state_of_int(P, N, sign * ua * p**ra) == (ra, sign * ua % p**N, N)
+            assert state_char(P, N, 0, ua, 3 * sign) == (0, pow(ua, 3 * sign, p**N), N)
 
 
 class TestStateKernels:
@@ -535,13 +538,14 @@ class TestStateKernels:
 
         p, N, a, b = case
         ctx = PadicContext(p, N)
+        P = ctx.powers
         x, y = PadicNumber.from_state(ctx, a), PadicNumber.from_state(ctx, b)
         neg_b = (-y).state
-        for kernel, op in ((lambda: state_mul(p, a, b), lambda: (x * y).state),
-                           (lambda: state_add(p, N, a, b), lambda: (x + y).state),
-                           (lambda: state_add(p, N, a, neg_b), lambda: (x - y).state)):
+        for kernel, op in ((lambda: state_mul(P, a, b), lambda: (x * y).state),
+                           (lambda: state_add(P, N, a, b), lambda: (x + y).state),
+                           (lambda: state_add(P, N, a, neg_b), lambda: (x - y).state)):
             assert _outcome(kernel) == _outcome(op), (a, b)
-        assert state_eq(p, a, b) == (x == y)
+        assert state_eq(P, a, b) == (x == y)
 
     @given(_state_pair())
     @settings(max_examples=400, deadline=None)
@@ -553,31 +557,34 @@ class TestStateKernels:
                        zeros=st.integers(1, 8) | st.integers(400, 700)))
     @settings(max_examples=150, deadline=None)
     def test_kernels_at_large_primes_and_exponents(self, case):
-        # primes change between examples and exponents run past the power
-        # table's top, so the table is rebuilt, grown and bypassed
+        # primes change between examples, and valuations and zero bounds run
+        # past the power tuple's top N, so a wide valuation gap must never be
+        # looked up in it
         _assert_honest(*case)
         _assert_by_hand(*case)
-        from eiszeta.padic import _pow
-
         p, N = case[:2]
-        for e in (0, 1, N - 1, N, N + 1, 511, 512, 513, 700):
-            assert _pow(p, e) == p**e
+        assert powers(p, N) == tuple(p**e for e in range(N + 1))
 
-    def test_power_table_holds_the_last_prime_only(self):
+    def test_power_cache_is_bounded(self):
         from eiszeta import padic
-        from eiszeta.padic import state_add, state_div, state_mul
+        from eiszeta.padic import _reciprocal, state_add, state_div, state_mul
 
         for p, N in ((5, 500), (7, 3)):
-            x, y = state_char(p, N, 0, 2, 3), state_of_int(p, N, 3 * p**2)  # 8 and 3p^2
-            for s, exact in ((state_mul(p, x, y), 24 * p**2),
-                             (state_div(p, y, x), Fraction(3 * p**2, 8)),
-                             (state_add(p, N, x, y), 8 + 3 * p**2)):
+            P = powers(p, N)
+            assert P == tuple(p**e for e in range(N + 1)) and P is powers(p, N)
+            x, y = state_char(P, N, 0, 2, 3), state_of_int(P, N, 3 * p**2)  # 8 and 3p^2
+            for s, exact in ((state_mul(P, x, y), 24 * p**2),
+                             (state_div(P, y, x), Fraction(3 * p**2, 8)),
+                             (state_add(P, N, x, y), 8 + 3 * p**2)):
                 assert _known_to(p, exact, s) and s[2] == N
-            if p == 5:
-                assert len(padic._powers[1]) > 500  # grown to reach p^500
-        q, table = padic._powers
-        assert q == 7 and len(table) <= padic.POWER_TABLE_TOP + 1
-        assert table == tuple(7**e for e in range(len(table)))
+        # more keys than the cache holds: it stays at its bound, and what it
+        # returns after evicting is still the true powers
+        for p in (3, 5, 7, 11, 13, 17, 19, 23, 29):
+            for top in (1, 2, 3):
+                assert powers(p, top) == tuple(p**e for e in range(top + 1))
+        info = powers.cache_info()
+        assert info.maxsize == padic.POWERS_CACHE_SIZE and info.currsize <= info.maxsize
+        assert _reciprocal.cache_info().maxsize == padic.RECIPROCAL_CACHE_SIZE
 
     @given(_eq_decided_pair())
     @settings(max_examples=400, deadline=None)
@@ -586,9 +593,10 @@ class TestStateKernels:
         # alone; it must say what the agreement exponent and the exact
         # rationals say, and the pairs must be equal exactly when built so
         p, a, b, kind = case
+        P = powers(p, 6)  # rels are at most 6
         absa, absb = a[0] + a[2], b[0] + b[2]
-        eq = state_eq(p, a, b)
-        assert eq == (state_agreement(p, a, b) >= min(absa, absb))
+        eq = state_eq(P, a, b)
+        assert eq == (state_agreement(P, a, b) >= min(absa, absb))
         diff = _vq(_value(p, a) - _value(p, b), p)
         assert eq == (diff is None or diff >= min(absa, absb))
         if kind != "zero":
@@ -598,32 +606,100 @@ class TestStateKernels:
            st.integers(1, 500), st.integers(-4, 6))
     @settings(max_examples=300, deadline=None)
     def test_char_is_a_root_of_unity_times_a_power(self, p, N, e, a, n):
-        # state_char(p, N, e, a, n) = omega^e(a) a^n: dividing out a^n leaves a
+        # state_char(P, N, e, a, n) = omega^e(a) a^n: dividing out a^n leaves a
         # (p-1)-th root of unity mod p^N that is congruent to a^e mod p
         assume(a % p)
-        mod = p**N
-        val, u, rel = state_char(p, N, e, a, n)
+        P, mod = powers(p, N), p**N
+        val, u, rel = state_char(P, N, e, a, n)
         assert (val, rel) == (0, N) and 0 < u < mod and u % p
         root = u * pow(a, -n, mod) % mod
         assert pow(root, p - 1, mod) == 1
         assert root % p == pow(a, e % (p - 1), p)
 
 
-def test_power_table_is_safe_to_share_between_threads():
-    # for a second, more threads than cores walk jobs over alternating primes,
-    # two threads to a prime at a time, so they switch primes and grow the one
-    # power table past its length while others read it: every result must be
-    # the state built here with p ** e, which a lost or misplaced power breaks
+@st.composite
+def _product_case(draw):
+    """(p, N, c, x, y): states for state_eq_product, with c often the product
+    of x and y to fewer digits, or that product changed at one digit."""
+    p = draw(st.sampled_from([3, 23, 691, 2003]))
+    N = draw(st.integers(1, 6) | st.integers(7, 500))
+
+    def state():
+        if draw(st.integers(0, 4)) == 0:
+            return draw(st.integers(1, 8) | st.integers(400, 700)), None, 0
+        r = draw(st.integers(1, N))
+        u = draw(st.integers(1, p**r - 1).filter(lambda u: u % p))
+        return draw(st.integers(-3, 5) | st.integers(400, 700)), u, r
+
+    x, y, c = state(), state(), state()
+    if x[1] is not None and y[1] is not None and draw(st.booleans()):
+        r = draw(st.integers(1, N))
+        u = x[1] * y[1] % p**r
+        if draw(st.booleans()):
+            u = (u + p**draw(st.integers(0, r - 1)) * draw(st.integers(1, p - 1))) % p**r
+        if u % p:
+            c = x[0] + y[0], u, r
+    return p, N, c, x, y
+
+
+@st.composite
+def _div_int_case(draw):
+    """(p, N, a, n): a state and a nonzero integer n, often divisible by p, at
+    precisions down to N = 1; a zero a has a small bound, so that its
+    quotient often keeps no digit."""
+    p = draw(st.sampled_from([3, 5, 23, 691, 2003]))
+    N = draw(st.integers(1, 3) | st.integers(4, 500))
+    if draw(st.integers(0, 2)) == 0:
+        a = draw(st.integers(1, 4)), None, 0
+    else:
+        r = draw(st.integers(1, N))
+        a = draw(st.integers(-3, 5)), draw(st.integers(1, p**r - 1).filter(lambda u: u % p)), r
+    n = draw(st.integers(1, 60)) * p ** draw(st.integers(0, 3)) * draw(st.sampled_from([1, -1]))
+    return p, N, a, n
+
+
+class TestFusedKernels:
+    @given(_product_case())
+    @example((3, 4, (1, 1, 1), (1, None, 0), (-3, 1, 1)))  # the product raises
+    @settings(max_examples=400, deadline=None)
+    def test_eq_product_matches_eq_of_the_product(self, case):
+        from eiszeta.padic import state_eq_product, state_mul
+
+        p, N, c, x, y = case
+        P = powers(p, N)
+        assert _outcome(lambda: state_eq_product(P, c, x, y)) == \
+            _outcome(lambda: state_eq(P, c, state_mul(P, x, y))), (c, x, y)
+
+    @given(_div_int_case())
+    @example((5, 4, (1, None, 0), 5))  # PrecisionLossError, where a product of zero
+    @example((5, 4, (3, None, 0), -25))  # with 1/5 would raise ValueError
+    @settings(max_examples=400, deadline=None)
+    def test_div_int_matches_division_by_the_state_of_n(self, case):
+        from eiszeta.padic import state_div, state_div_int
+
+        p, N, a, n = case
+        P = powers(p, N)
+        assert _outcome(lambda: state_div_int(P, N, a, n)) == \
+            _outcome(lambda: state_div(P, a, state_of_int(P, N, n))), (a, n)
+
+
+def test_power_tuples_are_safe_to_share_between_threads():
+    # for a second, more threads than cores walk jobs over alternating primes
+    # and precisions, two threads to a job at a time; the jobs ask for more
+    # (p, N) than the power cache holds, so threads evict and rebuild tuples
+    # while others read them: every result must be the state built here with
+    # p ** e, which a lost or misplaced power breaks
     import os
     import sys
     import threading
     import time
 
-    from eiszeta.padic import state_add, state_div, state_mul
+    from eiszeta import padic
+    from eiszeta.padic import state_add, state_div, state_div_int, state_eq_product, state_mul
 
     jobs = []
-    for n in range(16):
-        p, N = (5, 7, 23, 691)[n % 4], (70, 150, 300, 500)[n // 4]
+    for n in range(20):
+        p, N = (5, 7, 23, 691)[n % 4], (40, 70, 150, 300, 500)[n // 4]
         mod, gap = p**N, 1 + n * 37 % N
         u, w = pow(2, 3 * N + 1, mod), pow(3, 2 * N + 1, mod)
         jobs.append((p, N, (0, u, N), (gap, w, N), (
@@ -631,15 +707,20 @@ def test_power_table_is_safe_to_share_between_threads():
             (0, (u + w * p**gap) % mod, N),
             (-gap, u * pow(w, -1, mod) % mod, N),
             (0, pow(2, N + n, mod), N),
+            (-1, u * pow(2, -1, mod) % mod, N),
+            True,
         )))
+    assert len({job[:2] for job in jobs}) > padic.POWERS_CACHE_SIZE
     done, wrong = [], []
 
     def work(offset):
         j = offset
         while time.monotonic() < deadline:
             p, N, a, b, want = jobs[j % len(jobs)]
-            got = (state_mul(p, a, b), state_add(p, N, a, b), state_div(p, a, b),
-                   state_char(p, N, 0, 2, N + j % len(jobs)))
+            P = powers(p, N)
+            got = (state_mul(P, a, b), state_add(P, N, a, b), state_div(P, a, b),
+                   state_char(P, N, 0, 2, N + j % len(jobs)), state_div_int(P, N, a, 2 * p),
+                   state_eq_product(P, want[0], a, b))
             if got != want:
                 wrong.append((p, N, got, want))
             j += 1

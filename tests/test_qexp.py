@@ -20,6 +20,7 @@ from eiszeta.padic import (
     state_eq,
     state_mul,
     state_of_int,
+    powers,
     teichmuller,
 )
 from eiszeta.primes import is_prime, primes_up_to, smallest_prime_factors
@@ -270,14 +271,14 @@ def _reference_checks(f):
     """The operator checks of verify_eigensystem, rebuilt: every index where
     the image of T_l or U_p disagrees with a_l a_n, compared by the agreement
     exponent, and the first of them."""
-    p, a = f.ctx.p, f.states
+    p, P, a = f.ctx.p, f.ctx.powers, f.states
     checks = []
     for l in [l for l in primes_up_to(20) if l != p] + [p]:
         image = hecke_Up(f) if l == p else hecke_Tl(f, l)
         fails = []
         for n, c in enumerate(image.states):
-            prod = state_mul(p, a[l], a[n])
-            if state_agreement(p, c, prod) < min(c[0] + c[2], prod[0] + prod[2]):
+            prod = state_mul(P, a[l], a[n])
+            if state_agreement(P, c, prod) < min(c[0] + c[2], prod[0] + prod[2]):
                 fails.append(n)
         name = f"U_{l}" if l == p else f"T_{l}"
         checks.append(OperatorCheck(name, not fails, fails[0] if fails else None))
@@ -348,14 +349,14 @@ def _reference_twin_report(crit):
     index n >= 1 where it disagrees with ``crit`` found by the agreement
     exponent, and the first of them per convention."""
     ctx, k, i, M = crit.ctx, crit.weight, crit.char_exponent, crit.truncation
-    p = ctx.p
+    p, P = ctx.p, ctx.powers
     conventions = {"inverse": (-i) % (p - 1), "direct": i}
     mism = {}
     for label, e in conventions.items():
         tw = WeightPoint.classical(p, 2 - k, e)
         lifted = theta_pow(_ordinary(tw, M, ctx, ctx.zero()), k - 1)
         fails = [n for n in range(1, M + 1)
-                 if state_agreement(p, a := lifted.states[n], c := crit.states[n])
+                 if state_agreement(P, a := lifted.states[n], c := crit.states[n])
                  < min(a[0] + a[2], c[0] + c[2])]
         mism[label] = fails[0] if fails else None
     matched = tuple(label for label, bad in mism.items() if bad is None)
@@ -585,11 +586,11 @@ class TestBuilderAgainstOracle:
 def _divisor_sum(p, N, n, term):
     """The state of the sum of term(d) over the divisors d of n, a term of
     None standing for zero."""
-    total = None
+    P, total = powers(p, N), None
     for d in range(1, n + 1):
         t = term(d) if n % d == 0 else None
         if t is not None:
-            total = t if total is None else state_add(p, N, total, t)
+            total = t if total is None else state_add(P, N, total, t)
     return total
 
 
@@ -608,14 +609,15 @@ class TestClosedForm:
         assume(exponents)
         i = data.draw(st.sampled_from(exponents))
         ctx = PadicContext(p, N)
+        P = ctx.powers
 
         def critical(n):
             return _divisor_sum(p, N, n, lambda d: None if (n // d) % p == 0 else state_mul(
-                p, state_char(p, N, i, n // d, 0), state_of_int(p, N, d ** (k - 1))))
+                P, state_char(P, N, i, n // d, 0), state_of_int(P, N, d ** (k - 1))))
 
         def ordinary(kw, e):
             return lambda n: _divisor_sum(
-                p, N, n, lambda d: None if d % p == 0 else state_char(p, N, e, d, kw - 1))
+                p, N, n, lambda d: None if d % p == 0 else state_char(P, N, e, d, kw - 1))
 
         cases = [("critical", eisenstein_critical(p, k, i, M, ctx), critical)]
         for kw, e in ((k, i), (2 - k, -i), (2 - k, i)):
@@ -623,7 +625,7 @@ class TestClosedForm:
             cases.append((f"ordinary {kw},{w.i}", _ordinary(w, M, ctx, ctx.zero()), ordinary(kw, e)))
         for label, f, closed in cases:
             for n in range(1, M + 1):
-                assert state_eq(p, f.states[n], closed(n)), (label, p, N, k, i, M, n)
+                assert state_eq(P, f.states[n], closed(n)), (label, p, N, k, i, M, n)
 
 
 class TestBuildsOnStates:
