@@ -61,8 +61,10 @@ from .padic import (
     state_cut,
     state_div,
     state_div_int,
+    state_dot,
     state_mul,
     state_neg,
+    state_normalize,
     state_of_int,
     state_of_rational,
     state_zero,
@@ -229,7 +231,7 @@ def _branch_free_terms(p: int, N: int, t: tuple) -> tuple:
     # inner-sum length: tail terms have valuation >= m + v(B_m) >= m - 1
     M = N + 1
     binom = state_of_int(P, N, 1)
-    # c_m = C(t, m) B_m p^m, None where B_m = 0; trailing zeros trimmed
+    # c_m = C(t, m) B_m p^m, None where B_m = 0
     coeffs: list[tuple | None] = [state_of_rational(P, N, bernoulli_number(0))]
     for m in range(1, M + 1):
         factor = state_add(P, N, t, state_of_int(P, N, 1 - m))  # t - (m - 1)
@@ -237,21 +239,42 @@ def _branch_free_terms(p: int, N: int, t: tuple) -> tuple:
         b = bernoulli_number(m)
         coeffs.append(None if b == 0 else
                       state_mul(P, binom, state_of_rational(P, N, b * Fraction(p) ** m)))
-    while coeffs[-1] is None:
-        coeffs.pop()
+    inners = _horner_sums(P, N, coeffs, [state_char(P, N, 0, a, -1)[1] for a in range(1, p)])
     terms = []
-    for a in range(1, p):
-        # sum_m c_m a^(-m) by Horner; multiplying by the unit 1/a keeps every
-        # partial sum's precision, so this equals the termwise sum digit for digit
-        inv_a = state_char(P, N, 0, a, -1)
-        inner = coeffs[-1]
-        for c in reversed(coeffs[:-1]):
-            inner = state_mul(P, inner, inv_a)
-            if c is not None:
-                inner = state_add(P, N, inner, c)
+    for a, inner in enumerate(inners, start=1):
         gamma = exp_small(t_padic * _log_gamma_a(p, N, a))  # <a>^t = exp(t log<a>)
         terms.append(state_mul(P, gamma.state, inner))
     return tuple(terms)
+
+
+def _horner_sums(P: tuple, N: int, coeffs: list, units) -> list:
+    """The states of sum_m c_m x^m, one for each integer x prime to p in
+    units, for the states c_m in coeffs (None standing for an exact 0).
+
+    Each x^m is a unit, so term m keeps c_m's valuation and precision, and
+    by the sum rule of eiszeta.padic every sum is known modulo p^A, A the
+    least absolute precision of the c_m: the c_m are put over their least
+    valuation once, and each sum is one integer Horner pass modulo p^(A - low),
+    normalised once."""
+    present = [c for c in coeffs if c is not None]
+    A = min(v + r for v, _, r in present)
+    low = min([v for v, u, _ in present if u is not None], default=A)
+    rel = A - low
+    if rel <= 0:  # every c_m is zero, or vanishes, modulo p^A >= p
+        return [(A, None, 0)] * len(units)
+    mod = P[rel]
+    ints = [0 if c is None or c[1] is None or c[0] - low >= rel else c[1] * P[c[0] - low]
+            for c in coeffs]
+    while len(ints) > 1 and not ints[-1]:
+        ints.pop()
+    ints.reverse()
+    out = []
+    for x in units:
+        total = 0
+        for c in ints:
+            total = (total * x + c) % mod
+        out.append(state_normalize(P, N, low, total, rel))
+    return out
 
 
 def lp_series(s, j: int, ctx: PadicContext) -> LValue:
@@ -288,10 +311,8 @@ def lp_series(s, j: int, ctx: PadicContext) -> LValue:
         # value + O(p^(h+1)): no digit past p^(h+1) is claimed, whatever the valuation
         value = PadicNumber.from_state(ctx, state_add(P, N, near.value.state, state_zero(h + 1)))
         return LValue(value=value, branch=j, argument=arg, route="series")
-    total = None
-    for a, x in enumerate(_branch_free_terms(p, N, t.state), start=1):
-        contrib = state_mul(P, state_char(P, N, j, a, 0), x)
-        total = contrib if total is None else state_add(P, N, total, contrib)
+    total = state_dot(P, N, [state_char(P, N, j, a, 0) for a in range(1, p)],
+                      _branch_free_terms(p, N, t.state))
     denominator = state_mul(P, state_of_int(P, N, p), s_minus_1)  # p (s - 1)
     value = PadicNumber.from_state(ctx, state_div(P, total, denominator))
     return LValue(value=value, branch=j, argument=arg, route="series")

@@ -13,6 +13,18 @@ Precision propagation:
 * add/sub: absolute precisions meet (min); cancellation surfaces as a higher
   valuation with correspondingly fewer unit digits.
 * mul/div: valuations add/subtract, relative precisions meet.
+* sums of many terms (exp_small, log_one_unit, state_dot and the inner sums
+  of the L-value series): the state of a sum is its exact value modulo p^A,
+  where A is the least absolute precision among its terms (a zero term
+  counts with its bound), cut to canonical form once.  This is the state a
+  left fold of add gives whenever the fold keeps a digit at every partial
+  sum: each add keeps its inputs' least absolute precision, and the N-digit
+  cap never binds on a partial sum, because a partial sum's valuation is at
+  least its least term's valuation v, and the term of valuation v keeps at
+  most N digits, so A <= v + N.  So the terms are added as one integer in
+  p^v Z and normalised once; where a fold raises at a partial sum that
+  cancels to no digit, the sum is still known modulo p^A, and only a total
+  that keeps no digit raises.
 
 Relative precision is capped at the context's working precision N, so a unit
 is always reduced modulo p^N at most.
@@ -322,7 +334,9 @@ def state_mul(P: tuple, a: tuple, b: tuple) -> tuple:
     va, ua, ra = a
     vb, ub, rb = b
     if ua is None or ub is None:
-        return state_zero(va + vb)
+        if va + vb < 1:
+            raise PrecisionLossError("product has no surviving precision")
+        return va + vb, None, 0
     rel = ra if ra < rb else rb
     # units prime to p multiply to such a unit, so no normalisation is needed
     return va + vb, ua * ub % P[rel], rel
@@ -361,13 +375,9 @@ def _reciprocal(p: int, N: int, n: int) -> tuple:
 def state_div_int(P: tuple, N: int, a: tuple, n: int) -> tuple:
     """a / n for an integer n != 0: a times the cached state of 1/n, which
     gives the state, or raises the exception, of
-    state_div(P, a, state_of_int(P, N, n)) without a modular inverse."""
-    va, ua, ra = a
-    if ua is None:  # the bound shifts by v(n), or PrecisionLossError
-        return state_div(P, a, state_of_int(P, N, n))
-    vb, ub, rb = _reciprocal(P[1], N, n)
-    rel = ra if ra < rb else rb
-    return va + vb, ua * ub % P[rel], rel
+    state_div(P, a, state_of_int(P, N, n)) without a modular inverse (a zero
+    a keeps its bound shifted by v(n), or raises PrecisionLossError)."""
+    return state_mul(P, a, _reciprocal(P[1], N, n))
 
 
 def state_neg(P: tuple, a: tuple) -> tuple:
@@ -400,6 +410,33 @@ def state_add(P: tuple, N: int, a: tuple, b: tuple) -> tuple:
         rel = N
     # shifted by gap >= rel digits, the other summand vanishes modulo p^rel
     return state_normalize(P, N, va, ua if gap >= rel else ua + ub * P[gap], rel)
+
+
+def state_dot(P: tuple, N: int, xs, ys) -> tuple:
+    """sum_i x_i * y_i over at least one pair, by the sum rule of the module
+    docstring: each product as state_mul forms it (a zero product that keeps
+    no digit raises PrecisionLossError as there), and their exact sum modulo
+    p^A, A the least absolute precision of the products, normalised once."""
+    A, terms = None, []
+    for (vx, ux, rx), (vy, uy, ry) in zip(xs, ys):
+        v = vx + vy
+        if ux is None or uy is None:
+            if v < 1:
+                raise PrecisionLossError("product has no surviving precision")
+            top = v
+        else:
+            # the unreduced ux * uy agrees with state_mul's unit mod p^rel,
+            # so its term agrees modulo p^(v + rel) >= p^A
+            terms.append((v, ux * uy))
+            top = v + (rx if rx < ry else ry)
+        if A is None or top < A:
+            A = top
+    low = min([v for v, _ in terms], default=A)
+    rel = A - low
+    if rel <= 0:  # every product is zero, or vanishes, modulo p^A >= p
+        return A, None, 0
+    total = sum([u * P[v - low] for v, u in terms if v - low < rel])
+    return state_normalize(P, N, low, total, rel)
 
 
 def state_agreement(P: tuple, a: tuple, b: tuple) -> int:
@@ -493,9 +530,13 @@ def teichmuller(a: int, ctx: PadicContext) -> PadicNumber:
 def log_one_unit(u: PadicNumber) -> PadicNumber:
     """p-adic logarithm of a one-unit, by the alternating series in z = u - 1.
 
-    Truncation: term n is z^n/n with valuation >= n*v(z) - v_p(n); this grows
-    strictly, so the series stops once the next index already clears the
-    working precision.  Result has valuation >= v(z) >= 1.
+    Every term keeps rel(z) digits and has valuation at least v(z), so by
+    the sum rule (module docstring) the sum is known modulo p^A with
+    A = v(z) + rel(z) <= N; it is summed as one integer over p^v(z).
+
+    Truncation: term n is z^n/n with valuation >= n*v(z) - floor(log_p(n)),
+    which never decreases in n, so the series stops once the next index
+    already clears A.  Result has valuation v(z) >= 1.
     """
     z = u - PadicNumber.from_int(1, u.ctx)
     if z.is_zero_to_precision:
@@ -504,20 +545,23 @@ def log_one_unit(u: PadicNumber) -> PadicNumber:
         raise ValueError("log_one_unit needs u = 1 mod p")
     ctx = u.ctx
     N, p, P = ctx.precision, ctx.p, ctx.powers
-    vz = z.valuation
-    total = zpow = zs = z.state
+    vz, uz, rz = z.state
+    A, mod = vz + rz, P[rz]
+    total = zpow = uz  # the terms' units times p^(their valuation - vz)
     n = 1
     while True:
         nxt = n + 1
         # floor(log_p(nxt)) bounds v_p(m) for every m >= nxt up to the next power
-        bound = nxt * vz - _floor_log(nxt, p)
-        if bound >= N:
+        if nxt * vz - _floor_log(nxt, p) >= A:
             break
         n = nxt
-        zpow = state_mul(P, zpow, zs)
-        term = state_div_int(P, N, zpow, n)
-        total = state_add(P, N, total, state_neg(P, term) if n % 2 == 0 else term)
-    return PadicNumber.from_state(ctx, total)
+        zpow = zpow * uz % mod
+        vn, un, _ = _reciprocal(p, N, n)  # 1/n = un * p^vn
+        shift = (n - 1) * vz + vn  # >= 1, as v_p(n) < (n - 1) v(z)
+        if shift < rz:
+            term = zpow * un * P[shift]
+            total = total - term if n % 2 == 0 else total + term
+    return PadicNumber.from_state(ctx, state_normalize(P, N, vz, total, rz))
 
 
 def _floor_log(n: int, p: int) -> int:
@@ -530,9 +574,13 @@ def _floor_log(n: int, p: int) -> int:
 def exp_small(x: PadicNumber) -> PadicNumber:
     """p-adic exponential for v(x) >= 1 (convergent since p >= 3).
 
+    Term 0 is 1, known to N digits, and every later term keeps rel(x) digits
+    at valuation at least v(x), so by the sum rule (module docstring) the sum
+    is known modulo p^A with A = min(N, v(x) + rel(x)); it is summed as one
+    integer.
+
     Truncation: term n is x^n/n! with valuation >= n*v(x) - (n-1)/(p-1),
-    strictly increasing, so summation stops once the next index clears the
-    working precision.
+    strictly increasing, so summation stops once the next index clears A.
     """
     ctx = x.ctx
     N, p, P = ctx.precision, ctx.p, ctx.powers
@@ -540,19 +588,23 @@ def exp_small(x: PadicNumber) -> PadicNumber:
         return PadicNumber.from_state(ctx, state_normalize(P, N, 0, 1, x.min_valuation))
     if x.valuation < 1:
         raise ValueError("exp_small needs v(x) >= 1")
-    vx = x.valuation
-    term = xs = x.state
-    total = state_add(P, N, state_of_int(P, N, 1), xs)
+    vx, ux, rx = x.state
+    A = vx + rx if vx + rx < N else N
+    mod = P[A]
+    total, val, unit = 1, vx, ux  # term n is unit * p^val
     n = 1
     while True:
+        if val < A:
+            total += unit * P[val]
         nxt = n + 1
-        # (nxt * vx - n/(p-1)) >= N, checked in integers
-        if (nxt * vx) * (p - 1) - n >= N * (p - 1):
+        # (nxt * vx - n/(p-1)) >= A, checked in integers
+        if (nxt * vx) * (p - 1) - n >= A * (p - 1):
             break
         n = nxt
-        term = state_div_int(P, N, state_mul(P, term, xs), n)
-        total = state_add(P, N, total, term)
-    return PadicNumber.from_state(ctx, total)
+        vn, un, _ = _reciprocal(p, N, n)  # 1/n = un * p^vn
+        unit = unit * ux * un % mod
+        val += vx + vn
+    return PadicNumber.from_state(ctx, state_normalize(P, N, 0, total, A))
 
 
 # -- textual form ----------------------------------------------------------

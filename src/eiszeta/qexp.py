@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import compress, count, islice, repeat
+from operator import not_
 
 from .kubota import WeightPoint, zeta_weight
 from .padic import (
@@ -93,8 +95,8 @@ class QExpansion:
         """Smallest index where the two expansions disagree at the carried
         precision, over the common truncation; None when they agree."""
         P = powers(self.ctx.p, max(self.ctx.precision, other.ctx.precision))
-        return next((n for n, (a, b) in enumerate(zip(self.states, other.states))
-                     if not state_eq(P, a, b)), None)
+        return next(compress(count(), map(not_, map(state_eq, repeat(P), self.states,
+                                                     other.states))), None)
 
 
 def _eigenstates(ctx, M, a0, a_p, alpha, beta):
@@ -102,33 +104,52 @@ def _eigenstates(ctx, M, a0, a_p, alpha, beta):
     a0, eigenvalue a_p at p (int states) and a_l = alpha(l) + beta(l) at
     primes l != p, where (e, n) stands for l -> omega^e(l) l^n and alpha * beta
     is the nebentypus factor.  They are yielded in index order, each from
-    earlier ones: a reader that stops, stops the build."""
+    earlier ones (see _eigen_plan): a reader that stops, stops the build."""
     if M < 1:
         raise ValueError("truncation order must be >= 1")
     p, N, P = ctx.p, ctx.precision, ctx.powers
     (ea, na), (eb, nb) = alpha, beta
-    c = [a0, state_of_int(P, N, 1)] + [None] * (M - 1)
-    yield from c[:2]
+    c = [a0, state_of_int(P, N, 1)]
+    yield from c
     back = {}  # l -> the state of -eps(l) l^(weight-1), built once per prime
+    for n, l, x, y in _eigen_plan(M):
+        if not l:
+            a = state_mul(P, c[x], c[y])
+        elif n == l:
+            a = a_p if l == p else state_add(P, N, state_char(P, N, ea, l, na),
+                                             state_char(P, N, eb, l, nb))
+        elif l == p:
+            a = state_mul(P, c[x], a_p)
+        else:
+            if l not in back:
+                back[l] = state_neg(P, state_char(P, N, ea + eb, l, na + nb))
+            a = state_add(P, N, state_mul(P, c[l], c[x]), state_mul(P, back[l], c[y]))
+        c.append(a)
+        yield a
+
+
+PLAN_CACHE_SIZE = 1
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _eigen_plan(M: int) -> tuple:
+    """How _eigenstates builds a_n for n = 2..M from earlier coefficients, as
+    (n, l, x, y) in index order, read once from the sieve of smallest prime
+    factors.  l = 0 for n = x * y with coprime x, y > 1 (multiplicativity);
+    otherwise n = l^r for a prime l, x = n / l and y = n / l^2 (n = l when
+    r = 1), and r >= 2 gives a_n = a_p a_x for l = p and the Hecke recursion
+    a_l a_x - eps(l) l^(k-1) a_y otherwise, so the plan does not depend on
+    p.  Cached for the last M only, like the sieve: every series of a scan
+    has the same M."""
     spf = smallest_prime_factors(M)
+    plan = []
     for n in range(2, M + 1):
         l = spf[n]
         m = n // l
         while m % l == 0:
             m //= l
-        if m > 1:  # n = l^r * m with m > 1 coprime to l
-            c[n] = state_mul(P, c[n // m], c[m])
-        elif n == l:
-            c[n] = a_p if l == p else state_add(P, N, state_char(P, N, ea, l, na),
-                                                state_char(P, N, eb, l, nb))
-        elif l == p:
-            c[n] = state_mul(P, c[n // l], a_p)
-        else:
-            if l not in back:
-                back[l] = state_neg(P, state_char(P, N, ea + eb, l, na + nb))
-            c[n] = state_add(P, N, state_mul(P, c[l], c[n // l]),
-                             state_mul(P, back[l], c[n // (l * l)]))
-        yield c[n]
+        plan.append((n, 0, n // m, m) if m > 1 else (n, l, n // l, n // (l * l)))
+    return tuple(plan)
 
 
 def eisenstein_critical(p: int, k: int, i: int, M: int, ctx: PadicContext) -> QExpansion:
@@ -259,9 +280,8 @@ def verify_eigensystem(f: QExpansion) -> EigenReport:
     checks = []
     for l in [l for l in CHECK_PRIMES if l != p] + [p]:
         image = hecke_Up(f) if l == p else hecke_Tl(f, l)
-        a_l = a[l]
-        bad = next((n for n, c in enumerate(image.states)
-                    if not state_eq_product(P, c, a_l, a[n])), None)
+        bad = next(compress(count(), map(not_, map(state_eq_product, repeat(P), image.states,
+                                                   repeat(a[l]), a))), None)
         checks.append(OperatorCheck(f"{'U' if l == p else 'T'}_{l}", bad is None, bad))
     return EigenReport(all(c.passed for c in checks), tuple(checks))
 
@@ -300,10 +320,10 @@ def theta_twin_check(crit: QExpansion) -> TwinCheckReport:
         tw = WeightPoint.classical(p, 2 - k, i_star)
         # theta^(k-1) annihilates a_0 = zeta_p(tw)/2, so it is not evaluated
         # and n = 0 is not compared
-        lifted = zip(_theta_multipliers(p, N, k - 1, M),
-                     _ordinary_states(tw, M, ctx, state_zero(N)), crit.states)
-        first_bad[i_star] = next((n for n, (m, a, c) in enumerate(lifted)
-                                  if n and not state_eq_product(P, c, m, a)), None)
+        lifted = map(state_eq_product, repeat(P), islice(crit.states, 1, None),
+                     islice(_theta_multipliers(p, N, k - 1, M), 1, None),
+                     islice(_ordinary_states(tw, M, ctx, state_zero(N)), 1, None))
+        first_bad[i_star] = next(compress(count(1), map(not_, lifted)), None)
     mism = {label: first_bad[e] for label, e in conventions.items()}
     matched = tuple(label for label, bad in mism.items() if bad is None)
     if not matched:

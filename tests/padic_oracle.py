@@ -1,0 +1,175 @@
+"""Left folds of the p-adic series sums, an oracle for the integer sums in
+eiszeta.padic and eiszeta.kubota.
+
+exp_small, log_one_unit, the inner sums sum_m c_m a^(-m) of
+kubota._branch_free_terms and the branch sum of lp_series add their terms as
+one integer and normalise once (the sum rule in eiszeta.padic's docstring).
+The folds here add the same terms one state_add at a time, as those functions
+did before, so every partial sum is normalised.  Both give the same state, or
+raise the same exception, except where a fold's partial sum cancels to no
+digit: the fold raises there, and the integer sum still answers when its total
+keeps a digit.
+
+Run as a script, it compares exp_small and log_one_unit with their folds on a
+fixed grid: x = u p^v, u every unit class mod p^2, v = 1..N+2, rel 1..N, at
+p in {3, 5, 23} and N in {1, 2, 3, 20}, and for log the one-unit 1 + x; on the
+same grid it compares state_dot and the Horner sums of kubota with their
+folds on sums that cancel.  It exits 1 at the first difference:
+
+    PYTHONPATH=src python3 tests/padic_oracle.py
+"""
+
+from __future__ import annotations
+
+import sys
+
+from eiszeta.kubota import _horner_sums
+from eiszeta.padic import (
+    PadicContext,
+    PadicNumber,
+    PrecisionLossError,
+    exp_small,
+    log_one_unit,
+    state_add,
+    state_div_int,
+    state_dot,
+    state_mul,
+    state_neg,
+    state_of_int,
+    state_normalize,
+)
+
+
+def exp_fold(x: PadicNumber) -> PadicNumber:
+    """exp_small(x) with every term added by state_add to the working precision."""
+    ctx = x.ctx
+    N, p, P = ctx.precision, ctx.p, ctx.powers
+    if x.is_zero_to_precision:
+        return PadicNumber.from_state(ctx, state_normalize(P, N, 0, 1, x.min_valuation))
+    if x.valuation < 1:
+        raise ValueError("exp_small needs v(x) >= 1")
+    vx = x.valuation
+    term = xs = x.state
+    total = state_add(P, N, state_of_int(P, N, 1), xs)
+    n = 1
+    while (n + 1) * vx * (p - 1) - n < N * (p - 1):
+        n += 1
+        term = state_div_int(P, N, state_mul(P, term, xs), n)
+        total = state_add(P, N, total, term)
+    return PadicNumber.from_state(ctx, total)
+
+
+def log_fold(u: PadicNumber) -> PadicNumber:
+    """log_one_unit(u) with every term added by state_add to the working precision."""
+    z = u - PadicNumber.from_int(1, u.ctx)
+    if z.is_zero_to_precision:
+        return z
+    if z.valuation < 1:
+        raise ValueError("log_one_unit needs u = 1 mod p")
+    ctx = u.ctx
+    N, p, P = ctx.precision, ctx.p, ctx.powers
+    vz = z.valuation
+    total = zpow = zs = z.state
+    n = 1
+    while (n + 1) * vz - _floor_log(n + 1, p) < N:
+        n += 1
+        zpow = state_mul(P, zpow, zs)
+        term = state_div_int(P, N, zpow, n)
+        total = state_add(P, N, total, state_neg(P, term) if n % 2 == 0 else term)
+    return PadicNumber.from_state(ctx, total)
+
+
+def _floor_log(n: int, p: int) -> int:
+    e = 0
+    while p ** (e + 1) <= n:
+        e += 1
+    return e
+
+
+def horner_fold(P: tuple, N: int, coeffs: list, x: int) -> tuple:
+    """sum_m c_m x^m for a unit x, by Horner on states (None an exact 0)."""
+    coeffs = list(coeffs)
+    while coeffs[-1] is None:
+        coeffs.pop()
+    xs = state_normalize(P, N, 0, x, N)
+    total = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        total = state_mul(P, total, xs)
+        if c is not None:
+            total = state_add(P, N, total, c)
+    return total
+
+
+def dot_fold(P: tuple, N: int, xs, ys) -> tuple:
+    """sum_i x_i * y_i, each product by state_mul, added by state_add."""
+    total = None
+    for x, y in zip(xs, ys):
+        term = state_mul(P, x, y)
+        total = term if total is None else state_add(P, N, total, term)
+    return total
+
+
+def outcome(fn):
+    """What fn() returns, or the name of the exception it raises."""
+    try:
+        return fn()
+    except (ValueError, ArithmeticError) as e:
+        return type(e).__name__
+
+
+def grid(p: int, N: int):
+    """The states u p^v to rel digits: u every unit class mod p^2, v = 1..N+2,
+    rel = 1..N (a class reduced mod p^rel where rel = 1)."""
+    units = [u for u in range(1, p * p) if u % p]
+    for v in range(1, N + 3):
+        for rel in range(1, N + 1):
+            for u in units:
+                yield v, u % p**rel, rel
+
+
+def sweep(p: int, N: int) -> str | None:
+    """The first input at (p, N) on which an integer sum and its fold differ."""
+    ctx = PadicContext(p, N)
+    P, one = ctx.powers, state_of_int(ctx.powers, N, 1)
+    for s in grid(p, N):
+        x = PadicNumber.from_state(ctx, s)
+        u = x + PadicNumber.from_int(1, ctx)
+        for name, got, want in (
+            ("exp_small", lambda: exp_small(x).state, lambda: exp_fold(x).state),
+            ("log_one_unit", lambda: log_one_unit(u).state, lambda: log_fold(u).state),
+        ):
+            if outcome(got) != outcome(want):
+                return f"{name} at p = {p}, N = {N}, state {s}: {outcome(got)} != {outcome(want)}"
+        # 1/p - 1/p + w, w = u p^-v: the first partial sum cancels to no
+        # digit, so the fold raises; the sum is w modulo p^min(0, abs(w))
+        c, w = (-1, 1, 1), (-s[0], s[1], s[2])
+        xs, ys = [c, state_neg(P, c), w], [one, one, one]
+        got, want = outcome(lambda: state_dot(P, N, xs, ys)), outcome(lambda: dot_fold(P, N, xs, ys))
+        kept = state_normalize(P, N, w[0], w[1], min(0, w[0] + w[2]) - w[0])
+        if want != PrecisionLossError.__name__ or got != kept:
+            return f"state_dot at p = {p}, N = {N}, state {w}: {got}, fold {want}"
+        coeffs = [one, s, None, state_neg(P, s), s]
+        for a in (1, 2, p - 1):
+            inv_a = pow(a, -1, P[N])
+            got = outcome(lambda: _horner_sums(P, N, coeffs, [inv_a])[0])
+            want = outcome(lambda: horner_fold(P, N, coeffs, inv_a))
+            if got != want:
+                return f"horner at p = {p}, N = {N}, a = {a}, state {s}: {got} != {want}"
+    return None
+
+
+def main() -> int:
+    count = 0
+    for p in (3, 5, 23):
+        for N in (1, 2, 3, 20):
+            bad = sweep(p, N)
+            if bad:
+                print(f"integer sum differs from its fold: {bad}")
+                return 1
+            count += sum(1 for _ in grid(p, N))
+    print(f"exp_small, log_one_unit, state_dot and the Horner sums match their folds on {count} grid states")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -509,7 +509,7 @@ def _assert_by_hand(p, N, a, b):
     (va, ua, ra), (vb, ub, rb) = a, b
     rel = min(ra, rb)
     if ua is None or ub is None:
-        prod = (va + vb, None, 0) if va + vb >= 1 else "ValueError"
+        prod = (va + vb, None, 0) if va + vb >= 1 else "PrecisionLossError"
     else:
         prod = va + vb, ua * ub % p**rel, rel
     assert _outcome(lambda: state_mul(P, a, b)) == prod
@@ -671,8 +671,8 @@ class TestFusedKernels:
             _outcome(lambda: state_eq(P, c, state_mul(P, x, y))), (c, x, y)
 
     @given(_div_int_case())
-    @example((5, 4, (1, None, 0), 5))  # PrecisionLossError, where a product of zero
-    @example((5, 4, (3, None, 0), -25))  # with 1/5 would raise ValueError
+    @example((5, 4, (1, None, 0), 5))  # the bound of a zero numerator used up:
+    @example((5, 4, (3, None, 0), -25))  # PrecisionLossError from product and quotient
     @settings(max_examples=400, deadline=None)
     def test_div_int_matches_division_by_the_state_of_n(self, case):
         from eiszeta.padic import state_div, state_div_int
@@ -681,6 +681,155 @@ class TestFusedKernels:
         P = powers(p, N)
         assert _outcome(lambda: state_div_int(P, N, a, n)) == \
             _outcome(lambda: state_div(P, a, state_of_int(P, N, n))), (a, n)
+
+
+def test_a_product_without_a_digit_is_a_precision_loss():
+    # the same loss as the quotient's, so the CLI exits 3 for both
+    ctx = PadicContext(5, 4)
+    fifth = PadicNumber.from_rational(Fraction(1, 5), ctx)
+    with pytest.raises(PrecisionLossError):
+        ctx.zero(1) * fifth
+    with pytest.raises(PrecisionLossError):
+        ctx.zero(1) / 5
+
+
+# -- sums of many terms as one integer, against the left folds ------------------
+
+SUM_PRIMES = [3, 5, 23, 691, 2003]
+
+
+@st.composite
+def _sum_state(draw, p, N, vals):
+    """A canonical state at (p, N): zero modulo p^A one time in five, else a
+    unit to rel <= N digits, often fewer, at a valuation drawn from vals."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.integers(1, 8) | st.integers(400, 700)), None, 0
+    r = draw(st.integers(1, N) | st.just(N))
+    return draw(vals), draw(st.integers(1, p**r - 1).filter(lambda u: u % p)), r
+
+
+@st.composite
+def _series_case(draw):
+    """(ctx, state): an argument of exp_small, or z of log_one_unit's 1 + z,
+    with valuations past N and rels below it."""
+    p = draw(st.sampled_from(SUM_PRIMES))
+    N = draw(st.integers(1, 6) | st.integers(7, 500))
+    vals = st.integers(1, 4) | st.integers(max(1, N - 3), N + 3) | st.integers(400, 700)
+    return PadicContext(p, N), draw(_sum_state(p, N, vals))
+
+
+@st.composite
+def _dot_case(draw):
+    """(p, N, xs, ys): one to six pairs at valuations down to -3 and up to 700,
+    where a later pair often cancels the product of an earlier one; half of
+    them start with c * 1 + c * (-1), c known to no digit, at which a fold
+    raises."""
+    p = draw(st.sampled_from(SUM_PRIMES))
+    N = draw(st.integers(1, 6) | st.integers(7, 500))
+    state = _sum_state(p, N, st.integers(-3, 5) | st.integers(400, 700))
+    xs, ys = [], []
+    if draw(st.booleans()):
+        v = draw(st.integers(-3, -1))
+        r = draw(st.integers(1, min(N, -v)))
+        c = v, draw(st.integers(1, p**r - 1).filter(lambda u: u % p)), r
+        xs += [c, c]
+        ys += [(0, 1, N), (0, p**N - 1, N)]
+    for _ in range(draw(st.integers(1, 6))):
+        if xs and draw(st.booleans()):
+            k = draw(st.integers(0, len(xs) - 1))  # x_k * (-y_k), maybe cut
+            v, u, r = ys[k]
+            y = (v, None if u is None else p**r - u, r)
+            xs.append(xs[k])
+            ys.append(y if u is None else state_normalize(powers(p, N), N, v, y[1],
+                                                           draw(st.integers(1, r))))
+        else:
+            xs.append(draw(state))
+            ys.append(draw(state))
+    return p, N, xs, ys
+
+
+def _sum_rule_by_hand(p, xs, ys):
+    """The state of sum x_i y_i built from the exact rationals with p ** e: known
+    modulo p^A, A the least absolute precision of the products, with no cap."""
+    tops, exact = [], Fraction(0)
+    for x, y in zip(xs, ys):
+        v = x[0] + y[0]
+        if x[1] is None or y[1] is None:
+            if v < 1:
+                return "PrecisionLossError"
+            tops.append(v)
+        else:
+            tops.append(v + min(x[2], y[2]))
+            exact += x[1] * y[1] * Fraction(p) ** v
+    A, v = min(tops), _vq(exact, p)
+    if v is None or v >= A:
+        return (A, None, 0) if A >= 1 else "PrecisionLossError"
+    unit, mod = exact / Fraction(p) ** v, p ** (A - v)
+    return v, unit.numerator * pow(unit.denominator, -1, mod) % mod, A - v
+
+
+def _assert_sum(got, fold, want):
+    """The integer sum is the sum rule's state, and the fold's, except where
+    a fold's partial sum cancelled to no digit and the fold raised."""
+    assert got == want
+    assert got == fold or fold == "PrecisionLossError", (got, fold)
+
+
+class TestIntegerSums:
+    @given(_series_case())
+    @settings(max_examples=300, deadline=None)
+    def test_exp_small_matches_the_fold(self, case):
+        from padic_oracle import exp_fold
+
+        ctx, s = case
+        x = PadicNumber.from_state(ctx, s)
+        assert _outcome(lambda: exp_small(x).state) == _outcome(lambda: exp_fold(x).state), s
+
+    @given(_series_case())
+    @settings(max_examples=300, deadline=None)
+    def test_log_one_unit_matches_the_fold(self, case):
+        from padic_oracle import log_fold
+
+        ctx, s = case
+        u = PadicNumber.from_state(ctx, s) + 1
+        assert _outcome(lambda: log_one_unit(u).state) == _outcome(lambda: log_fold(u).state), s
+
+    @given(_dot_case())
+    @example((5, 4, [(-1, 1, 1), (-1, 1, 1), (-2, 2, 1)], [(0, 1, 4), (0, 4, 4), (0, 1, 4)]))
+    @settings(max_examples=400, deadline=None)
+    def test_dot_is_the_sum_rule_and_the_fold(self, case):
+        # in the example 1/5 + 4/5 cancels to no digit modulo 5^0, so the fold
+        # raises, while the sum 1 + 2/25 is known modulo 5^-1: (-2, 2, 1)
+        from eiszeta.padic import state_dot
+        from padic_oracle import dot_fold
+
+        p, N, xs, ys = case
+        P = powers(p, N)
+        _assert_sum(_outcome(lambda: state_dot(P, N, xs, ys)),
+                    _outcome(lambda: dot_fold(P, N, xs, ys)), _sum_rule_by_hand(p, xs, ys))
+
+    @given(_dot_case(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_horner_sums_are_the_sum_rule_and_the_fold(self, case, data):
+        # the inner sums of the L-value series: sum_m c_m x^m for units x, a
+        # dot product with the states of x^m; some c_m are None (B_m = 0)
+        from eiszeta.kubota import _horner_sums
+        from padic_oracle import horner_fold
+
+        p, N, coeffs, _ = case
+        P = powers(p, N)
+        coeffs = [None if data.draw(st.integers(0, 5)) == 0 else c for c in coeffs]
+        coeffs[0] = coeffs[0] or (0, 1, N)
+        units = data.draw(st.lists(st.integers(1, p**N - 1).filter(lambda u: u % p),
+                                   min_size=1, max_size=3))
+        sums = _outcome(lambda: _horner_sums(P, N, coeffs, units))
+        for k, x in enumerate(units):
+            present = [(c, (0, pow(x, m, p**N), N)) for m, c in enumerate(coeffs) if c is not None]
+            want = _sum_rule_by_hand(p, *zip(*present))
+            fold = _outcome(lambda: horner_fold(P, N, coeffs, x))
+            _assert_sum(_outcome(lambda: _horner_sums(P, N, coeffs, [x])[0]), fold, want)
+            if not isinstance(sums, str):  # one pass over many units, when none raises
+                assert sums[k] == want
 
 
 def test_power_tuples_are_safe_to_share_between_threads():

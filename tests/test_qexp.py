@@ -675,12 +675,15 @@ class TestBuildsOnStates:
 class TestOneSieve:
     def test_a_scan_sieves_once(self, monkeypatch):
         # every series of a scan shares M, so the one-entry sieve cache
-        # misses once, and the checks read their primes from a constant
+        # misses once, and the checks read their primes from a constant; the
+        # builder's plan for M is cleared too, or a plan left by an earlier
+        # test would leave the sieve unread
         import eiszeta.qexp as qexp_mod
 
         listed = []
         monkeypatch.setattr(qexp_mod, "primes_up_to", lambda b: listed.append(b) or primes_up_to(b))
         smallest_prime_factors.cache_clear()
+        qexp_mod._eigen_plan.cache_clear()
         assert write_scan(scan_records(5, 23, 2, 7), io.StringIO()) == 257
         info = smallest_prime_factors.cache_info()
         assert (info.misses, info.maxsize) == (1, 1) and listed == []
