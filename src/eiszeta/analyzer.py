@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .archorders import selmer_dims
+from .bernoulli import MAX_BERNOULLI_INDEX
 from .kubota import (
     LValue,
     WeightPoint,
@@ -131,10 +132,14 @@ def check_budget(precision: int, terms: int | None = None):
 def _check_point(p: int, k: int, i: int, terms: int) -> WeightPoint:
     """The checks a point passes before any arithmetic, in order: p is within
     the Bernoulli ceiling, the truncation reaches every coefficient the
-    eigensystem checks read, and (p, k, i) is a critical point."""
+    eigensystem checks read, (p, k, i) is a critical point, and k is within
+    the Bernoulli ceiling, since the interpolation check reads B_(k,eps)."""
     check_irregular_prime(p)
     check_terms(p, terms)
-    return WeightPoint.critical(p, k, i)
+    w = WeightPoint.critical(p, k, i)
+    if k > MAX_BERNOULLI_INDEX:
+        raise ValueError(f"Bernoulli index {k} exceeds the ceiling {MAX_BERNOULLI_INDEX}")
+    return w
 
 
 def analyze_point(

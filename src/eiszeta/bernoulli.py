@@ -32,7 +32,7 @@ from fractions import Fraction
 from math import comb
 
 from .characters import TeichCharacter
-from .padic import PadicContext, PadicNumber, state_cut, state_normalize
+from .padic import PadicContext, PadicNumber, state_normalize
 
 __all__ = [
     "bernoulli_number",
@@ -118,4 +118,4 @@ def generalized_bernoulli(n: int, chi: TeichCharacter, ctx: PadicContext) -> Pad
         c = comb(n, i) * bernoulli_number(n - i) * p ** (n - i)
         total += c.numerator * pow(c.denominator, -1, mod) * s
     P = guard.powers
-    return PadicNumber.from_state(ctx, state_cut(P, N, state_normalize(P, G, -1, total, G)))
+    return PadicNumber.from_state(ctx, state_normalize(P, N, *state_normalize(P, G, -1, total, G)))

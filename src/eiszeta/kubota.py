@@ -58,7 +58,6 @@ from .padic import (
     log_one_unit,
     state_add,
     state_char,
-    state_cut,
     state_div,
     state_div_int,
     state_dot,
@@ -186,7 +185,7 @@ def lp_interpolation(n: int, j: int, ctx: PadicContext) -> LValue:
     bn = generalized_bernoulli(n, chi, guard).state
     euler = 1 - p ** (n - 1) if chi.is_trivial else 1
     value = state_div(P, state_mul(P, bn, state_of_int(P, G, -euler)), state_of_int(P, G, n))
-    value = PadicNumber.from_state(ctx, state_cut(P, N, value))
+    value = PadicNumber.from_state(ctx, state_normalize(P, N, *value))
     return LValue(value=value, branch=j, argument=1 - n, route="interpolation")
 
 

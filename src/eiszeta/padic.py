@@ -246,7 +246,10 @@ def _shared_powers(a: PadicNumber, b: PadicNumber) -> tuple:
 # prime to p and reduced mod p^rel, or (A, None, 0) for zero modulo p^A.
 # PadicNumber's arithmetic and equality are these functions on its state; the
 # q-series, the L-value series, exp_small and log_one_unit call them directly,
-# without an object per operation.
+# without an object per operation.  Each job has one kernel: state_normalize
+# also cuts a state to fewer digits, and equality is the agreement exponent
+# reaching both absolute precisions (state_eq_product fuses it with a product
+# for the identity checks).
 #
 # Every kernel takes P = powers(p, top) in place of p, fetched once by its
 # caller per series or value, and reads each power of p as a subscript P[e].
@@ -282,7 +285,9 @@ def _split(n: int, p: int) -> tuple:
 
 def state_normalize(P: tuple, N: int, val: int, unit: int, rel: int) -> tuple:
     """Canonical state of unit * p^val to rel <= N digits, zero when no unit digit
-    survives; PrecisionLossError when not even the zero keeps a digit."""
+    survives; PrecisionLossError when not even the zero keeps a digit.  So
+    state_normalize(P, N, *a) cuts a canonical state a to N digits: a zero
+    (bound >= 1, rel 0) or a unit of at most N digits comes back as it is."""
     if rel > N:
         rel = N
     if rel <= 0:
@@ -299,11 +304,6 @@ def state_normalize(P: tuple, N: int, val: int, unit: int, rel: int) -> tuple:
         return val + rel, None, 0
     shift, unit = _split(unit, P[1])
     return val + shift, unit, rel - shift
-
-
-def state_cut(P: tuple, N: int, a: tuple) -> tuple:
-    """a to at most N relative digits."""
-    return a if a[1] is None else state_normalize(P, N, *a)
 
 
 def state_zero(abs_prec: int) -> tuple:
@@ -462,21 +462,8 @@ def state_agreement(P: tuple, a: tuple, b: tuple) -> int:
 
 def state_eq(P: tuple, a: tuple, b: tuple) -> bool:
     """Equality holds to the lower of the two absolute precisions."""
-    va, ua, ra = a
-    vb, ub, rb = b
-    if ua is None or ub is None:
-        absa, absb = va + ra, vb + rb
-        return state_agreement(P, a, b) >= (absa if absa < absb else absb)
-    # two nonzero canonical states: a difference of valuations leaves a unit
-    # times p^min(va, vb), below both absolute precisions; at one valuation the
-    # units must agree mod p^min(ra, rb), and both are reduced mod p^rel
-    if va != vb:
-        return False
-    # equal rels, 98% of a scan's comparisons, compare the reduced units as
-    # they are, with no reduction
-    if ra == rb:
-        return ua == ub
-    return (ua - ub) % P[ra if ra < rb else rb] == 0
+    absa, absb = a[0] + a[2], b[0] + b[2]
+    return state_agreement(P, a, b) >= (absa if absa < absb else absb)
 
 
 def state_eq_product(P: tuple, c: tuple, x: tuple, y: tuple) -> bool:
@@ -487,8 +474,10 @@ def state_eq_product(P: tuple, c: tuple, x: tuple, y: tuple) -> bool:
     vc, uc, rc = c
     if ux is None or uy is None or uc is None:
         return state_eq(P, c, state_mul(P, x, y))
-    # the product is (vx + vy, ux * uy mod p^rel, rel) with rel = min(rx, ry),
-    # and state_eq compares its unit with uc modulo p^min(rel, rc)
+    # the product is (vx + vy, ux * uy mod p^rel, rel) with rel = min(rx, ry);
+    # two nonzero states agree to both absolute precisions exactly when their
+    # valuations are equal (else the difference is a unit times the lower
+    # power of p) and their units agree modulo p^min(rel, rc)
     if vc != vx + vy:
         return False
     rel = rx if rx < ry else ry

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -45,10 +43,10 @@ def primes_up_to(bound: int) -> list[int]:
     return [n for n in range(2, bound + 1) if spf[n] == n]
 
 
-@lru_cache(maxsize=1)
 def smallest_prime_factors(bound: int) -> tuple[int, ...]:
-    """spf[n] = smallest prime factor of n, for 0 <= n <= bound (spf[0] = spf[1] = 0),
-    cached for the last bound only: a scan builds every series at one truncation M."""
+    """spf[n] = smallest prime factor of n, for 0 <= n <= bound (spf[0] = spf[1] = 0).
+    Not cached: the q-series builder reads it only through its cached plan
+    (qexp._eigen_plan), and primes_up_to runs at import time."""
     spf = list(range(bound + 1))
     if bound >= 1:
         spf[1] = 0

@@ -28,6 +28,7 @@ from .padic import (
     PadicNumber,
     state_add,
     state_char,
+    state_div_int,
     state_eq,
     state_eq_product,
     state_mul,
@@ -139,8 +140,8 @@ def _eigen_plan(M: int) -> tuple:
     otherwise n = l^r for a prime l, x = n / l and y = n / l^2 (n = l when
     r = 1), and r >= 2 gives a_n = a_p a_x for l = p and the Hecke recursion
     a_l a_x - eps(l) l^(k-1) a_y otherwise, so the plan does not depend on
-    p.  Cached for the last M only, like the sieve: every series of a scan
-    has the same M."""
+    p.  Cached for the last M only: every series of a scan has the same M,
+    so a scan sieves once, and no other reader of the sieve runs per point."""
     spf = smallest_prime_factors(M)
     plan = []
     for n in range(2, M + 1):
@@ -158,7 +159,7 @@ def eisenstein_critical(p: int, k: int, i: int, M: int, ctx: PadicContext) -> QE
     if ctx.p != p:
         raise ValueError("context prime differs from p")
     N = ctx.precision
-    a0, a_p = state_zero(N), state_of_int(ctx.powers, N, p ** (k - 1))
+    a0, a_p = state_zero(N), (k - 1, 1, N)  # a_p = p^(k-1), a unit 1 at valuation k - 1
     # a_l = eps(l) + l^(k-1)
     return QExpansion(ctx, w.k, w.i, _eigenstates(ctx, M, a0, a_p, (w.i, 0), (0, k - 1)))
 
@@ -169,21 +170,16 @@ def eisenstein_ordinary(w: WeightPoint, M: int, ctx: PadicContext) -> QExpansion
     ..., 0) rather than being rejected."""
     if ctx.p != w.p:
         raise ValueError("context prime differs from the weight's prime")
+    N, P = ctx.precision, ctx.powers
     if w.is_trivial:
-        N = ctx.precision
-        return QExpansion(ctx, 0, 0, (state_of_int(ctx.powers, N, 1),) + (state_zero(N),) * M)
-    return _ordinary(w, M, ctx, zeta_weight(w, ctx).value / PadicNumber.from_int(2, ctx))
-
-
-def _ordinary(w: WeightPoint, M: int, ctx: PadicContext, a0: PadicNumber) -> QExpansion:
-    """The ordinary series at a nontrivial classical weight, with the
-    constant term a0 given."""
-    return QExpansion(ctx, w.k, w.i, _ordinary_states(w, M, ctx, a0.state))
+        return QExpansion(ctx, 0, 0, (state_of_int(P, N, 1),) + (state_zero(N),) * M)
+    a0 = state_div_int(P, N, zeta_weight(w, ctx).value.state, 2)  # zeta_p(w)/2
+    return QExpansion(ctx, w.k, w.i, _ordinary_states(w, M, ctx, a0))
 
 
 def _ordinary_states(w: WeightPoint, M: int, ctx: PadicContext, a0: tuple):
-    """The states of ``_ordinary(w, M, ctx, a0)`` as ``_eigenstates`` yields
-    them, a0 being the state of the constant term."""
+    """The states of the ordinary series at a nontrivial classical weight w
+    with the constant term of state a0, as ``_eigenstates`` yields them."""
     # a_p = 1; a_l = 1 + w(l)/l, and w(l)/l = omega^i(l) l^(k-1)
     one = state_of_int(ctx.powers, ctx.precision, 1)
     return _eigenstates(ctx, M, a0, one, (0, 0), (w.i, w.k - 1))
@@ -233,7 +229,9 @@ def _theta_multipliers(p: int, N: int, r: int, M: int) -> tuple:
     unbroken run and never returns to that key, so a larger cache gains no
     hits and only holds memory."""
     P = powers(p, N)
-    return tuple(state_of_int(P, N, n**r) for n in range(M + 1))
+    # n = u p^v gives n^r = u^r p^(r v), with no integer n^r formed
+    return (state_zero(N),) + tuple((r * v, pow(u, r, P[N]), N) for v, u, _ in
+                                    (state_of_int(P, N, n) for n in range(1, M + 1)))
 
 
 # -- verification -------------------------------------------------------------

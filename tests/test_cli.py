@@ -191,6 +191,17 @@ def test_analyze_past_the_bernoulli_ceiling_rejected(capsys):
     assert "largest supported prime is 2003" in _one_line_error(capsys)
 
 
+def test_scan_past_the_bernoulli_ceiling_in_k_creates_no_out(tmp_path, capsys):
+    # the interpolation check reads B_(k,eps), so k = 2001 is refused with
+    # the other point checks, before --out is opened
+    out = tmp_path / "scan.jsonl"
+    rc = main(["scan", "--p-from", "5", "--p-to", "5", "--k-from", "2001", "--k-to", "2001",
+               "--out", str(out)])
+    assert rc == 2
+    assert "Bernoulli index 2001 exceeds the ceiling 2000" in _one_line_error(capsys)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("p", ["4", "2"])
 def test_not_an_odd_prime_is_one_refusal_in_every_command(capsys, p):
     argvs = [["analyze", "--p", p, "--k", "4", "--eps-exponent", "0"],

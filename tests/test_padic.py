@@ -391,8 +391,8 @@ def _state_pair(draw, primes=(3, 5, 7), max_N=6, vals=st.integers(-3, 5),
 
 @st.composite
 def _eq_decided_pair(draw):
-    """(p, a, b, kind): a pair that state_eq decides from valuations and
-    units alone, built on purpose because random pairs are almost never equal.  kind is
+    """(p, a, b, kind): a pair whose equality is known from how it is built,
+    built on purpose because random pairs are almost never equal.  kind is
     "agree" or "differ" for one valuation with units that agree or differ mod
     p^min(rel), "valuation" for two valuations and "zero" for a nonzero state
     against a zero one; the pair comes in either order."""
@@ -524,6 +524,13 @@ def _assert_by_hand(p, N, a, b):
     assert state_neg(P, a) == (a if ua is None else (va, p**ra - ua, ra))
     diff, A = _vq(_value(p, a) - _value(p, b), p), min(va + ra, vb + rb)
     assert state_agreement(P, a, b) == (A if diff is None or diff >= A else diff)
+    for v, u, r in (a, b):
+        # a canonical state cut to n digits by state_normalize: a zero, or a
+        # unit of rel <= n digits, comes back as it is; a longer unit is
+        # reduced mod p^n
+        for n in {N, max(1, r - 1)}:
+            cut = (v, u, r) if u is None or r <= n else (v, u % p**n, n)
+            assert state_normalize(P, n, v, u, r) == cut
     if ua is not None:
         for sign in (1, -1):
             assert state_of_int(P, N, sign * ua * p**ra) == (ra, sign * ua % p**N, N)
@@ -589,8 +596,7 @@ class TestStateKernels:
     @given(_eq_decided_pair())
     @settings(max_examples=400, deadline=None)
     def test_eq_closed_form_matches_agreement_and_exact_values(self, case):
-        # state_eq decides two nonzero states from valuations, rels and units
-        # alone; it must say what the agreement exponent and the exact
+        # state_eq must say what the agreement exponent and the exact
         # rationals say, and the pairs must be equal exactly when built so
         p, a, b, kind = case
         P = powers(p, 6)  # rels are at most 6

@@ -20,6 +20,7 @@ from eiszeta.padic import (
     state_eq,
     state_mul,
     state_of_int,
+    state_zero,
     powers,
     teichmuller,
 )
@@ -30,7 +31,7 @@ from eiszeta.qexp import (
     QExpansion,
     TwinCheckReport,
     TwinConventionError,
-    _ordinary,
+    _ordinary_states,
     _theta_multipliers,
     dump_lines,
     eisenstein_critical,
@@ -226,19 +227,20 @@ class TestTheta:
     def test_cached_multipliers_match_padic_products(self):
         # two truncations that share (p, N, r) read different cache entries,
         # and a repeated call reads its entry: every coefficient is n^r a_n
-        # formed with PadicNumbers
+        # formed with PadicNumbers; at r = 6, r v_7(n) passes N = 10 from
+        # n = 49 on
         ctx = PadicContext(7, 10)
         f = eisenstein_ordinary(WeightPoint.classical(7, 5, 1).twin(), 90, ctx)
         _theta_multipliers.cache_clear()
-        for M in (40, 40, 90):
+        for M, r in ((40, 4), (40, 4), (90, 4), (90, 6)):
             g = QExpansion(ctx, f.weight, f.char_exponent, f.states[: M + 1])
-            th = theta_pow(g, 4)
-            assert th.truncation == M and th.weight == g.weight + 8
+            th = theta_pow(g, r)
+            assert th.truncation == M and th.weight == g.weight + 2 * r
             for n in range(M + 1):
-                want = PadicNumber.from_int(n**4, ctx) * g.coeff(n)
-                assert th.states[n] == want.state, (M, n)
+                want = PadicNumber.from_int(n**r, ctx) * g.coeff(n)
+                assert th.states[n] == want.state, (M, r, n)
         info = _theta_multipliers.cache_info()
-        assert (info.misses, info.hits) == (2, 1)
+        assert (info.misses, info.hits) == (3, 1)
 
     def test_multiplier_cache_stays_within_its_bound(self):
         # the bound README "Caches" states
@@ -354,7 +356,9 @@ def _reference_twin_report(crit):
     mism = {}
     for label, e in conventions.items():
         tw = WeightPoint.classical(p, 2 - k, e)
-        lifted = theta_pow(_ordinary(tw, M, ctx, ctx.zero()), k - 1)
+        lifted = theta_pow(QExpansion(ctx, tw.k, tw.i,
+                                      _ordinary_states(tw, M, ctx, state_zero(ctx.precision))),
+                           k - 1)
         fails = [n for n in range(1, M + 1)
                  if state_agreement(P, a := lifted.states[n], c := crit.states[n])
                  < min(a[0] + a[2], c[0] + c[2])]
@@ -569,7 +573,8 @@ class TestBuilderAgainstOracle:
                             WeightPoint.classical(p, 2 - k, e) for e in {i, (-i) % (p - 1)}]
                         cases = [(lambda: eisenstein_critical(p, k, i, M, ctx),
                                   lambda: _oracle_critical(p, k, i, M, ctx))]
-                        cases += [(lambda w=w: _ordinary(w, M, ctx, ctx.zero()),
+                        cases += [(lambda w=w: QExpansion(
+                                       ctx, w.k, w.i, _ordinary_states(w, M, ctx, state_zero(N))),
                                    lambda w=w: _oracle_ordinary(w, M, ctx)) for w in weights]
                         for build, oracle in cases:
                             got = _outcome(build)
@@ -622,7 +627,9 @@ class TestClosedForm:
         cases = [("critical", eisenstein_critical(p, k, i, M, ctx), critical)]
         for kw, e in ((k, i), (2 - k, -i), (2 - k, i)):
             w = WeightPoint.classical(p, kw, e)
-            cases.append((f"ordinary {kw},{w.i}", _ordinary(w, M, ctx, ctx.zero()), ordinary(kw, e)))
+            cases.append((f"ordinary {kw},{w.i}",
+                           QExpansion(ctx, w.k, w.i, _ordinary_states(w, M, ctx, state_zero(N))),
+                           ordinary(kw, e)))
         for label, f, closed in cases:
             for n in range(1, M + 1):
                 assert state_eq(P, f.states[n], closed(n)), (label, p, N, k, i, M, n)
@@ -645,7 +652,8 @@ class TestBuildsOnStates:
         for M in (50, 400):
             ctx = PadicContext(5, 20)
             for name, build in (("crit", lambda: eisenstein_critical(5, 4, 2, M, ctx)),
-                                ("ord", lambda: _ordinary(twin, M, ctx, ctx.zero()))):
+                                ("ord", lambda: QExpansion(ctx, twin.k, twin.i, _ordinary_states(
+                                    twin, M, ctx, state_zero(ctx.precision))))):
                 made.clear()
                 build()
                 counts[name, M] = len(made)
@@ -674,19 +682,19 @@ class TestBuildsOnStates:
 
 class TestOneSieve:
     def test_a_scan_sieves_once(self, monkeypatch):
-        # every series of a scan shares M, so the one-entry sieve cache
-        # misses once, and the checks read their primes from a constant; the
-        # builder's plan for M is cleared too, or a plan left by an earlier
+        # every series of a scan shares M, so the builder's one-entry plan
+        # cache reads the sieve once, and the checks read their primes from a
+        # constant; the plan is cleared first, or a plan left by an earlier
         # test would leave the sieve unread
         import eiszeta.qexp as qexp_mod
 
-        listed = []
+        listed, sieved = [], []
         monkeypatch.setattr(qexp_mod, "primes_up_to", lambda b: listed.append(b) or primes_up_to(b))
-        smallest_prime_factors.cache_clear()
+        monkeypatch.setattr(qexp_mod, "smallest_prime_factors",
+                            lambda b: sieved.append(b) or smallest_prime_factors(b))
         qexp_mod._eigen_plan.cache_clear()
         assert write_scan(scan_records(5, 23, 2, 7), io.StringIO()) == 257
-        info = smallest_prime_factors.cache_info()
-        assert (info.misses, info.maxsize) == (1, 1) and listed == []
+        assert sieved == [200] and listed == []
 
     def test_primes_are_read_from_the_sieve(self):
         want = [n for n in range(2101) if is_prime(n)]
