@@ -9,7 +9,8 @@ Conventions, pinned here and exercised by the tests:
   trivial character this yields B_n(1), hence B_{1,triv} = +1/2 while
   B_{n,triv} = B_n for n >= 2; that sign at n = 1 is exactly what the
   L-function interpolation identities require.  Every other character is
-  summed over twisted power sums (see generalized_bernoulli).
+  summed against the values of a Bernoulli polynomial (see
+  generalized_bernoulli).
 
 B_n is computed and cached as an exact rational from the tangent numbers
 T_k, with B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)), by the TangentNumbers
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 from .characters import TeichCharacter
@@ -85,15 +87,15 @@ def generalized_bernoulli(n: int, chi: TeichCharacter, ctx: PadicContext) -> Pad
     n = 1 and B_n otherwise.  For chi = omega^e != 1 the binomial expansion
     of the defining sum gives
 
-        B_{n,chi} = sum_{i=0}^{n} C(n,i) B_{n-i} p^(n-1-i) S_i,
-        S_i = sum_{a=1}^{p-1} chi(a) a^i,
+        p B_{n,chi} = sum_{a=1}^{p-1} chi(a) f(a),
+        f(a) = sum_{i=0}^{n} C(n,i) B_{n-i} p^(n-i) a^i = p^n B_n(a/p),
 
-    formed per exponent i with B_{n-i} != 0, each chi(a) a^i as a running
-    product over i.  Every term but S_n / p is p-integral (von
+    where every coefficient C(n,i) B_{n-i} p^(n-i) is p-integral (von
     Staudt-Clausen), so p * B_{n,chi} is summed as one integer modulo
     p^(N+1): one guard digit, after which the division by p leaves the value
-    known modulo p^N, cut to N relative digits.  Parity forces an algebraic
-    zero whenever chi(-1) != (-1)^n.
+    known modulo p^N, cut to N relative digits.  f(a) does not depend on chi
+    and is read from _bernoulli_values.  Parity forces an algebraic zero
+    whenever chi(-1) != (-1)^n.
     """
     if n < 1:
         raise ValueError("generalized Bernoulli numbers need n >= 1")
@@ -103,19 +105,31 @@ def generalized_bernoulli(n: int, chi: TeichCharacter, ctx: PadicContext) -> Pad
         return PadicNumber.from_rational(Fraction(1, 2) if n == 1 else bernoulli_number(n), ctx)
     p, N = ctx.p, ctx.precision
     G = N + 1
-    mod = p**G
     guard = PadicContext(p, G)
-    sums = dict.fromkeys((i for i in range(n + 1) if bernoulli_number(n - i)), 0)
-    for a in range(1, p):
-        power = chi.value(a, guard).unit  # chi(a) a^i, from i = 0 up
-        for i in range(n + 1):
-            if i in sums:
-                sums[i] += power
-            power = power * a % mod
-    total = 0
-    for i, s in sums.items():
-        # C(n,i) B_{n-i} p^(n-i) is p-integral
-        c = comb(n, i) * bernoulli_number(n - i) * p ** (n - i)
-        total += c.numerator * pow(c.denominator, -1, mod) * s
+    total = sum(chi.value(a, guard).unit * f
+                for a, f in enumerate(_bernoulli_values(p, n, G), 1))
     P = guard.powers
     return PadicNumber.from_state(ctx, state_normalize(P, N, *state_normalize(P, G, -1, total, G)))
+
+
+BERNOULLI_VALUES_CACHE_SIZE = 1
+
+
+@lru_cache(maxsize=BERNOULLI_VALUES_CACHE_SIZE)
+def _bernoulli_values(p: int, n: int, G: int) -> tuple:
+    """f(a) = sum_i C(n,i) B_{n-i} p^(n-i) a^i mod p^G for a = 1, ..., p - 1,
+    each by a Horner pass in a.  Cached for the last (p, n, G) only: a scan
+    asks for one key per point, n = k, and visits the points of one (p, k)
+    in an unbroken run, so a larger cache gains no hits."""
+    mod = p**G
+    coeffs = []  # C(n,i) B_{n-i} p^(n-i) mod p^G from i = n down to 0
+    for i in range(n, -1, -1):
+        c = comb(n, i) * bernoulli_number(n - i) * p ** (n - i)
+        coeffs.append(c.numerator * pow(c.denominator, -1, mod) % mod)
+    values = []
+    for a in range(1, p):
+        f = 0
+        for c in coeffs:
+            f = (f * a + c) % mod
+        values.append(f)
+    return tuple(values)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import stat
 import sys
 from fractions import Fraction
 
@@ -121,13 +123,44 @@ def _cmd_scan(args) -> int:
         irregular_only=args.irregular_only,
     )
     try:
-        with open(args.out, "w") as out:
-            n = write_scan(records, out)
-    except OSError as e:  # opening, writing or the final flush
+        n = _write_out(records, args.out)
+    except OSError as e:  # opening, writing, the final flush or the rename
         print(f"error: cannot write {args.out}: {e}", file=sys.stderr)
         return EXIT_INADMISSIBLE
     print(f"wrote {n} records to {args.out}")
     return EXIT_OK
+
+
+def _write_out(records, path: str) -> int:
+    """write_scan into path, returning the count.  A missing path or a
+    regular file is written under a sibling temporary name, created by this
+    call, and renamed onto path after the last record, so a scan that stops
+    early leaves path as it was; the temporary file is removed on any
+    exception.  Anything else, such as a symlink (/dev/stdout among them), a
+    device (/dev/null) or a FIFO, is written directly."""
+    try:
+        mode = os.lstat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "w") as out:
+            return write_scan(records, out)
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    out = open(tmp, "x")
+    try:
+        with out:
+            n = write_scan(records, out)
+        if mode is not None:
+            os.chmod(tmp, stat.S_IMODE(mode))
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+    return n
 
 
 def _cmd_lp(args) -> int:

@@ -26,6 +26,7 @@ from .kubota import WeightPoint, zeta_weight
 from .padic import (
     PadicContext,
     PadicNumber,
+    _teich_unit,
     state_add,
     state_char,
     state_div_int,
@@ -105,11 +106,16 @@ def _eigenstates(ctx, M, a0, a_p, alpha, beta):
     a0, eigenvalue a_p at p (int states) and a_l = alpha(l) + beta(l) at
     primes l != p, where (e, n) stands for l -> omega^e(l) l^n and alpha * beta
     is the nebentypus factor.  They are yielded in index order, each from
-    earlier ones (see _eigen_plan): a reader that stops, stops the build."""
+    earlier ones (see _eigen_plan): a reader that stops, stops the build.
+    omega^e(l) l^n is formed as state_char forms it, the cached lift of
+    l^e mod p times l^n mod p^N, with l^n read from the table of
+    _prime_powers, which every series of one (p, k) shares."""
     if M < 1:
         raise ValueError("truncation order must be >= 1")
     p, N, P = ctx.p, ctx.precision, ctx.powers
-    (ea, na), (eb, nb) = alpha, beta
+    mod, (ea, na), (eb, nb) = P[N], alpha, beta
+    ea, eb, eab = ea % (p - 1), eb % (p - 1), (ea + eb) % (p - 1)
+    la, lb, lab = (_prime_powers(p, N, n, M) for n in (na, nb, na + nb))
     c = [a0, state_of_int(P, N, 1)]
     yield from c
     back = {}  # l -> the state of -eps(l) l^(weight-1), built once per prime
@@ -117,16 +123,35 @@ def _eigenstates(ctx, M, a0, a_p, alpha, beta):
         if not l:
             a = state_mul(P, c[x], c[y])
         elif n == l:
-            a = a_p if l == p else state_add(P, N, state_char(P, N, ea, l, na),
-                                             state_char(P, N, eb, l, nb))
+            a = a_p if l == p else state_add(
+                P, N, (0, _teich_unit(p, N, pow(l, ea, p)) * la[l] % mod, N),
+                (0, _teich_unit(p, N, pow(l, eb, p)) * lb[l] % mod, N))
         elif l == p:
             a = state_mul(P, c[x], a_p)
         else:
             if l not in back:
-                back[l] = state_neg(P, state_char(P, N, ea + eb, l, na + nb))
+                back[l] = state_neg(P, (0, _teich_unit(p, N, pow(l, eab, p)) * lab[l] % mod, N))
             a = state_add(P, N, state_mul(P, c[l], c[x]), state_mul(P, back[l], c[y]))
         c.append(a)
         yield a
+
+
+PRIME_POWERS_CACHE_SIZE = 3
+
+
+@lru_cache(maxsize=PRIME_POWERS_CACHE_SIZE)
+def _prime_powers(p: int, N: int, n: int, M: int) -> tuple:
+    """The tuple of length M + 1 whose entry l is l^n mod p^N for each
+    prime l != p that _eigen_plan(M) lists (n may be negative), and None
+    elsewhere.  Least recently used first out beyond
+    PRIME_POWERS_CACHE_SIZE = 3 entries: the series of a point read
+    n = 0, k - 1 and 1 - k, and a scan visits the points of one (p, k) in
+    an unbroken run, so only its first point builds them."""
+    mod, table = p**N, [None] * (M + 1)
+    for m, l, _, _ in _eigen_plan(M):
+        if m == l != p:
+            table[l] = pow(l, n, mod)
+    return tuple(table)
 
 
 PLAN_CACHE_SIZE = 1

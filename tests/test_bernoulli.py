@@ -6,7 +6,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from bernoulli_oracle import boustrophedon
+from bernoulli_oracle import boustrophedon, generalized_by_power_sums
+from hypothesis import given, settings, strategies as st
 
 from eiszeta import bernoulli
 from eiszeta.bernoulli import MAX_BERNOULLI_INDEX, bernoulli_number, generalized_bernoulli
@@ -196,6 +197,30 @@ class TestGeneralizedBernoulli:
                 # every digit got claims is one of the oracle's, and at most
                 # the p^(-1) of a valuation -1 value is lost to the N-digit cut
                 assert agreement_precision(got, oracle) >= got.abs_precision >= N - 1, (n, N)
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=st.sampled_from([3, 5, 7, 23, 691]), n=st.integers(1, 60),
+           N=st.integers(1, 30), data=st.data())
+    def test_states_match_the_power_sums(self, p, n, N, data):
+        # the cached Bernoulli polynomial values f(a) summed against chi(a)
+        # give the very state of the per-exponent power sums S_i, for every
+        # exponent e (e = 0 reads the exact B_n(1)) and guard precision N
+        e = data.draw(st.integers(0, p - 2))
+        chi, ctx = TeichCharacter(p, e), PadicContext(p, N)
+        got, want = generalized_bernoulli(n, chi, ctx), generalized_by_power_sums(n, chi, ctx)
+        assert (got.ctx, got.state) == (want.ctx, want.state)
+
+    def test_values_cache_stays_within_its_bound(self):
+        # the bound README "Caches" states
+        cache = bernoulli._bernoulli_values
+        assert cache.cache_info().maxsize == bernoulli.BERNOULLI_VALUES_CACHE_SIZE == 1
+        cache.cache_clear()
+        for n, N in ((4, 10), (6, 10), (6, 11)):
+            generalized_bernoulli(n, TeichCharacter(7, 2), PadicContext(7, N))
+            assert cache.cache_info().currsize == 1
+        generalized_bernoulli(6, TeichCharacter(7, 4), PadicContext(7, 11))
+        info = cache.cache_info()
+        assert (info.misses, info.hits) == (3, 1)  # f(a) does not depend on chi
 
     def test_odd_quadratic_at_n1(self):
         # p=7: omega^3 is the quadratic character mod 7; B_{1,chi} = (1/7) sum a*chi(a)

@@ -369,6 +369,62 @@ def test_unwritable_out_is_exit_2(tmp_path, capsys, monkeypatch, failure):
     assert "cannot write" in _one_line_error(capsys)
 
 
+
+# a scan whose seventh point (p = 3, k = 9, i = 1) loses every digit in an
+# identity check, after the first six have produced their records
+STOPS_MID_STREAM = ["scan", "--p-from", "3", "--p-to", "13", "--k-from", "2", "--k-to", "9",
+                    "--precision", "4", "--qexp-terms", "60"]
+
+
+def test_scan_that_stops_mid_stream_leaves_no_out(tmp_path, capsys):
+    out = tmp_path / "scan.jsonl"
+    rc = main([*STOPS_MID_STREAM, "--out", str(out)])
+    assert rc == 3
+    assert "cancellation left no digit of precision" in _one_line_error(capsys)
+    assert list(tmp_path.iterdir()) == []  # neither --out nor a temporary file
+
+
+def test_scan_that_stops_mid_stream_leaves_an_existing_out_untouched(tmp_path, capsys):
+    out = tmp_path / "scan.jsonl"
+    before = b'{"type":"previous run"}\n'
+    out.write_bytes(before)
+    rc = main([*STOPS_MID_STREAM, "--out", str(out)])
+    assert rc == 3
+    assert "cancellation left no digit of precision" in _one_line_error(capsys)
+    assert out.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [out]
+
+
+def test_scan_replaces_an_existing_out_keeping_its_mode(tmp_path, capsys):
+    out = tmp_path / "scan.jsonl"
+    out.write_text("previous run\n")
+    out.chmod(0o600)
+    rc = main(["scan", "--p-from", "5", "--p-to", "7", "--k-from", "3", "--k-to", "3",
+               "--precision", "10", "--qexp-terms", "20", "--out", str(out)])
+    assert rc == 0
+    assert list(tmp_path.iterdir()) == [out]
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert records and all(r["p"] in (5, 7) for r in records)
+    assert out.stat().st_mode & 0o777 == 0o600
+
+
+def test_scan_writes_through_a_symlink(tmp_path, capsys):
+    # a symlink, such as /dev/stdout, is written directly: the link stays
+    out, link = tmp_path / "scan.jsonl", tmp_path / "link.jsonl"
+    link.symlink_to(out)
+    rc = main(["scan", "--p-from", "5", "--p-to", "7", "--k-from", "3", "--k-to", "3",
+               "--precision", "10", "--qexp-terms", "20", "--out", str(link)])
+    assert rc == 0
+    assert link.is_symlink() and sorted(tmp_path.iterdir()) == [link, out]
+    assert out.read_text().count("\n") == int(capsys.readouterr().out.split()[1])
+
+
+def test_scan_writes_a_device_directly(capsys):
+    rc = main(["scan", "--p-from", "5", "--p-to", "7", "--k-from", "3", "--k-to", "3",
+               "--precision", "10", "--qexp-terms", "20", "--out", "/dev/null"])
+    assert rc == 0
+    assert capsys.readouterr().out.startswith("wrote ")
+
 SCAN_FAILURES = [
     (["--p-from", "5", "--p-to", "7", "--k-from", "4", "--k-to", "4",
       "--precision", "0"], 2, "precision and terms must be positive"),

@@ -19,19 +19,24 @@ from eiszeta.padic import (
     state_char,
     state_eq,
     state_mul,
+    state_neg,
     state_of_int,
     state_zero,
     powers,
     teichmuller,
 )
 from eiszeta.primes import is_prime, primes_up_to, smallest_prime_factors
+from eiszeta import bernoulli
 from eiszeta.qexp import (
+    PRIME_POWERS_CACHE_SIZE,
     THETA_CACHE_SIZE,
     OperatorCheck,
     QExpansion,
     TwinCheckReport,
     TwinConventionError,
+    _eigen_plan,
     _ordinary_states,
+    _prime_powers,
     _theta_multipliers,
     dump_lines,
     eisenstein_critical,
@@ -702,3 +707,101 @@ class TestOneSieve:
             assert primes_up_to(b) == [q for q in want if q <= b], b
         spf = smallest_prime_factors(2100)
         assert isinstance(spf, tuple) and len(spf) == 2101
+
+
+def _reference_states(ctx, M, a0, a_p, alpha, beta):
+    """The builder's states with every a_l and every Hecke back-factor a fresh
+    state_char call, and no table: a_l = alpha(l) + beta(l), where (e, n)
+    stands for l -> omega^e(l) l^n."""
+    p, N, P = ctx.p, ctx.precision, ctx.powers
+    (ea, na), (eb, nb) = alpha, beta
+    c = [a0, state_of_int(P, N, 1)]
+    for n, l, x, y in _eigen_plan(M):
+        if not l:
+            a = state_mul(P, c[x], c[y])
+        elif n == l:
+            a = a_p if l == p else state_add(P, N, state_char(P, N, ea, l, na),
+                                             state_char(P, N, eb, l, nb))
+        elif l == p:
+            a = state_mul(P, c[x], a_p)
+        else:
+            back = state_neg(P, state_char(P, N, ea + eb, l, na + nb))
+            a = state_add(P, N, state_mul(P, c[l], c[x]), state_mul(P, back, c[y]))
+        c.append(a)
+    return tuple(c)
+
+
+def _states_or_error(build):
+    try:
+        return tuple(build())
+    except ArithmeticError as e:  # no surviving precision at low N
+        return type(e).__name__
+
+
+class TestPrimePowerTable:
+    @settings(max_examples=150, deadline=None)
+    @given(p=st.sampled_from([3, 5, 7, 13, 23]), N=st.sampled_from([1, 2, 20]),
+           k=st.integers(2, 13), M=st.integers(1, 200), data=st.data())
+    def test_states_are_those_of_state_char(self, p, N, k, M, data):
+        # the critical series, the ordinary series and the twin at weight
+        # 2 - k under both conventions: every state, valuation and rel
+        # included, is the one of a builder that calls state_char per prime
+        exponents = [i for i in range(k % 2, p - 1, 2) if (k, i) != (2, 0)]
+        assume(exponents)
+        i = data.draw(st.sampled_from(exponents))
+        ctx = PadicContext(p, N)
+        one = state_of_int(ctx.powers, N, 1)
+        cases = [(lambda: eisenstein_critical(p, k, i, M, ctx).states,
+                  lambda: _reference_states(ctx, M, state_zero(N), (k - 1, 1, N), (i, 0),
+                                            (0, k - 1)))]
+        for kw, e in ((k, i), (2 - k, -i), (2 - k, i)):
+            w = WeightPoint.classical(p, kw, e)
+            cases.append((lambda w=w: _ordinary_states(w, M, ctx, state_zero(N)),
+                          lambda w=w: _reference_states(ctx, M, state_zero(N), one, (0, 0),
+                                                        (w.i, w.k - 1))))
+        for build, reference in cases:
+            assert _states_or_error(build) == _states_or_error(reference), (p, N, k, i, M)
+
+    def test_cache_stays_within_its_bound(self):
+        # the bound README "Caches" states
+        assert _prime_powers.cache_info().maxsize == PRIME_POWERS_CACHE_SIZE == 3
+        _prime_powers.cache_clear()
+        ctx = PadicContext(7, 10)
+        for k in range(3, 8):
+            eisenstein_critical(7, k, k % 2, 60, ctx)
+            theta_twin_check(eisenstein_critical(7, k, k % 2, 60, ctx))
+            assert _prime_powers.cache_info().currsize <= 3
+        table = _prime_powers(7, 10, -4, 60)
+        assert len(table) == 61
+        assert [l for l, x in enumerate(table) if x is not None] == [
+            l for l in primes_up_to(60) if l != 7]
+        assert all(x is None or x == pow(l, -4, 7**10) for l, x in enumerate(table))
+
+    def test_a_scan_builds_each_table_at_the_first_point_of_its_run(self):
+        # a (p, k) run reads the prime powers for n = 0, k - 1 and 1 - k and
+        # the Bernoulli values for n = k: the tables miss only at the first
+        # point of a run, and the Bernoulli values once per run (at its first
+        # point with i != 0, since i = 0 gives the trivial character, whose
+        # B_(k,chi) is the exact B_k)
+        tables, values = _prime_powers, bernoulli._bernoulli_values
+        tables.cache_clear()
+        values.cache_clear()
+        misses = []  # (p, k, table misses, value misses) of each point
+
+        def counting(records):
+            before = (0, 0)
+            for rec in records:
+                now = (tables.cache_info().misses, values.cache_info().misses)
+                misses.append((rec["p"], rec["k"], now[0] - before[0], now[1] - before[1]))
+                before = now
+                yield rec
+
+        assert write_scan(counting(scan_records(5, 23, 6, 7)), io.StringIO()) == 88
+        runs = [n for n, m in enumerate(misses) if n == 0 or misses[n - 1][:2] != m[:2]]
+        assert len(runs) == len({m[:2] for m in misses}) == 14
+        assert all(m[2] == 0 for n, m in enumerate(misses) if n not in runs)
+        assert all(misses[n][2] > 0 for n in runs)
+        for start, end in zip(runs, runs[1:] + [len(misses)]):
+            assert sum(m[3] for m in misses[start:end]) == 1, misses[start]
+        # n = 0 is shared by the two k of a prime
+        assert sum(m[2] for m in misses) == 7 * 5
