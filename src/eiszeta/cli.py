@@ -125,19 +125,31 @@ def _cmd_scan(args) -> int:
     try:
         n = _write_out(records, args.out)
     except OSError as e:  # opening, writing, the final flush or the rename
-        print(f"error: cannot write {args.out}: {e}", file=sys.stderr)
+        # strerror alone: the exception names the temporary file, not --out
+        print(f"error: cannot write {args.out}: {e.strerror or e}", file=sys.stderr)
         return EXIT_INADMISSIBLE
     print(f"wrote {n} records to {args.out}")
     return EXIT_OK
 
 
 def _write_out(records, path: str) -> int:
-    """write_scan into path, returning the count.  A missing path or a
-    regular file is written under a sibling temporary name, created by this
-    call, and renamed onto path after the last record, so a scan that stops
-    early leaves path as it was; the temporary file is removed on any
-    exception.  Anything else, such as a symlink (/dev/stdout among them), a
-    device (/dev/null) or a FIFO, is written directly."""
+    """write_scan into path, returning the count.  A path naming the file
+    that stdout has open (/dev/stdout, or a file stdout is redirected to) is
+    written through sys.stdout and flushed: a second handle would write from
+    its own offset, under or over the lines stdout writes.  Otherwise a
+    missing path or a regular file is written under a sibling temporary
+    name, created by this call, and renamed onto path after the last record,
+    so a scan that stops early leaves path as it was; the temporary file is
+    removed on any exception.  Anything else, such as a symlink, a device
+    (/dev/null) or a FIFO, is written directly."""
+    try:
+        to_stdout = os.path.samestat(os.stat(path), os.fstat(sys.stdout.fileno()))
+    except OSError:  # no such path, or a stdout with no descriptor (io.UnsupportedOperation)
+        to_stdout = False
+    if to_stdout:
+        n = write_scan(records, sys.stdout)
+        sys.stdout.flush()
+        return n
     try:
         mode = os.lstat(path).st_mode
     except FileNotFoundError:

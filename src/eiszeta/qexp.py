@@ -101,21 +101,21 @@ class QExpansion:
                                                      other.states))), None)
 
 
-def _eigenstates(ctx, M, a0, a_p, alpha, beta):
+def _eigenstates(ctx, M, a0, a_p, ea, beta):
     """The states a_0, ..., a_M of the normalized eigenform with constant term
-    a0, eigenvalue a_p at p (int states) and a_l = alpha(l) + beta(l) at
-    primes l != p, where (e, n) stands for l -> omega^e(l) l^n and alpha * beta
-    is the nebentypus factor.  They are yielded in index order, each from
-    earlier ones (see _eigen_plan): a reader that stops, stops the build.
-    omega^e(l) l^n is formed as state_char forms it, the cached lift of
-    l^e mod p times l^n mod p^N, with l^n read from the table of
-    _prime_powers, which every series of one (p, k) shares."""
+    a0, eigenvalue a_p at p (int states) and a_l = omega^ea(l) + beta(l) at
+    primes l != p, where beta = (eb, r) stands for l -> omega^eb(l) l^r and
+    omega^(ea+eb)(l) l^r is the nebentypus factor.  They are yielded in
+    index order, each from earlier ones (see _eigen_plan): a reader that
+    stops, stops the build.  omega^e(l) l^r is formed as state_char forms
+    it, the cached lift of l^e mod p times l^r mod p^N, with l^r read from
+    the table _index_powers(p, N, r, M), which theta^r shares."""
     if M < 1:
         raise ValueError("truncation order must be >= 1")
     p, N, P = ctx.p, ctx.precision, ctx.powers
-    mod, (ea, na), (eb, nb) = P[N], alpha, beta
+    mod, (eb, r) = P[N], beta
     ea, eb, eab = ea % (p - 1), eb % (p - 1), (ea + eb) % (p - 1)
-    la, lb, lab = (_prime_powers(p, N, n, M) for n in (na, nb, na + nb))
+    lr = _index_powers(p, N, r, M)  # entry l holds the state of l^r
     c = [a0, state_of_int(P, N, 1)]
     yield from c
     back = {}  # l -> the state of -eps(l) l^(weight-1), built once per prime
@@ -124,34 +124,42 @@ def _eigenstates(ctx, M, a0, a_p, alpha, beta):
             a = state_mul(P, c[x], c[y])
         elif n == l:
             a = a_p if l == p else state_add(
-                P, N, (0, _teich_unit(p, N, pow(l, ea, p)) * la[l] % mod, N),
-                (0, _teich_unit(p, N, pow(l, eb, p)) * lb[l] % mod, N))
+                P, N, (0, _teich_unit(p, N, pow(l, ea, p)), N),
+                (0, _teich_unit(p, N, pow(l, eb, p)) * lr[l][1] % mod, N))
         elif l == p:
             a = state_mul(P, c[x], a_p)
         else:
             if l not in back:
-                back[l] = state_neg(P, (0, _teich_unit(p, N, pow(l, eab, p)) * lab[l] % mod, N))
+                back[l] = state_neg(P, (0, _teich_unit(p, N, pow(l, eab, p)) * lr[l][1] % mod, N))
             a = state_add(P, N, state_mul(P, c[l], c[x]), state_mul(P, back[l], c[y]))
         c.append(a)
         yield a
 
 
-PRIME_POWERS_CACHE_SIZE = 3
+INDEX_POWERS_CACHE_SIZE = 2
 
 
-@lru_cache(maxsize=PRIME_POWERS_CACHE_SIZE)
-def _prime_powers(p: int, N: int, n: int, M: int) -> tuple:
-    """The tuple of length M + 1 whose entry l is l^n mod p^N for each
-    prime l != p that _eigen_plan(M) lists (n may be negative), and None
-    elsewhere.  Least recently used first out beyond
-    PRIME_POWERS_CACHE_SIZE = 3 entries: the series of a point read
-    n = 0, k - 1 and 1 - k, and a scan visits the points of one (p, k) in
-    an unbroken run, so only its first point builds them."""
-    mod, table = p**N, [None] * (M + 1)
-    for m, l, _, _ in _eigen_plan(M):
-        if m == l != p:
-            table[l] = pow(l, n, mod)
-    return tuple(table)
+@lru_cache(maxsize=INDEX_POWERS_CACHE_SIZE)
+def _index_powers(p: int, N: int, r: int, M: int) -> tuple:
+    """The states of n^r for n = 0..M (r may be negative), the zero state at
+    n = 0, built along _eigen_plan(M) by multiplicativity: l^r mod p^N at a
+    prime l != p, p^r at l = p and a product of two earlier entries
+    elsewhere, so no integer n^r is formed.  theta^r multiplies by every
+    entry; the builder reads the units at the primes l != p.  Least recently
+    used first out beyond INDEX_POWERS_CACHE_SIZE = 2 entries: a point reads
+    r = k - 1 (the critical and ordinary series and theta^(k-1)) and
+    r = 1 - k (the twin), and a scan visits the points of one (p, k) in an
+    unbroken run, so only its first point builds them."""
+    P = powers(p, N)
+    table = [state_zero(N), (0, 1, N)]
+    for n, l, x, y in _eigen_plan(M):
+        if not l:
+            table.append(state_mul(P, table[x], table[y]))
+        elif n == l:
+            table.append((r, 1, N) if l == p else (0, pow(l, r, P[N]), N))
+        else:
+            table.append(state_mul(P, table[x], table[l]))
+    return tuple(table[:M + 1])
 
 
 PLAN_CACHE_SIZE = 1
@@ -186,7 +194,7 @@ def eisenstein_critical(p: int, k: int, i: int, M: int, ctx: PadicContext) -> QE
     N = ctx.precision
     a0, a_p = state_zero(N), (k - 1, 1, N)  # a_p = p^(k-1), a unit 1 at valuation k - 1
     # a_l = eps(l) + l^(k-1)
-    return QExpansion(ctx, w.k, w.i, _eigenstates(ctx, M, a0, a_p, (w.i, 0), (0, k - 1)))
+    return QExpansion(ctx, w.k, w.i, _eigenstates(ctx, M, a0, a_p, w.i, (0, k - 1)))
 
 
 def eisenstein_ordinary(w: WeightPoint, M: int, ctx: PadicContext) -> QExpansion:
@@ -207,7 +215,7 @@ def _ordinary_states(w: WeightPoint, M: int, ctx: PadicContext, a0: tuple):
     with the constant term of state a0, as ``_eigenstates`` yields them."""
     # a_p = 1; a_l = 1 + w(l)/l, and w(l)/l = omega^i(l) l^(k-1)
     one = state_of_int(ctx.powers, ctx.precision, 1)
-    return _eigenstates(ctx, M, a0, one, (0, 0), (w.i, w.k - 1))
+    return _eigenstates(ctx, M, a0, one, 0, (w.i, w.k - 1))
 
 
 # -- operators ---------------------------------------------------------------
@@ -239,24 +247,9 @@ def theta_pow(f: QExpansion, r: int) -> QExpansion:
     if r == 0:
         return f
     P = f.ctx.powers
-    n_r = _theta_multipliers(f.ctx.p, f.ctx.precision, r, f.truncation)
+    n_r = _index_powers(f.ctx.p, f.ctx.precision, r, f.truncation)
     states = (state_mul(P, m, a) for m, a in zip(n_r, f.states))
     return QExpansion(f.ctx, f.weight + 2 * r, f.char_exponent, states)
-
-
-THETA_CACHE_SIZE = 1
-
-
-@lru_cache(maxsize=THETA_CACHE_SIZE)
-def _theta_multipliers(p: int, N: int, r: int, M: int) -> tuple:
-    """The states of n^r for n = 0..M, cached for the last (p, N, r, M) only:
-    a scan visits the points of one (p, k), which share r = k - 1, in one
-    unbroken run and never returns to that key, so a larger cache gains no
-    hits and only holds memory."""
-    P = powers(p, N)
-    # n = u p^v gives n^r = u^r p^(r v), with no integer n^r formed
-    return (state_zero(N),) + tuple((r * v, pow(u, r, P[N]), N) for v, u, _ in
-                                    (state_of_int(P, N, n) for n in range(1, M + 1)))
 
 
 # -- verification -------------------------------------------------------------
@@ -344,7 +337,7 @@ def theta_twin_check(crit: QExpansion) -> TwinCheckReport:
         # theta^(k-1) annihilates a_0 = zeta_p(tw)/2, so it is not evaluated
         # and n = 0 is not compared
         lifted = map(state_eq_product, repeat(P), islice(crit.states, 1, None),
-                     islice(_theta_multipliers(p, N, k - 1, M), 1, None),
+                     islice(_index_powers(p, N, k - 1, M), 1, None),
                      islice(_ordinary_states(tw, M, ctx, state_zero(N)), 1, None))
         first_bad[i_star] = next(compress(count(1), map(not_, lifted)), None)
     mism = {label: first_bad[e] for label, e in conventions.items()}

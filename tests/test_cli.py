@@ -3,6 +3,10 @@
 import contextlib
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -366,7 +370,28 @@ def test_unwritable_out_is_exit_2(tmp_path, capsys, monkeypatch, failure):
     rc = main(["scan", "--p-from", "5", "--p-to", "7", "--k-from", "3", "--k-to", "3",
                "--precision", "10", "--qexp-terms", "20", "--out", str(out)])
     assert rc == 2
-    assert "cannot write" in _one_line_error(capsys)
+    # the reason alone, without the temporary file's name or this process's id
+    reason = {"open": "No such file or directory", "write": "No space left on device"}
+    err = _one_line_error(capsys)
+    assert err == f"error: cannot write {out}: {reason[failure]}"
+    assert ".tmp" not in err
+
+
+def test_scan_to_a_redirected_dev_stdout_keeps_every_record(tmp_path):
+    # --out /dev/stdout with stdout redirected to a file: the records and the
+    # closing line share one offset, so neither overwrites the other
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    argv = [sys.executable, "-m", "eiszeta.cli", "scan", "--p-from", "5", "--p-to", "7",
+            "--k-from", "3", "--k-to", "3", "--precision", "6", "--qexp-terms", "30",
+            "--out", "/dev/stdout"]
+    out = tmp_path / "R.txt"
+    with open(out, "w") as f:
+        done = subprocess.run(argv, stdout=f, stderr=subprocess.PIPE, text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=str(src)))
+    assert done.returncode == 0, done.stderr
+    *records, last = out.read_text().splitlines()
+    assert records and all(json.loads(line)["type"] == "point" for line in records)
+    assert last == f"wrote {len(records)} records to /dev/stdout"
 
 
 

@@ -28,16 +28,14 @@ from eiszeta.padic import (
 from eiszeta.primes import is_prime, primes_up_to, smallest_prime_factors
 from eiszeta import bernoulli
 from eiszeta.qexp import (
-    PRIME_POWERS_CACHE_SIZE,
-    THETA_CACHE_SIZE,
+    INDEX_POWERS_CACHE_SIZE,
     OperatorCheck,
     QExpansion,
     TwinCheckReport,
     TwinConventionError,
     _eigen_plan,
+    _index_powers,
     _ordinary_states,
-    _prime_powers,
-    _theta_multipliers,
     dump_lines,
     eisenstein_critical,
     eisenstein_ordinary,
@@ -236,7 +234,7 @@ class TestTheta:
         # n = 49 on
         ctx = PadicContext(7, 10)
         f = eisenstein_ordinary(WeightPoint.classical(7, 5, 1).twin(), 90, ctx)
-        _theta_multipliers.cache_clear()
+        _index_powers.cache_clear()
         for M, r in ((40, 4), (40, 4), (90, 4), (90, 6)):
             g = QExpansion(ctx, f.weight, f.char_exponent, f.states[: M + 1])
             th = theta_pow(g, r)
@@ -244,34 +242,49 @@ class TestTheta:
             for n in range(M + 1):
                 want = PadicNumber.from_int(n**r, ctx) * g.coeff(n)
                 assert th.states[n] == want.state, (M, r, n)
-        info = _theta_multipliers.cache_info()
+        info = _index_powers.cache_info()
         assert (info.misses, info.hits) == (3, 1)
 
     def test_multiplier_cache_stays_within_its_bound(self):
-        # the bound README "Caches" states
-        assert _theta_multipliers.cache_info().maxsize == THETA_CACHE_SIZE == 1
-        _theta_multipliers.cache_clear()
+        # the bound README "Caches" states: theta^r for four r keeps the two
+        # most recent tables
+        assert _index_powers.cache_info().maxsize == INDEX_POWERS_CACHE_SIZE == 2
         f = _crit_54()
+        _index_powers.cache_clear()
         for r in range(1, 5):
             theta_pow(f, r)
-            assert _theta_multipliers.cache_info().currsize == 1
+            assert _index_powers.cache_info().currsize == min(r, 2)
+        assert _index_powers.cache_info().misses == 4
 
     def test_a_scan_uses_each_multiplier_key_in_one_run(self, monkeypatch):
-        # the one-entry cache misses once per key only if a scan never
-        # returns to a key it has left
+        # the two-entry cache misses once per key only if a scan never
+        # returns to a key it has left: a (p, k) run reads r = k - 1 and
+        # r = 1 - k, so the keys of one run share (p, N, |r|, M), and those
+        # pairs follow each other in runs
         import eiszeta.qexp as qexp_mod
 
         keys = []
-        cached = qexp_mod._theta_multipliers
+        cached = qexp_mod._index_powers
 
         def recording(*key):
             keys.append(key)
             return cached(*key)
 
-        monkeypatch.setattr(qexp_mod, "_theta_multipliers", recording)
+        monkeypatch.setattr(qexp_mod, "_index_powers", recording)
         list(scan_records(5, 11, k_from=2, k_to=5, precision=8, terms=30))
-        runs = [key for n, key in enumerate(keys) if n == 0 or keys[n - 1] != key]
-        assert len(set(keys)) > 1 and len(runs) == len(set(keys)) < len(keys)
+        pairs = [(p, N, abs(r), M) for p, N, r, M in keys]
+        runs = [key for n, key in enumerate(pairs) if n == 0 or pairs[n - 1] != key]
+        assert len(set(pairs)) > 1 and len(runs) == len(set(pairs)) < len(pairs)
+        assert len(set(keys)) == 2 * len(set(pairs))
+        # replaying the keys through a two-entry LRU cache misses once per key
+        lru, misses = [], 0
+        for key in keys:
+            if key in lru:
+                lru.remove(key)
+            else:
+                misses += 1
+            lru = (lru + [key])[-INDEX_POWERS_CACHE_SIZE:]
+        assert misses == len(set(keys))
 
 
 def _reference_checks(f):
@@ -762,28 +775,44 @@ class TestPrimePowerTable:
         for build, reference in cases:
             assert _states_or_error(build) == _states_or_error(reference), (p, N, k, i, M)
 
+    @settings(max_examples=150, deadline=None)
+    @given(p=st.sampled_from([3, 5, 7, 13, 23]), N=st.sampled_from([1, 2, 20]),
+           r=st.integers(-13, 13), M=st.integers(1, 200))
+    def test_table_holds_the_states_of_n_to_the_r(self, p, N, r, M):
+        # every entry, p | n and r <= 0 included, is the state of n^r formed
+        # from n = u p^v as u^r p^(r v), without the plan
+        table = _index_powers(p, N, r, M)
+        assert len(table) == M + 1 and table[0] == state_zero(N)
+        P = powers(p, N)
+        for n in range(1, M + 1):
+            v, u, rel = state_of_int(P, N, n)
+            assert table[n] == (r * v, pow(u, r, P[N]), rel), (p, N, r, n)
+
     def test_cache_stays_within_its_bound(self):
-        # the bound README "Caches" states
-        assert _prime_powers.cache_info().maxsize == PRIME_POWERS_CACHE_SIZE == 3
-        _prime_powers.cache_clear()
+        # the bound README "Caches" states: the points of five k read r = k - 1
+        # and r = 1 - k, and the table is indexed by n
+        assert _index_powers.cache_info().maxsize == INDEX_POWERS_CACHE_SIZE == 2
+        _index_powers.cache_clear()
         ctx = PadicContext(7, 10)
         for k in range(3, 8):
             eisenstein_critical(7, k, k % 2, 60, ctx)
             theta_twin_check(eisenstein_critical(7, k, k % 2, 60, ctx))
-            assert _prime_powers.cache_info().currsize <= 3
-        table = _prime_powers(7, 10, -4, 60)
+            assert _index_powers.cache_info().currsize <= 2
+        assert _index_powers.cache_info().misses == 10
+        table = _index_powers(7, 10, -4, 60)
         assert len(table) == 61
-        assert [l for l, x in enumerate(table) if x is not None] == [
-            l for l in primes_up_to(60) if l != 7]
-        assert all(x is None or x == pow(l, -4, 7**10) for l, x in enumerate(table))
+        assert table[7] == (-4, 1, 10) and table[49] == (-8, 1, 10)
+        assert all(table[l] == (0, pow(l, -4, 7**10), 10)
+                   for l in primes_up_to(60) if l != 7)
 
     def test_a_scan_builds_each_table_at_the_first_point_of_its_run(self):
-        # a (p, k) run reads the prime powers for n = 0, k - 1 and 1 - k and
-        # the Bernoulli values for n = k: the tables miss only at the first
-        # point of a run, and the Bernoulli values once per run (at its first
-        # point with i != 0, since i = 0 gives the trivial character, whose
+        # a (p, k) run reads the index powers for r = k - 1 and 1 - k and the
+        # Bernoulli values for n = k: the tables miss only at the first point
+        # of a run, twice, so the two-entry cache never returns to a key it
+        # has left, and the Bernoulli values once per run (at its first point
+        # with i != 0, since i = 0 gives the trivial character, whose
         # B_(k,chi) is the exact B_k)
-        tables, values = _prime_powers, bernoulli._bernoulli_values
+        tables, values = _index_powers, bernoulli._bernoulli_values
         tables.cache_clear()
         values.cache_clear()
         misses = []  # (p, k, table misses, value misses) of each point
@@ -800,8 +829,7 @@ class TestPrimePowerTable:
         runs = [n for n, m in enumerate(misses) if n == 0 or misses[n - 1][:2] != m[:2]]
         assert len(runs) == len({m[:2] for m in misses}) == 14
         assert all(m[2] == 0 for n, m in enumerate(misses) if n not in runs)
-        assert all(misses[n][2] > 0 for n in runs)
+        assert all(misses[n][2] == 2 for n in runs)
         for start, end in zip(runs, runs[1:] + [len(misses)]):
             assert sum(m[3] for m in misses[start:end]) == 1, misses[start]
-        # n = 0 is shared by the two k of a prime
-        assert sum(m[2] for m in misses) == 7 * 5
+        assert sum(m[2] for m in misses) == 7 * 4
