@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .padic import PadicContext, PadicNumber, teichmuller
+from .padic import PadicContext, PadicNumber, state_char
 from .primes import require_odd_prime
 
 __all__ = ["TeichCharacter"]
@@ -39,5 +39,4 @@ class TeichCharacter:
             if self.is_trivial:
                 return PadicNumber.from_int(1, ctx)
             return PadicNumber.from_int(0, ctx)
-        # omega(a)^i = omega(a^i mod p): one Hensel fixed point instead of i products
-        return teichmuller(pow(a, self.exponent, self.p), ctx)
+        return PadicNumber.from_state(ctx, state_char(ctx.powers, ctx.precision, self.exponent, a, 0))

@@ -236,8 +236,11 @@ def _branch_free_terms(p: int, N: int, t: tuple) -> tuple:
         factor = state_add(P, N, t, state_of_int(P, N, 1 - m))  # t - (m - 1)
         binom = state_div_int(P, N, state_mul(P, binom, factor), m)
         b = bernoulli_number(m)
-        coeffs.append(None if b == 0 else
-                      state_mul(P, binom, state_of_rational(P, N, b * Fraction(p) ** m)))
+        if b == 0:
+            coeffs.append(None)
+        else:  # B_m p^m: the state of B_m shifted by m
+            vb, ub, rb = state_of_rational(P, N, b)
+            coeffs.append(state_mul(P, binom, (vb + m, ub, rb)))
     inners = _horner_sums(P, N, coeffs, [state_char(P, N, 0, a, -1)[1] for a in range(1, p)])
     terms = []
     for a, inner in enumerate(inners, start=1):

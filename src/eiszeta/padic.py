@@ -484,29 +484,90 @@ def state_eq_product(P: tuple, c: tuple, x: tuple, y: tuple) -> bool:
     return (ux * uy - uc) % P[rel if rel < rc else rc] == 0
 
 
+def state_eq_hecke(P: tuple, N: int, c: tuple, d: tuple, e: tuple, x: tuple, y: tuple) -> bool:
+    """state_eq(P, state_add(P, N, c, state_mul(P, d, e)), state_mul(P, x, y)),
+    the same answer or exception, decided without building the sum or either
+    product: T_l's image a_(nl) + eps(l) l^(k-1) a_(n/l) against a_l a_n."""
+    vc, uc, rc = c
+    vd, ud, rd = d
+    ve, ue, re = e
+    vx, ux, rx = x
+    vy, uy, ry = y
+    vde, vxy = vd + ve, vx + vy
+    # the sum is known modulo p^top: the lower absolute precision of c and
+    # d e (its rel never reaches the cap N, as each summand keeps <= N digits)
+    top = vde + (rd if rd < re else re)
+    if vc + rc < top:
+        top = vc + rc
+    if uc is None or ud is None or ue is None or ux is None or uy is None or top < 1:
+        # a zero, or a sum that may cancel to no digit and raise
+        return state_eq(P, state_add(P, N, c, state_mul(P, d, e)), state_mul(P, x, y))
+    # the two sides agree to both absolute precisions exactly when
+    # c + d e - x y vanishes modulo p^top, top now the least of them; over
+    # p^low, low the least valuation, a term shifted by top - low or more
+    # digits vanishes there (and would lie past P)
+    rel = rx if rx < ry else ry
+    if vxy + rel < top:
+        top = vxy + rel
+    low = vc if vc < vde else vde
+    if vxy < low:
+        low = vxy
+    m = top - low
+    total = 0
+    if vc - low < m:
+        total = uc * P[vc - low]
+    if vde - low < m:
+        total += ud * ue * P[vde - low]
+    if vxy - low < m:
+        total -= ux * uy * P[vxy - low]
+    return total % P[m] == 0
+
+
 # -- Teichmuller lift and one-unit functions -------------------------------
 
 
-TEICH_CACHE_SIZE = 4096
+TEICH_CACHE_SIZE = 4
 
 
 @lru_cache(maxsize=TEICH_CACHE_SIZE)
-def _teich_unit(p: int, precision: int, a: int) -> int:
-    """The (p-1)-th root of unity congruent to a mod p, as an integer mod p^N.
+def _teich_unit(p: int, precision: int) -> tuple:
+    """The Teichmuller lifts mod p^N as (row, dlog): row[j] = omega(g)^j mod
+    p^N for j = 0..p-2, g the least primitive root mod p, and dlog[a] the j
+    with g^j = a mod p for a = 1..p-1 (dlog[0] is None), so that
+    omega^e(a) = row[e * dlog[a % p] % (p - 1)] for a prime to p.
 
     a = omega(a) * <a> with <a> = 1 mod p, so <a>^(p^(N-1)) = 1 mod p^N and
-    a^(p^(N-1)) = omega(a) mod p^N.  Cached per (p, N, a mod p), least
-    recently used first out beyond TEICH_CACHE_SIZE = 4096 entries, which
-    holds every residue of any one prime below 4096 at one N."""
-    return pow(a, p ** (precision - 1), p**precision)
+    g^(p^(N-1)) = omega(g) mod p^N: a table costs one modular power and
+    p - 2 products.  Cached per (p, N), least recently used first out beyond
+    TEICH_CACHE_SIZE = 4 tables: a scan reads N (the series and the L-value
+    sums) and N + 1 (the guard digit of generalized_bernoulli) at one prime
+    in an unbroken run, and N + 1 + v_p(n) where the guard digits of
+    lp_interpolation at n = k add v_p(k) > 0."""
+    g = 1
+    while True:  # the least g whose powers mod p run through every residue
+        g += 1
+        dlog, x = [None] * p, 1
+        for j in range(p - 1):
+            if dlog[x] is not None:  # g^j = 1 before j = p - 1
+                break
+            dlog[x], x = j, x * g % p
+        else:
+            break
+    mod = p**precision
+    w = pow(g, p ** (precision - 1), mod)
+    row = [1]
+    for _ in range(p - 2):
+        row.append(row[-1] * w % mod)
+    return tuple(row), tuple(dlog)
 
 
 def state_char(P: tuple, N: int, e: int, a: int, n: int) -> tuple:
     """State of omega^e(a) * a^n for an integer a prime to p (n may be
-    negative): a unit known to N digits."""
+    negative): a unit known to N digits, omega^e(a) read from the table of
+    lifts."""
     p, mod = P[1], P[N]
-    # omega(a)^e = omega(a^e mod p): one cached lift
-    return 0, _teich_unit(p, N, pow(a, e % (p - 1), p)) * pow(a, n, mod) % mod, N
+    row, dlog = _teich_unit(p, N)
+    return 0, row[e * dlog[a % p] % (p - 1)] * pow(a, n, mod) % mod, N
 
 
 def teichmuller(a: int, ctx: PadicContext) -> PadicNumber:

@@ -26,11 +26,13 @@ from .kubota import WeightPoint, zeta_weight
 from .padic import (
     PadicContext,
     PadicNumber,
+    PrecisionLossError,
     _teich_unit,
     state_add,
     state_char,
     state_div_int,
     state_eq,
+    state_eq_hecke,
     state_eq_product,
     state_mul,
     state_neg,
@@ -108,13 +110,14 @@ def _eigenstates(ctx, M, a0, a_p, ea, beta):
     omega^(ea+eb)(l) l^r is the nebentypus factor.  They are yielded in
     index order, each from earlier ones (see _eigen_plan): a reader that
     stops, stops the build.  omega^e(l) l^r is formed as state_char forms
-    it, the cached lift of l^e mod p times l^r mod p^N, with l^r read from
-    the table _index_powers(p, N, r, M), which theta^r shares."""
+    it, omega^e(l) read from the table of lifts for (p, N) times l^r, with
+    l^r read from the table _index_powers(p, N, r, M), which theta^r
+    shares."""
     if M < 1:
         raise ValueError("truncation order must be >= 1")
     p, N, P = ctx.p, ctx.precision, ctx.powers
-    mod, (eb, r) = P[N], beta
-    ea, eb, eab = ea % (p - 1), eb % (p - 1), (ea + eb) % (p - 1)
+    q, mod, (eb, r) = p - 1, P[N], beta
+    row, dlog = _teich_unit(p, N)  # omega^e(l) = row[e * dlog[l % p] % q]
     lr = _index_powers(p, N, r, M)  # entry l holds the state of l^r
     c = [a0, state_of_int(P, N, 1)]
     yield from c
@@ -122,15 +125,16 @@ def _eigenstates(ctx, M, a0, a_p, ea, beta):
     for n, l, x, y in _eigen_plan(M):
         if not l:
             a = state_mul(P, c[x], c[y])
+        elif n == l == p:
+            a = a_p
         elif n == l:
-            a = a_p if l == p else state_add(
-                P, N, (0, _teich_unit(p, N, pow(l, ea, p)), N),
-                (0, _teich_unit(p, N, pow(l, eb, p)) * lr[l][1] % mod, N))
+            d = dlog[l % p]
+            a = state_add(P, N, (0, row[ea * d % q], N), (0, row[eb * d % q] * lr[l][1] % mod, N))
         elif l == p:
             a = state_mul(P, c[x], a_p)
         else:
             if l not in back:
-                back[l] = state_neg(P, (0, _teich_unit(p, N, pow(l, eab, p)) * lr[l][1] % mod, N))
+                back[l] = state_neg(P, (0, row[(ea + eb) * dlog[l % p] % q] * lr[l][1] % mod, N))
             a = state_add(P, N, state_mul(P, c[l], c[x]), state_mul(P, back[l], c[y]))
         c.append(a)
         yield a
@@ -294,12 +298,39 @@ def verify_eigensystem(f: QExpansion) -> EigenReport:
     if not state_eq(P, a[1], state_of_int(P, f.ctx.precision, 1)):
         raise ValueError("eigensystem verification expects a normalized expansion (a_1 = 1)")
     checks = []
-    for l in [l for l in CHECK_PRIMES if l != p] + [p]:
-        image = hecke_Up(f) if l == p else hecke_Tl(f, l)
-        bad = next(compress(count(), map(not_, map(state_eq_product, repeat(P), image.states,
-                                                   repeat(a[l]), a))), None)
-        checks.append(OperatorCheck(f"{'U' if l == p else 'T'}_{l}", bad is None, bad))
+    for l in CHECK_PRIMES:
+        if l != p:
+            bad = _first_hecke_mismatch(f, l)
+            checks.append(OperatorCheck(f"T_{l}", bad is None, bad))
+    bad = next(compress(count(), map(not_, map(state_eq_product, repeat(P), a[::p],
+                                               repeat(a[p]), a))), None)
+    checks.append(OperatorCheck(f"U_{p}", bad is None, bad))
     return EigenReport(all(c.passed for c in checks), tuple(checks))
+
+
+def _first_hecke_mismatch(f: QExpansion, l: int) -> int | None:
+    """The first n <= M / l where (T_l f)_n and a_l a_n disagree, None when
+    none does, in one pass that builds no image: a_(nl) against a_l a_n
+    where l does not divide n, and a_(nl) + eps(l) l^(k-1) a_(n/l) against
+    it where l does.  Where the pass stops early, at a mismatch or at a
+    PrecisionLossError, hecke_Tl builds the image, so that a term it cannot
+    build at a later index raises as it does when the image is built before
+    the comparison."""
+    P, N, a = f.ctx.powers, f.ctx.precision, f.states
+    back = state_char(P, N, f.char_exponent, l, f.weight - 1)  # eps(l) l^(k-1)
+    al, bad = a[l], None
+    try:
+        for n, c in enumerate(a[::l]):
+            if not (state_eq_hecke(P, N, c, back, a[n // l], al, a[n]) if n % l == 0
+                    else state_eq_product(P, c, al, a[n])):
+                bad = n
+                break
+    except PrecisionLossError:
+        hecke_Tl(f, l)
+        raise
+    if bad is not None:
+        hecke_Tl(f, l)
+    return bad
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Left folds of the p-adic series sums, an oracle for the integer sums in
-eiszeta.padic and eiszeta.kubota.
+eiszeta.padic and eiszeta.kubota, and the composed form of the fused check
+state_eq_hecke.
 
 exp_small, log_one_unit, the inner sums sum_m c_m a^(-m) of
 kubota._branch_free_terms and the branch sum of lp_series add their terms as
@@ -14,7 +15,11 @@ Run as a script, it compares exp_small and log_one_unit with their folds on a
 fixed grid: x = u p^v, u every unit class mod p^2, v = 1..N+2, rel 1..N, at
 p in {3, 5, 23} and N in {1, 2, 3, 20}, and for log the one-unit 1 + x; on the
 same grid it compares state_dot and the Horner sums of kubota with their
-folds on sums that cancel.  It exits 1 at the first difference:
+folds on sums that cancel, and the fused check state_eq_hecke with the sum
+and products it stands for.  At each (p, N) it also compares every
+Teichmuller lift omega^e(a) that state_char reads from its table, for every
+residue a and exponent e, with a power of a formed by pow.  It exits 1 at
+the first difference:
 
     PYTHONPATH=src python3 tests/padic_oracle.py
 """
@@ -31,8 +36,11 @@ from eiszeta.padic import (
     exp_small,
     log_one_unit,
     state_add,
+    state_char,
     state_div_int,
     state_dot,
+    state_eq,
+    state_eq_hecke,
     state_mul,
     state_neg,
     state_of_int,
@@ -127,10 +135,22 @@ def grid(p: int, N: int):
                 yield v, u % p**rel, rel
 
 
+def hecke_composed(P: tuple, N: int, c, d, e, x, y) -> bool:
+    """state_eq_hecke(P, N, c, d, e, x, y) as the sum and products it fuses."""
+    return state_eq(P, state_add(P, N, c, state_mul(P, d, e)), state_mul(P, x, y))
+
+
 def sweep(p: int, N: int) -> str | None:
-    """The first input at (p, N) on which an integer sum and its fold differ."""
+    """The first input at (p, N) on which an integer sum and its fold, a
+    fused check and its composition, or a lift and its power differ."""
     ctx = PadicContext(p, N)
     P, one = ctx.powers, state_of_int(ctx.powers, N, 1)
+    mod = P[N]
+    for a in range(1, p):
+        for e in range(p - 1):
+            if state_char(P, N, e, a, 0) != (0, pow(pow(a, e, p), p ** (N - 1), mod), N):
+                return f"state_char at p = {p}, N = {N}, e = {e}, a = {a}"
+    minus_one = state_neg(P, one)
     for s in grid(p, N):
         x = PadicNumber.from_state(ctx, s)
         u = x + PadicNumber.from_int(1, ctx)
@@ -155,6 +175,22 @@ def sweep(p: int, N: int) -> str | None:
             want = outcome(lambda: horner_fold(P, N, coeffs, inv_a))
             if got != want:
                 return f"horner at p = {p}, N = {N}, a = {a}, state {s}: {got} != {want}"
+        # c + d e: s - s cancels to zero at valuation v + rel, t - t (t = s
+        # at valuation -v) may keep no digit, 1 + s t keeps a unit, and in
+        # s + t t the term s lies 3v digits above t t, often past P;
+        # against x y = the sum itself, a product of two units, and a zero
+        # to p^1 times t, which keeps no digit
+        t = (-s[0], s[1], s[2])
+        for c, d, e in ((s, minus_one, s), (t, minus_one, t), (one, s, t), (s, t, t)):
+            total = outcome(lambda: state_add(P, N, c, state_mul(P, d, e)))
+            pairs = [(t, s), ((1, None, 0), t)]
+            if not isinstance(total, str):
+                pairs.append((total, one))
+            for x, y in pairs:
+                got = outcome(lambda: state_eq_hecke(P, N, c, d, e, x, y))
+                want = outcome(lambda: hecke_composed(P, N, c, d, e, x, y))
+                if got != want:
+                    return f"state_eq_hecke at p = {p}, N = {N}, {(c, d, e, x, y)}: {got} != {want}"
     return None
 
 
@@ -164,10 +200,11 @@ def main() -> int:
         for N in (1, 2, 3, 20):
             bad = sweep(p, N)
             if bad:
-                print(f"integer sum differs from its fold: {bad}")
+                print(f"differs from its oracle: {bad}")
                 return 1
             count += sum(1 for _ in grid(p, N))
-    print(f"exp_small, log_one_unit, state_dot and the Horner sums match their folds on {count} grid states")
+    print(f"exp_small, log_one_unit, state_dot, the Horner sums and state_eq_hecke match "
+          f"their oracles on {count} grid states, and every lift its power")
     return 0
 
 

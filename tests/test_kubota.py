@@ -445,6 +445,8 @@ class TestSeriesMemo:
         for cache in (padic._teich_unit, kubota._log_gamma_a):
             maxsize = cache.cache_parameters()["maxsize"]
             assert maxsize is not None and 0 < maxsize <= 4096
+        # one table of p - 1 lifts per (p, N), README "Caches"
+        assert padic._teich_unit.cache_parameters()["maxsize"] == padic.TEICH_CACHE_SIZE == 4
 
     def test_branch_free_terms_stay_within_their_bound(self):
         cache = kubota._branch_free_terms

@@ -247,6 +247,56 @@ class TestTeichmuller:
         with pytest.raises(ValueError):
             teichmuller(10, CTX)
 
+    def test_table_holds_every_lift(self):
+        # row[dlog[a]] = omega(a) = a^(p^(N-1)) mod p^N for every residue a,
+        # row[1] = omega(g) for the least primitive root g mod p
+        from eiszeta.padic import _teich_unit
+
+        for p in (3, 5, 7, 23, 691, 2003):
+            for N in (1, 2, 20):
+                row, dlog = _teich_unit(p, N)
+                mod = p**N
+                assert len(row) == p - 1 and len(dlog) == p and dlog[0] is None
+                assert sorted(dlog[1:]) == list(range(p - 1))
+                for a in range(1, p):
+                    assert row[dlog[a]] == pow(a, p ** (N - 1), mod), (p, N, a)
+                g = row[1] % p
+                assert all(len({pow(h, j, p) for j in range(p - 1)}) < p - 1 for h in range(2, g))
+
+    @given(st.sampled_from([3, 5, 7, 23, 691, 2003]), st.sampled_from([1, 2, 20]),
+           st.integers(-3000, 3000), st.integers(1, 10**6), st.integers(-40, 40))
+    @settings(max_examples=300, deadline=None)
+    def test_char_matches_powers(self, p, N, e, a, n):
+        # state_char(P, N, e, a, n) = omega(a^e mod p) a^n, each factor by pow
+        assume(a % p)
+        mod = p**N
+        want = pow(pow(a, e % (p - 1), p), p ** (N - 1), mod) * pow(a, n, mod) % mod
+        assert state_char(powers(p, N), N, e, a, n) == (0, want, N)
+
+    def test_a_scan_builds_the_table_once_per_precision(self, monkeypatch):
+        # the 88 points of a scan over p = 5..23 and k = 6, 7 read the lifts
+        # at N = 20 (the series and the L-value sums) and N + 1 (the guard
+        # digit of generalized_bernoulli), and lp_interpolation adds
+        # N + 1 + v_p(k) where p | k (p = k = 7): each table is built once
+        import functools
+        import io
+
+        from eiszeta import padic, qexp
+        from eiszeta.analyzer import scan_records, write_scan
+
+        built, raw = [], padic._teich_unit.__wrapped__
+
+        def build(p, N):
+            built.append((p, N))
+            return raw(p, N)
+
+        table = functools.lru_cache(maxsize=padic.TEICH_CACHE_SIZE)(build)
+        monkeypatch.setattr(padic, "_teich_unit", table)
+        monkeypatch.setattr(qexp, "_teich_unit", table)
+        assert write_scan(scan_records(5, 23, 6, 7), io.StringIO()) == 88
+        want = [(p, N) for p in (5, 7, 11, 13, 17, 19, 23) for N in (20, 21)] + [(7, 22)]
+        assert sorted(built) == sorted(want) and len(built) == 15
+
     @given(st.integers(1, 10**6), st.integers(1, 10**6))
     @settings(max_examples=40)
     def test_multiplicative(self, a, b):
@@ -537,6 +587,52 @@ def _assert_by_hand(p, N, a, b):
             assert state_char(P, N, 0, ua, 3 * sign) == (0, pow(ua, 3 * sign, p**N), N)
 
 
+@st.composite
+def _hecke_case(draw):
+    """(p, N, c, d, e, x, y): states for state_eq_hecke, c + d e against x y.
+    Valuations run negative and N or more digits past powers(p, N), zeros
+    come with small and large bounds, c often cancels d e to some digits,
+    and x y is often c + d e to fewer digits, or that changed at one digit."""
+    from eiszeta.padic import state_add, state_mul
+
+    p = draw(st.sampled_from([3, 5, 7, 23, 2003]))
+    N = draw(st.sampled_from([1, 2, 3, 20, 500]))
+    P = powers(p, N)
+
+    def unit(r):
+        return draw(st.integers(1, p**r - 1).filter(lambda u: u % p))
+
+    def state():
+        if draw(st.integers(0, 4)) == 0:
+            return draw(st.integers(1, 8) | st.integers(N, N + 300)), None, 0
+        r = draw(st.integers(1, N))
+        return draw(st.integers(-4, 5) | st.integers(N, N + 300) | st.integers(-N - 4, -N)), unit(r), r
+
+    c, d, e, x, y = (state() for _ in range(5))
+    if d[1] is not None and e[1] is not None and draw(st.booleans()):
+        # c = -d e + p^j t: the sum cancels j digits, maybe all it has
+        v, u, r = state_mul(P, d, e)
+        rc, j = draw(st.integers(1, N)), draw(st.integers(1, N + 2))
+        u = (-u + p**j * draw(st.integers(0, p**N))) % p**rc
+        if u % p:
+            c = v, u, rc
+    try:
+        v, u, r = state_add(P, N, c, state_mul(P, d, e))
+    except PrecisionLossError:
+        u = None
+    if u is not None and draw(st.booleans()):
+        # x y = c + d e to ry digits, maybe changed at one digit below that
+        ry = draw(st.integers(1, r))
+        u = u % p**ry
+        if draw(st.booleans()):
+            u = (u + p**draw(st.integers(0, ry - 1)) * draw(st.integers(1, p - 1))) % p**ry
+        if u % p:
+            vx, rx = draw(st.integers(-3, 3)), draw(st.integers(ry, N))
+            ux = unit(rx)
+            x, y = (vx, ux, rx), (v - vx, u * pow(ux, -1, p**ry) % p**ry, ry)
+    return p, N, c, d, e, x, y
+
+
 class TestStateKernels:
     @given(_state_pair())
     @settings(max_examples=400, deadline=None)
@@ -592,6 +688,31 @@ class TestStateKernels:
         info = powers.cache_info()
         assert info.maxsize == padic.POWERS_CACHE_SIZE and info.currsize <= info.maxsize
         assert _reciprocal.cache_info().maxsize == padic.RECIPROCAL_CACHE_SIZE
+
+    @given(_hecke_case())
+    @example((3, 3, (-2, 1, 2), (0, 8, 3), (-2, 1, 2), (0, 1, 3), (-2, 1, 2)))  # the sum
+    @example((3, 3, (1, None, 0), (0, 1, 3), (1, None, 0), (-2, 1, 2), (1, None, 0)))  # x y
+    @example((5, 1, (600, 1, 1), (-3, 2, 1), (3, 3, 1), (1, 1, 1), (-1, 1, 1)))  # c past P
+    @example((7, 2, (0, 1, 2), (0, 1, 2), (0, 6, 1), (0, 1, 2), (1, 3, 2)))  # 0 mod p, equal
+    @settings(max_examples=500, deadline=None)
+    def test_eq_hecke_matches_eq_of_the_sum(self, case):
+        # the first example is the index-0 cancellation of the ordinary series
+        # at (p, k, i, N) = (3, 3, 1, 3): a_0 (1 + eps(2) 2^2) keeps no digit;
+        # in the second, the sum is zero to p^1 and x y keeps no digit; in the
+        # last, 1 + 6 is zero to p^1 and so equals x y = 3p
+        from eiszeta.padic import state_add, state_eq_hecke, state_mul
+
+        def outcome(fn):
+            try:
+                return fn()
+            except PrecisionLossError as err:
+                return type(err).__name__, str(err)
+
+        p, N, c, d, e, x, y = case
+        P = powers(p, N)
+        assert outcome(lambda: state_eq_hecke(P, N, c, d, e, x, y)) == \
+            outcome(lambda: state_eq(P, state_add(P, N, c, state_mul(P, d, e)),
+                                     state_mul(P, x, y))), (c, d, e, x, y)
 
     @given(_eq_decided_pair())
     @settings(max_examples=400, deadline=None)

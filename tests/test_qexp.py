@@ -8,16 +8,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from eiszeta.analyzer import scan_records, write_scan
+from eiszeta.analyzer import analyze_point, scan_records, write_scan
+from eiszeta.cli import main
 from eiszeta.characters import TeichCharacter
 from eiszeta.kubota import AdmissibilityError, WeightPoint, zeta_weight
 from eiszeta.padic import (
     PadicContext,
     PadicNumber,
+    PrecisionLossError,
     state_add,
     state_agreement,
     state_char,
     state_eq,
+    state_eq_product,
     state_mul,
     state_neg,
     state_of_int,
@@ -28,7 +31,9 @@ from eiszeta.padic import (
 from eiszeta.primes import is_prime, primes_up_to, smallest_prime_factors
 from eiszeta import bernoulli
 from eiszeta.qexp import (
+    CHECK_PRIMES,
     INDEX_POWERS_CACHE_SIZE,
+    EigenReport,
     OperatorCheck,
     QExpansion,
     TwinCheckReport,
@@ -305,7 +310,114 @@ def _reference_checks(f):
     return tuple(checks)
 
 
+def _image_report(f):
+    """verify_eigensystem built on images: T_l f and U_p f as QExpansions by
+    hecke_Tl and hecke_Up, each compared with a_l a_n by state_eq_product up
+    to its first mismatch; the same EigenReport, or the same exception."""
+    p, P, a = f.ctx.p, f.ctx.powers, f.states
+    if not state_eq(P, a[1], state_of_int(P, f.ctx.precision, 1)):
+        raise ValueError("eigensystem verification expects a normalized expansion (a_1 = 1)")
+    checks = []
+    for l in [l for l in CHECK_PRIMES if l != p] + [p]:
+        image = hecke_Up(f) if l == p else hecke_Tl(f, l)
+        bad = next((n for n, c in enumerate(image.states)
+                    if not state_eq_product(P, c, a[l], a[n])), None)
+        checks.append(OperatorCheck(f"{'U' if l == p else 'T'}_{l}", bad is None, bad))
+    return EigenReport(all(c.passed for c in checks), tuple(checks))
+
+
+def _report_or_error(fn):
+    try:
+        return fn()
+    except (ValueError, ArithmeticError) as e:
+        return type(e).__name__, str(e)
+
+
+@st.composite
+def _eigen_case(draw):
+    """A critical, ordinary or twin series at a small prime and precision,
+    with up to three coefficients replaced by random states: zeros with
+    small bounds and units at valuations down to -3, so that the image of
+    T_l and the products a_l a_n may keep no digit."""
+    p = draw(st.sampled_from([3, 5, 7, 13]))
+    N = draw(st.sampled_from([1, 2, 3, 20]))
+    k = draw(st.integers(2, 9))
+    exponents = [i for i in range(k % 2, p - 1, 2) if (k, i) != (2, 0)]
+    assume(exponents)
+    i = draw(st.sampled_from(exponents))
+    M = draw(st.integers(max(19, p), 80))
+    ctx = PadicContext(p, N)
+    family = draw(st.sampled_from(["critical", "ordinary", "twin"]))
+    w = WeightPoint.classical(p, k, i)
+    f = _report_or_error(lambda: eisenstein_critical(p, k, i, M, ctx) if family == "critical"
+                         else eisenstein_ordinary(w if family == "ordinary" else w.twin(), M, ctx))
+    assume(isinstance(f, QExpansion))
+    states = list(f.states)
+    for _ in range(draw(st.integers(0, 3))):
+        n = draw(st.integers(0, M))
+        if draw(st.integers(0, 3)) == 0:
+            states[n] = draw(st.integers(1, 3)), None, 0
+        else:
+            r = draw(st.integers(1, N))
+            states[n] = draw(st.integers(-3, 3)), draw(st.integers(1, p**r - 1).filter(lambda u: u % p)), r
+    return QExpansion(ctx, f.weight, f.char_exponent, states)
+
+
 class TestVerifyEigensystem:
+    @given(_eigen_case())
+    @settings(max_examples=200, deadline=None)
+    def test_one_pass_gives_the_report_of_the_images(self, f):
+        # every first_fail_index, and every exception with its message
+        assert _report_or_error(lambda: verify_eigensystem(f)) == _report_or_error(lambda: _image_report(f))
+
+    def _cancelling_build(self, product_fails_first):
+        """The critical series at (5, 4, 0), N = 6, M = 60, with a_2 at
+        valuation -2 and a_8 = -eps(2) 2^3 a_2, so that T_2's image at n = 4,
+        a_8 + eps(2) 2^3 a_2, keeps no digit; before that, T_2 f = a_2 f
+        fails at n = 2, or, with a_4 = a_2^2 - eps(2) 2^3 and a_3 zero to
+        p^1, a_2 a_3 keeps no digit at n = 3."""
+        ctx = PadicContext(5, 6)
+        f = eisenstein_critical(5, 4, 0, 60, ctx)
+        P, N, a = ctx.powers, 6, list(f.states)
+        back = state_char(P, N, 0, 2, 3)
+        a[2] = (-2, 1, 2)
+        a[8] = state_neg(P, state_mul(P, back, a[2]))
+        if product_fails_first:
+            a[4] = state_add(P, N, state_mul(P, a[2], a[2]), state_neg(P, back))
+            a[3] = state_zero(1)
+        return QExpansion(ctx, f.weight, f.char_exponent, a)
+
+    @pytest.mark.parametrize("product_fails_first", [False, True])
+    def test_an_image_that_cannot_be_built_raises_after_an_earlier_failure(self, product_fails_first):
+        f = self._cancelling_build(product_fails_first)
+        with pytest.raises(PrecisionLossError, match="cancellation left no digit"):
+            hecke_Tl(f, 2)
+        with pytest.raises(PrecisionLossError, match="cancellation left no digit"):
+            verify_eigensystem(f)
+        assert _report_or_error(lambda: _image_report(f)) == \
+            ("PrecisionLossError", "cancellation left no digit of precision")
+
+    def test_a_product_without_a_digit_raises_where_the_image_builds(self):
+        # a_2 a_3 keeps no digit at n = 3, before any mismatch, and every
+        # term of T_2's image builds
+        f = self._cancelling_build(True)
+        a = list(f.states)
+        a[8] = (0, 1, 6)
+        f = QExpansion(f.ctx, f.weight, f.char_exponent, a)
+        hecke_Tl(f, 2)
+        with pytest.raises(PrecisionLossError, match="product has no surviving precision"):
+            verify_eigensystem(f)
+
+    @pytest.mark.parametrize("k,i", [(3, 1), (6, 0)])
+    def test_index_zero_cancellation_is_lost_precision(self, capsys, k, i):
+        # the ordinary series at (3, k, i), N = 3: a_0 = zeta_p(w)/2 has
+        # valuation -2 and 2 digits, and a_0 (1 + eps(2) 2^(k-1)) keeps none
+        with pytest.raises(PrecisionLossError, match="cancellation left no digit"):
+            analyze_point(3, k, i, precision=3)
+        argv = ["analyze", "--p", "3", "--k", str(k), "--eps-exponent", str(i), "--precision", "3"]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "error: cancellation left no digit of precision\n"
+
     def test_critical_passes(self):
         rep = verify_eigensystem(_crit_54())
         assert rep.all_passed
