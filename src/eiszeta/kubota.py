@@ -241,7 +241,7 @@ def _branch_free_terms(p: int, N: int, t: tuple) -> tuple:
         else:  # B_m p^m: the state of B_m shifted by m
             vb, ub, rb = state_of_rational(P, N, b)
             coeffs.append(state_mul(P, binom, (vb + m, ub, rb)))
-    inners = _horner_sums(P, N, coeffs, [state_char(P, N, 0, a, -1)[1] for a in range(1, p)])
+    inners = _horner_sums(P, N, coeffs, [pow(a, -1, P[N]) for a in range(1, p)])
     terms = []
     for a, inner in enumerate(inners, start=1):
         gamma = exp_small(t_padic * _log_gamma_a(p, N, a))  # <a>^t = exp(t log<a>)

@@ -232,9 +232,10 @@ def agreement_precision(a: PadicNumber, b: PadicNumber) -> int:
     return state_agreement(_shared_powers(a, b), a.state, b.state)
 
 
-def _shared_powers(a: PadicNumber, b: PadicNumber) -> tuple:
-    """The power tuple that reaches the digits of both a and b, which may
-    carry different precisions but must share the prime."""
+def _shared_powers(a, b) -> tuple:
+    """The power tuple that reaches the digits of both a and b (PadicNumbers
+    or q-expansions), which may carry different precisions but must share
+    the prime."""
     if a.ctx.p != b.ctx.p:
         raise ContextMismatchError("agreement requires the same prime")
     return (a if a.ctx.precision >= b.ctx.precision else b).ctx.powers
@@ -487,7 +488,9 @@ def state_eq_product(P: tuple, c: tuple, x: tuple, y: tuple) -> bool:
 def state_eq_hecke(P: tuple, N: int, c: tuple, d: tuple, e: tuple, x: tuple, y: tuple) -> bool:
     """state_eq(P, state_add(P, N, c, state_mul(P, d, e)), state_mul(P, x, y)),
     the same answer or exception, decided without building the sum or either
-    product: T_l's image a_(nl) + eps(l) l^(k-1) a_(n/l) against a_l a_n."""
+    product: T_l's image a_(nl) + eps(l) l^(k-1) a_(n/l) against a_l a_n.
+    A sum or product that keeps no digit raises PrecisionLossError here, as
+    in the composition: at the n whose image term or a_l a_n it is."""
     vc, uc, rc = c
     vd, ud, rd = d
     ve, ue, re = e

@@ -26,7 +26,7 @@ from .kubota import WeightPoint, zeta_weight
 from .padic import (
     PadicContext,
     PadicNumber,
-    PrecisionLossError,
+    _shared_powers,
     _teich_unit,
     state_add,
     state_char,
@@ -97,8 +97,9 @@ class QExpansion:
 
     def first_mismatch(self, other: "QExpansion") -> int | None:
         """Smallest index where the two expansions disagree at the carried
-        precision, over the common truncation; None when they agree."""
-        P = powers(self.ctx.p, max(self.ctx.precision, other.ctx.precision))
+        precision, over the common truncation; None when they agree.  The
+        two must share the prime (ContextMismatchError otherwise)."""
+        P = _shared_powers(self, other)
         return next(compress(count(), map(not_, map(state_eq, repeat(P), self.states,
                                                      other.states))), None)
 
@@ -292,45 +293,31 @@ def check_terms(p: int, terms: int):
 
 def verify_eigensystem(f: QExpansion) -> EigenReport:
     """Check T_l f = a_l f for primes l <= PRIMES_BOUND (l != p) and
-    U_p f = a_p f, coefficientwise on the truncation of the image."""
-    p, P, a = f.ctx.p, f.ctx.powers, f.states
+    U_p f = a_p f, coefficientwise on the truncation of the image, each in
+    one pass over n in index order that builds no image: the first n whose
+    comparison fails or raises decides.  T_l compares a_(nl) with a_l a_n
+    where l does not divide n, and a_(nl) + eps(l) l^(k-1) a_(n/l) with it
+    where l does (state_eq_hecke)."""
+    p, N, P, a = f.ctx.p, f.ctx.precision, f.ctx.powers, f.states
     check_terms(p, f.truncation)
-    if not state_eq(P, a[1], state_of_int(P, f.ctx.precision, 1)):
+    if not state_eq(P, a[1], state_of_int(P, N, 1)):
         raise ValueError("eigensystem verification expects a normalized expansion (a_1 = 1)")
     checks = []
     for l in CHECK_PRIMES:
-        if l != p:
-            bad = _first_hecke_mismatch(f, l)
-            checks.append(OperatorCheck(f"T_{l}", bad is None, bad))
-    bad = next(compress(count(), map(not_, map(state_eq_product, repeat(P), a[::p],
-                                               repeat(a[p]), a))), None)
-    checks.append(OperatorCheck(f"U_{p}", bad is None, bad))
-    return EigenReport(all(c.passed for c in checks), tuple(checks))
-
-
-def _first_hecke_mismatch(f: QExpansion, l: int) -> int | None:
-    """The first n <= M / l where (T_l f)_n and a_l a_n disagree, None when
-    none does, in one pass that builds no image: a_(nl) against a_l a_n
-    where l does not divide n, and a_(nl) + eps(l) l^(k-1) a_(n/l) against
-    it where l does.  Where the pass stops early, at a mismatch or at a
-    PrecisionLossError, hecke_Tl builds the image, so that a term it cannot
-    build at a later index raises as it does when the image is built before
-    the comparison."""
-    P, N, a = f.ctx.powers, f.ctx.precision, f.states
-    back = state_char(P, N, f.char_exponent, l, f.weight - 1)  # eps(l) l^(k-1)
-    al, bad = a[l], None
-    try:
+        if l == p:
+            continue
+        back = state_char(P, N, f.char_exponent, l, f.weight - 1)  # eps(l) l^(k-1)
+        al, bad = a[l], None
         for n, c in enumerate(a[::l]):
             if not (state_eq_hecke(P, N, c, back, a[n // l], al, a[n]) if n % l == 0
                     else state_eq_product(P, c, al, a[n])):
                 bad = n
                 break
-    except PrecisionLossError:
-        hecke_Tl(f, l)
-        raise
-    if bad is not None:
-        hecke_Tl(f, l)
-    return bad
+        checks.append(OperatorCheck(f"T_{l}", bad is None, bad))
+    bad = next(compress(count(), map(not_, map(state_eq_product, repeat(P), a[::p],
+                                               repeat(a[p]), a))), None)
+    checks.append(OperatorCheck(f"U_{p}", bad is None, bad))
+    return EigenReport(all(c.passed for c in checks), tuple(checks))
 
 
 @dataclass(frozen=True)

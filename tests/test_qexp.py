@@ -6,13 +6,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from eiszeta.analyzer import analyze_point, scan_records, write_scan
 from eiszeta.cli import main
 from eiszeta.characters import TeichCharacter
 from eiszeta.kubota import AdmissibilityError, WeightPoint, zeta_weight
 from eiszeta.padic import (
+    ContextMismatchError,
     PadicContext,
     PadicNumber,
     PrecisionLossError,
@@ -20,7 +21,6 @@ from eiszeta.padic import (
     state_agreement,
     state_char,
     state_eq,
-    state_eq_product,
     state_mul,
     state_neg,
     state_of_int,
@@ -33,7 +33,6 @@ from eiszeta import bernoulli
 from eiszeta.qexp import (
     CHECK_PRIMES,
     INDEX_POWERS_CACHE_SIZE,
-    EigenReport,
     OperatorCheck,
     QExpansion,
     TwinCheckReport,
@@ -50,6 +49,7 @@ from eiszeta.qexp import (
     theta_twin_check,
     verify_eigensystem,
 )
+from qexp_oracle import index_order_report
 
 CTX = PadicContext(5, 16)
 
@@ -106,6 +106,17 @@ class TestCritical:
                  if m * n <= 150 and __import__("math").gcd(m, n) == 1]
         for m, n in pairs:
             assert f.coeff(m * n) == f.coeff(m) * f.coeff(n), (m, n)
+
+    def test_first_mismatch_needs_one_prime(self):
+        # as comparing two coefficients does; one prime at two precisions
+        # compares to the lower of them
+        f = eisenstein_critical(5, 4, 0, 30, PadicContext(5, 6))
+        g = eisenstein_critical(7, 4, 0, 30, PadicContext(7, 6))
+        with pytest.raises(ContextMismatchError, match="agreement requires the same prime"):
+            f.coeff(2) == g.coeff(2)
+        with pytest.raises(ContextMismatchError, match="agreement requires the same prime"):
+            f.first_mismatch(g)
+        assert f.first_mismatch(eisenstein_critical(5, 4, 0, 30, PadicContext(5, 3))) is None
 
     def test_inadmissible_rejected(self):
         with pytest.raises(AdmissibilityError):
@@ -310,22 +321,6 @@ def _reference_checks(f):
     return tuple(checks)
 
 
-def _image_report(f):
-    """verify_eigensystem built on images: T_l f and U_p f as QExpansions by
-    hecke_Tl and hecke_Up, each compared with a_l a_n by state_eq_product up
-    to its first mismatch; the same EigenReport, or the same exception."""
-    p, P, a = f.ctx.p, f.ctx.powers, f.states
-    if not state_eq(P, a[1], state_of_int(P, f.ctx.precision, 1)):
-        raise ValueError("eigensystem verification expects a normalized expansion (a_1 = 1)")
-    checks = []
-    for l in [l for l in CHECK_PRIMES if l != p] + [p]:
-        image = hecke_Up(f) if l == p else hecke_Tl(f, l)
-        bad = next((n for n, c in enumerate(image.states)
-                    if not state_eq_product(P, c, a[l], a[n])), None)
-        checks.append(OperatorCheck(f"{'U' if l == p else 'T'}_{l}", bad is None, bad))
-    return EigenReport(all(c.passed for c in checks), tuple(checks))
-
-
 def _report_or_error(fn):
     try:
         return fn()
@@ -363,44 +358,83 @@ def _eigen_case(draw):
     return QExpansion(ctx, f.weight, f.char_exponent, states)
 
 
+def _cancelling_build(product_fails_first):
+    """The critical series at (5, 4, 0), N = 6, M = 60, with a_2 at
+    valuation -2 and a_8 = -eps(2) 2^3 a_2, so that T_2's image at n = 4,
+    a_8 + eps(2) 2^3 a_2, keeps no digit; before that, T_2 f = a_2 f
+    fails at n = 2, or, with a_4 = a_2^2 - eps(2) 2^3 and a_3 zero to
+    p^1, a_2 a_3 keeps no digit at n = 3."""
+    ctx = PadicContext(5, 6)
+    f = eisenstein_critical(5, 4, 0, 60, ctx)
+    P, N, a = ctx.powers, 6, list(f.states)
+    back = state_char(P, N, 0, 2, 3)
+    a[2] = (-2, 1, 2)
+    a[8] = state_neg(P, state_mul(P, back, a[2]))
+    if product_fails_first:
+        a[4] = state_add(P, N, state_mul(P, a[2], a[2]), state_neg(P, back))
+        a[3] = state_zero(1)
+    return QExpansion(ctx, f.weight, f.char_exponent, a)
+
+
+def _cancelling_before_a_mismatch():
+    """The critical series at (3, 3, 1), N = 3, M = 60, with a_0 at
+    valuation -2 and one digit, so that T_2's image at n = 0,
+    a_0 (1 + eps(2) 2^2), keeps no digit, and with a_40 off by 1, so that
+    T_2 f = a_2 f fails later, at n = 20."""
+    ctx = PadicContext(3, 3)
+    f = eisenstein_critical(3, 3, 1, 60, ctx)
+    a = list(f.states)
+    a[0] = (-2, 1, 1)
+    a[40] = state_add(ctx.powers, 3, a[40], state_of_int(ctx.powers, 3, 1))
+    return QExpansion(ctx, f.weight, f.char_exponent, a)
+
+
 class TestVerifyEigensystem:
     @given(_eigen_case())
     @settings(max_examples=200, deadline=None)
+    # the three orderings of a failure and an image that cannot be built,
+    # which 200 random draws may miss: a mismatch first, a product without
+    # a digit first, and the image first
+    @example(_cancelling_build(False))
+    @example(_cancelling_build(True))
+    @example(_cancelling_before_a_mismatch())
     def test_one_pass_gives_the_report_of_the_images(self, f):
-        # every first_fail_index, and every exception with its message
-        assert _report_or_error(lambda: verify_eigensystem(f)) == _report_or_error(lambda: _image_report(f))
-
-    def _cancelling_build(self, product_fails_first):
-        """The critical series at (5, 4, 0), N = 6, M = 60, with a_2 at
-        valuation -2 and a_8 = -eps(2) 2^3 a_2, so that T_2's image at n = 4,
-        a_8 + eps(2) 2^3 a_2, keeps no digit; before that, T_2 f = a_2 f
-        fails at n = 2, or, with a_4 = a_2^2 - eps(2) 2^3 and a_3 zero to
-        p^1, a_2 a_3 keeps no digit at n = 3."""
-        ctx = PadicContext(5, 6)
-        f = eisenstein_critical(5, 4, 0, 60, ctx)
-        P, N, a = ctx.powers, 6, list(f.states)
-        back = state_char(P, N, 0, 2, 3)
-        a[2] = (-2, 1, 2)
-        a[8] = state_neg(P, state_mul(P, back, a[2]))
-        if product_fails_first:
-            a[4] = state_add(P, N, state_mul(P, a[2], a[2]), state_neg(P, back))
-            a[3] = state_zero(1)
-        return QExpansion(ctx, f.weight, f.char_exponent, a)
+        # every first_fail_index, and every exception with its message, as
+        # the reference that forms each image term and product in index order
+        assert _report_or_error(lambda: verify_eigensystem(f)) == \
+            _report_or_error(lambda: index_order_report(f))
 
     @pytest.mark.parametrize("product_fails_first", [False, True])
     def test_an_image_that_cannot_be_built_raises_after_an_earlier_failure(self, product_fails_first):
-        f = self._cancelling_build(product_fails_first)
+        # T_2's image keeps no digit at n = 4, so hecke_Tl raises; the check
+        # stops at the earlier failure, which decides: every operator fails
+        # at n = 2 (a_2 a_n is off at valuation -2), or a_2 a_3 raises at n = 3
+        f = _cancelling_build(product_fails_first)
         with pytest.raises(PrecisionLossError, match="cancellation left no digit"):
             hecke_Tl(f, 2)
+        if product_fails_first:
+            with pytest.raises(PrecisionLossError, match="product has no surviving precision"):
+                verify_eigensystem(f)
+        else:
+            rep = verify_eigensystem(f)
+            assert not rep.all_passed
+            assert {c.first_fail_index for c in rep.checks} == {2}
+            assert [c.operator for c in rep.checks] == [f"T_{l}" for l in CHECK_PRIMES if l != 5] + ["U_5"]
+
+    def test_an_image_that_cannot_be_built_before_a_mismatch_raises(self):
+        f = _cancelling_before_a_mismatch()
         with pytest.raises(PrecisionLossError, match="cancellation left no digit"):
             verify_eigensystem(f)
-        assert _report_or_error(lambda: _image_report(f)) == \
-            ("PrecisionLossError", "cancellation left no digit of precision")
+        # with a_0 restored, the mismatch is all that is left
+        a = list(f.states)
+        a[0] = state_zero(3)
+        rep = verify_eigensystem(QExpansion(f.ctx, f.weight, f.char_exponent, a))
+        assert rep.checks[0] == OperatorCheck("T_2", False, 20)
 
     def test_a_product_without_a_digit_raises_where_the_image_builds(self):
         # a_2 a_3 keeps no digit at n = 3, before any mismatch, and every
         # term of T_2's image builds
-        f = self._cancelling_build(True)
+        f = _cancelling_build(True)
         a = list(f.states)
         a[8] = (0, 1, 6)
         f = QExpansion(f.ctx, f.weight, f.char_exponent, a)
