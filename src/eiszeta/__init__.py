@@ -17,6 +17,7 @@ from .bernoulli import bernoulli_number, generalized_bernoulli
 from .kubota import (
     AdmissibilityError,
     PoleError,
+    IrregularScreenError,
     WeightPoint,
     LValue,
     lp_interpolation,

@@ -22,6 +22,7 @@ from typing import Iterator
 from .archorders import selmer_dims
 from .bernoulli import MAX_BERNOULLI_INDEX
 from .kubota import (
+    IrregularScreenError,
     LValue,
     WeightPoint,
     check_irregular_prime,
@@ -30,9 +31,16 @@ from .kubota import (
     lp_interpolation,
     zeta_weight,
 )
-from .padic import PadicContext, PadicNumber, agreement_precision, format_padic
+from .padic import (
+    PadicContext,
+    PadicNumber,
+    PrecisionLossError,
+    agreement_precision,
+    format_padic,
+)
 from .primes import is_prime
 from .qexp import (
+    TwinConventionError,
     check_terms,
     eisenstein_critical,
     eisenstein_ordinary,
@@ -373,7 +381,13 @@ def _scan_stream(plan, precision, terms) -> Iterator[dict]:
                 "bernoulli_numerator_divisible": True,
             }
         for k, i in points:
-            report = analyze_point(p, k, i, precision=precision, terms=terms)
+            try:
+                report = analyze_point(p, k, i, precision=precision, terms=terms)
+            except (ValueError, PrecisionBudgetError, PrecisionLossError,
+                    TwinConventionError, IrregularScreenError) as e:
+                # the refusals the CLI reports, named by their point; the
+                # class, and so the exit code, stays
+                raise type(e)(f"p = {p}, k = {k}, i = {i}: {e}") from e
             yield {"type": "point", **report_to_dict(report)}
 
 

@@ -24,6 +24,11 @@ fill to T_k costs about k^2/2 multiply-adds of a big integer by a small
 one, where Seidel's boustrophedon costs about 2k^2 additions.  Embedding
 into Q_p is the very last step, which keeps an exact divisibility oracle
 available for the irregular-prime machinery.
+
+Which B_j vanish modulo p is screened without them (_zeros_mod_p): as
+x/(e^x - 1) = sum_j B_j x^j / j!, the B_j / j! mod p for j < p - 1 are the
+coefficients of one power-series inverse modulo (p, x^(p-1)), the route of
+Buhler and Harvey ("Irregular primes to 163 million", 2011).
 """
 
 from __future__ import annotations
@@ -133,3 +138,37 @@ def _bernoulli_values(p: int, n: int, G: int) -> tuple:
             f = (f * a + c) % mod
         values.append(f)
     return tuple(values)
+
+
+def _zeros_mod_p(p: int) -> list[int]:
+    """The even j in [2, p - 3] with B_j = 0 mod p, for an odd prime p.
+
+    h = 1/g modulo (p, x^(p-1)) with g = (e^x - 1)/x = sum_i x^i/(i+1)! has
+    h_j = B_j / j!, and j! is a unit for j < p, so the zero h_j mark the j.
+    h is found by Newton steps h <- h (2 - g h), each doubling the number of
+    correct coefficients, and each product of polynomials is one product of
+    integers by Kronecker substitution: the coefficients, all in [0, p),
+    are packed into fixed-width little-endian slots wide enough for a
+    coefficient of the product, at most n (p - 1)^2 with n = p - 1 terms."""
+    n = p - 1
+    g, f = [], 1
+    for i in range(1, n + 1):  # g_(i-1) = 1/i! mod p
+        f = f * i % p
+        g.append(pow(f, -1, p))
+    width = (n.bit_length() + 2 * (p - 1).bit_length() + 7) // 8
+
+    def mul(a: list, b: list, m: int) -> list:
+        # a b mod (p, x^m)
+        x, y = (int.from_bytes(b"".join(c.to_bytes(width, "little") for c in v), "little")
+                for v in (a, b))
+        raw = (x * y).to_bytes((len(a) + len(b)) * width, "little")
+        return [int.from_bytes(raw[i:i + width], "little") % p
+                for i in range(0, m * width, width)]
+
+    h, m = [1], 1
+    while m < n:
+        m = min(2 * m, n)
+        e = [-c % p for c in mul(g[:m], h, m)]  # -g h
+        e[0] = (e[0] + 2) % p  # 2 - g h
+        h = mul(h, e, m)
+    return [j for j in range(2, p - 2, 2) if h[j] == 0]

@@ -24,7 +24,7 @@ from .analyzer import (
     scan_records,
     write_scan,
 )
-from .kubota import WeightPoint, lp_interpolation, lp_series
+from .kubota import IrregularScreenError, WeightPoint, lp_interpolation, lp_series
 from .padic import PadicContext, PrecisionLossError, agreement_precision, format_padic
 from .qexp import (
     TwinConventionError,
@@ -226,7 +226,7 @@ def main(argv=None) -> int:
     except (PrecisionBudgetError, PrecisionLossError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BUDGET
-    except TwinConventionError as e:
+    except (TwinConventionError, IrregularScreenError) as e:
         print(f"internal check failure: {e}", file=sys.stderr)
         return EXIT_INTERNAL
 

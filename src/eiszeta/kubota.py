@@ -48,12 +48,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .bernoulli import MAX_BERNOULLI_INDEX, bernoulli_number, generalized_bernoulli
+from .bernoulli import (
+    MAX_BERNOULLI_INDEX,
+    _zeros_mod_p,
+    bernoulli_number,
+    generalized_bernoulli,
+)
 from .characters import TeichCharacter
 from .padic import (
     PadicContext,
     PadicNumber,
     PrecisionLossError,
+    _teich_unit,
     exp_small,
     log_one_unit,
     state_add,
@@ -73,6 +79,7 @@ from .primes import primes_up_to, require_odd_prime
 __all__ = [
     "AdmissibilityError",
     "PoleError",
+    "IrregularScreenError",
     "WeightPoint",
     "even_branch",
     "LValue",
@@ -92,6 +99,12 @@ class AdmissibilityError(ValueError):
 
 class PoleError(ValueError):
     """Evaluation requested at the pole of the trivial branch."""
+
+
+class IrregularScreenError(RuntimeError):
+    """The mod-p screen of the irregular branches named a j that the exact
+    numerator of B_j rejects; this indicates an implementation bug, never a
+    property of the input."""
 
 
 @dataclass(frozen=True)
@@ -241,7 +254,7 @@ def _branch_free_terms(p: int, N: int, t: tuple) -> tuple:
         else:  # B_m p^m: the state of B_m shifted by m
             vb, ub, rb = state_of_rational(P, N, b)
             coeffs.append(state_mul(P, binom, (vb + m, ub, rb)))
-    inners = _horner_sums(P, N, coeffs, [pow(a, -1, P[N]) for a in range(1, p)])
+    inners = _horner_sums(P, N, coeffs, range(1, p))
     terms = []
     for a, inner in enumerate(inners, start=1):
         gamma = exp_small(t_padic * _log_gamma_a(p, N, a))  # <a>^t = exp(t log<a>)
@@ -249,33 +262,34 @@ def _branch_free_terms(p: int, N: int, t: tuple) -> tuple:
     return tuple(terms)
 
 
-def _horner_sums(P: tuple, N: int, coeffs: list, units) -> list:
-    """The states of sum_m c_m x^m, one for each integer x prime to p in
-    units, for the states c_m in coeffs (None standing for an exact 0).
+def _horner_sums(P: tuple, N: int, coeffs: list, bases) -> list:
+    """The states of sum_m c_m a^(-m), one for each integer a prime to p in
+    bases, for the states c_m in coeffs (None standing for an exact 0).
 
-    Each x^m is a unit, so term m keeps c_m's valuation and precision, and
+    Each a^(-m) is a unit, so term m keeps c_m's valuation and precision, and
     by the sum rule of eiszeta.padic every sum is known modulo p^A, A the
     least absolute precision of the c_m: the c_m are put over their least
-    valuation once, and each sum is one integer Horner pass modulo p^(A - low),
-    normalised once."""
+    valuation once, and each sum, a^(-top) sum_m c_m a^(top - m), is one
+    Horner pass in the integer a with no reduction, then one product by
+    a^(-top) modulo p^(A - low), normalised once."""
     present = [c for c in coeffs if c is not None]
     A = min(v + r for v, _, r in present)
     low = min([v for v, u, _ in present if u is not None], default=A)
     rel = A - low
     if rel <= 0:  # every c_m is zero, or vanishes, modulo p^A >= p
-        return [(A, None, 0)] * len(units)
+        return [(A, None, 0)] * len(bases)
     mod = P[rel]
     ints = [0 if c is None or c[1] is None or c[0] - low >= rel else c[1] * P[c[0] - low]
             for c in coeffs]
     while len(ints) > 1 and not ints[-1]:
         ints.pop()
-    ints.reverse()
+    top = len(ints) - 1
     out = []
-    for x in units:
+    for a in bases:
         total = 0
         for c in ints:
-            total = (total * x + c) % mod
-        out.append(state_normalize(P, N, low, total, rel))
+            total = total * a + c
+        out.append(state_normalize(P, N, low, total % mod * pow(a, -top, mod) % mod, rel))
     return out
 
 
@@ -313,7 +327,8 @@ def lp_series(s, j: int, ctx: PadicContext) -> LValue:
         # value + O(p^(h+1)): no digit past p^(h+1) is claimed, whatever the valuation
         value = PadicNumber.from_state(ctx, state_add(P, N, near.value.state, state_zero(h + 1)))
         return LValue(value=value, branch=j, argument=arg, route="series")
-    total = state_dot(P, N, [state_char(P, N, j, a, 0) for a in range(1, p)],
+    row, dlog = _teich_unit(p, N)  # omega^j(a) = row[j * dlog[a] % (p - 1)], a = 1..p-1
+    total = state_dot(P, N, [(0, row[j * d % (p - 1)], N) for d in dlog[1:]],
                       _branch_free_terms(p, N, t.state))
     denominator = state_mul(P, state_of_int(P, N, p), s_minus_1)  # p (s - 1)
     value = PadicNumber.from_state(ctx, state_div(P, total, denominator))
@@ -349,7 +364,7 @@ class ZeroWitness:
     elevated: tuple[tuple[int, int], ...]  # (s, observed valuation bound)
 
 
-# irregular_branches(p) reads B_j up to j = p - 3
+# irregular_branches(p) may read any B_j up to j = p - 3
 MAX_IRREGULAR_PRIME = primes_up_to(MAX_BERNOULLI_INDEX + 3)[-1]
 
 
@@ -365,10 +380,32 @@ def check_irregular_prime(p: int) -> None:
 
 def irregular_branches(p: int) -> list[int]:
     """Even branches j in {2,...,p-3} where zeta_p vanishes somewhere, by the
-    exact criterion p | numerator(B_j)."""
+    exact criterion p | numerator(B_j), as a new list on each call."""
     require_odd_prime(p)
     check_irregular_prime(p)
-    return [j for j in range(2, p - 2, 2) if bernoulli_number(j).numerator % p == 0]
+    return list(_irregular_branches(p))
+
+
+IRREGULAR_CACHE_SIZE = 32
+
+
+@lru_cache(maxsize=IRREGULAR_CACHE_SIZE)
+def _irregular_branches(p: int) -> tuple:
+    """The j of irregular_branches(p): the screen of B_j mod p names the
+    candidates, and the exact B_j is read at those j only, so that each
+    branch rests on p | numerator(B_j) and a prime without candidates fills
+    no exact B_j.  Cached per p, least recently used first out beyond
+    IRREGULAR_CACHE_SIZE = 32 primes: every analysed point asks, so a scan
+    screens each prime once, and a process that scans a window of up to 32
+    primes again screens none.  An entry holds at most three j (491 is the
+    least of the primes below 2003 with three)."""
+    hits = _zeros_mod_p(p)
+    for j in hits:
+        if bernoulli_number(j).numerator % p:
+            raise IrregularScreenError(
+                f"the screen of B_j mod {p} names j = {j}, but {p} does not divide "
+                f"the numerator of B_{j}")
+    return tuple(hits)
 
 
 def irregular_scan(p: int, ctx: PadicContext) -> list[tuple[int, ZeroWitness]]:

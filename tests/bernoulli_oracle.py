@@ -9,9 +9,10 @@ A_m, A_{2k-1} is the tangent number T_k, and
 B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)).
 
 Run as a script, it compares bernoulli_number(n) with this fill for every
-n <= MAX_BERNOULLI_INDEX, and generalized_bernoulli(n, omega^e) with the
-power sums for every e at p in {3, 5, 7, 23}, n <= 60 and N in {1, 2, 20}
-(about five seconds):
+n <= MAX_BERNOULLI_INDEX, the screen of B_j mod p that names the irregular
+branches with the exact criterion p | numerator(B_j) at every odd prime up
+to 2003, and generalized_bernoulli(n, omega^e) with the power sums for every
+e at p in {3, 5, 7, 23}, n <= 60 and N in {1, 2, 20} (about seven seconds):
 
     PYTHONPATH=src python3 tests/bernoulli_oracle.py
 """
@@ -74,7 +75,14 @@ def generalized_by_power_sums(n: int, chi, ctx):
 
 
 def main() -> int:
-    from eiszeta.bernoulli import MAX_BERNOULLI_INDEX, bernoulli_number, generalized_bernoulli
+    from eiszeta.bernoulli import (
+        MAX_BERNOULLI_INDEX,
+        _zeros_mod_p,
+        bernoulli_number,
+        generalized_bernoulli,
+    )
+    from eiszeta.kubota import MAX_IRREGULAR_PRIME
+    from eiszeta.primes import primes_up_to
     from eiszeta.characters import TeichCharacter
     from eiszeta.padic import PadicContext
 
@@ -84,6 +92,14 @@ def main() -> int:
         print(f"bernoulli_number differs from the boustrophedon at n = {bad[:10]}")
         return 1
     print(f"B_0..B_{MAX_BERNOULLI_INDEX} match the boustrophedon")
+    primes = primes_up_to(MAX_IRREGULAR_PRIME)[1:]
+    bad = [p for p in primes if _zeros_mod_p(p) != [
+        j for j in range(2, p - 2, 2) if bernoulli_number(j).numerator % p == 0]]
+    if bad:
+        print(f"the screen of B_j mod p differs from the exact criterion at p = {bad[:10]}")
+        return 1
+    print(f"the screen of B_j mod p is the exact criterion at all {len(primes)} odd primes "
+          f"up to {MAX_IRREGULAR_PRIME}")
     cases = bad = 0
     for p in (3, 5, 7, 23):
         for N in (1, 2, 20):

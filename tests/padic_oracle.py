@@ -171,7 +171,7 @@ def sweep(p: int, N: int) -> str | None:
         coeffs = [one, s, None, state_neg(P, s), s]
         for a in (1, 2, p - 1):
             inv_a = pow(a, -1, P[N])
-            got = outcome(lambda: _horner_sums(P, N, coeffs, [inv_a])[0])
+            got = outcome(lambda: _horner_sums(P, N, coeffs, [a])[0])
             want = outcome(lambda: horner_fold(P, N, coeffs, inv_a))
             if got != want:
                 return f"horner at p = {p}, N = {N}, a = {a}, state {s}: {got} != {want}"

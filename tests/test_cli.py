@@ -409,6 +409,16 @@ def test_scan_that_stops_mid_stream_leaves_no_out(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []  # neither --out nor a temporary file
 
 
+def test_scan_refusal_names_its_point(tmp_path, capsys):
+    # analyze reports the same refusal without the point (test_qexp.py)
+    out = tmp_path / "scan.jsonl"
+    rc = main([*STOPS_MID_STREAM, "--out", str(out)])
+    assert rc == 3
+    assert _one_line_error(capsys) == (
+        "error: p = 3, k = 9, i = 1: cancellation left no digit of precision")
+    assert not out.exists()
+
+
 def test_scan_that_stops_mid_stream_leaves_an_existing_out_untouched(tmp_path, capsys):
     out = tmp_path / "scan.jsonl"
     before = b'{"type":"previous run"}\n'

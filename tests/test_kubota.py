@@ -7,10 +7,12 @@ import pytest
 
 from hypothesis import example, given, settings, strategies as st
 
-from eiszeta import kubota, padic
-from eiszeta.bernoulli import bernoulli_number
+from eiszeta import bernoulli, kubota, padic
+from eiszeta.bernoulli import _zeros_mod_p, bernoulli_number
+from eiszeta.cli import main
 from eiszeta.kubota import (
     AdmissibilityError,
+    IrregularScreenError,
     PoleError,
     WeightPoint,
     irregular_branches,
@@ -28,6 +30,7 @@ from eiszeta.padic import (
     log_one_unit,
     teichmuller,
 )
+from eiszeta.primes import primes_up_to
 
 
 class TestWeightPoint:
@@ -390,6 +393,37 @@ class TestIrregular:
             assert by_power_sums == branches, p
             assert irregular_branches(p) == branches, p
 
+    def test_screen_is_the_exact_criterion_up_to_700(self):
+        for p in primes_up_to(700)[1:]:
+            exact = [j for j in range(2, p - 2, 2) if bernoulli_number(j).numerator % p == 0]
+            assert _zeros_mod_p(p) == exact, p
+
+    def test_a_prime_without_hits_fills_no_exact_bernoulli(self, monkeypatch):
+        monkeypatch.setattr(bernoulli, "_cache", [Fraction(1), Fraction(-1, 2)])
+        monkeypatch.setattr(bernoulli, "_row", [1])
+        kubota._irregular_branches.cache_clear()
+        assert irregular_branches(701) == []
+        assert bernoulli._cache == [Fraction(1), Fraction(-1, 2)] and bernoulli._row == [1]
+
+    def test_a_hit_the_numerator_rejects_raises(self, monkeypatch, tmp_path, capsys):
+        # B_2 = 1/6: 37 does not divide its numerator
+        monkeypatch.setattr(kubota, "_zeros_mod_p", lambda p: [2] + _zeros_mod_p(p))
+        kubota._irregular_branches.cache_clear()
+        with pytest.raises(IrregularScreenError, match="names j = 2"):
+            irregular_branches(37)
+        out = tmp_path / "irr.jsonl"
+        rc = main(["scan", "--irregular-only", "--p-from", "37", "--p-to", "37",
+                   "--out", str(out)])
+        assert rc == 4 and not out.exists()
+        assert capsys.readouterr().err.startswith("internal check failure: the screen")
+        assert kubota._irregular_branches.cache_info().currsize == 0
+
+    def test_a_returned_list_is_the_callers_own(self):
+        got = irregular_branches(157)
+        got.append(4)
+        got[0] = 0
+        assert irregular_branches(157) == [62, 110]
+
     def test_prime_past_the_bernoulli_ceiling_is_rejected_up_front(self):
         assert kubota.MAX_IRREGULAR_PRIME == 2003
         kubota.check_irregular_prime(2003)  # B_2000 is the last one read
@@ -447,6 +481,8 @@ class TestSeriesMemo:
             assert maxsize is not None and 0 < maxsize <= 4096
         # one table of p - 1 lifts per (p, N), README "Caches"
         assert padic._teich_unit.cache_parameters()["maxsize"] == padic.TEICH_CACHE_SIZE == 4
+        # the irregular branches of one prime each
+        assert kubota._irregular_branches.cache_info().maxsize == kubota.IRREGULAR_CACHE_SIZE == 32
 
     def test_branch_free_terms_stay_within_their_bound(self):
         cache = kubota._branch_free_terms

@@ -938,8 +938,9 @@ class TestIntegerSums:
     @given(_dot_case(), st.data())
     @settings(max_examples=300, deadline=None)
     def test_horner_sums_are_the_sum_rule_and_the_fold(self, case, data):
-        # the inner sums of the L-value series: sum_m c_m x^m for units x, a
-        # dot product with the states of x^m; some c_m are None (B_m = 0)
+        # the inner sums of the L-value series: sum_m c_m x^m at x = a^(-1)
+        # for integers a prime to p, a dot product with the states of x^m;
+        # some c_m are None (B_m = 0)
         from eiszeta.kubota import _horner_sums
         from padic_oracle import horner_fold
 
@@ -950,11 +951,12 @@ class TestIntegerSums:
         units = data.draw(st.lists(st.integers(1, p**N - 1).filter(lambda u: u % p),
                                    min_size=1, max_size=3))
         sums = _outcome(lambda: _horner_sums(P, N, coeffs, units))
-        for k, x in enumerate(units):
+        for k, a in enumerate(units):
+            x = pow(a, -1, p**N)
             present = [(c, (0, pow(x, m, p**N), N)) for m, c in enumerate(coeffs) if c is not None]
             want = _sum_rule_by_hand(p, *zip(*present))
             fold = _outcome(lambda: horner_fold(P, N, coeffs, x))
-            _assert_sum(_outcome(lambda: _horner_sums(P, N, coeffs, [x])[0]), fold, want)
+            _assert_sum(_outcome(lambda: _horner_sums(P, N, coeffs, [a])[0]), fold, want)
             if not isinstance(sums, str):  # one pass over many units, when none raises
                 assert sums[k] == want
 
