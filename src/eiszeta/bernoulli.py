@@ -39,7 +39,7 @@ from functools import lru_cache
 from math import comb
 
 from .characters import TeichCharacter
-from .padic import PadicContext, PadicNumber, state_normalize
+from .padic import PadicContext, PadicNumber, _horner, state_normalize
 
 __all__ = [
     "bernoulli_number",
@@ -123,21 +123,15 @@ BERNOULLI_VALUES_CACHE_SIZE = 1
 @lru_cache(maxsize=BERNOULLI_VALUES_CACHE_SIZE)
 def _bernoulli_values(p: int, n: int, G: int) -> tuple:
     """f(a) = sum_i C(n,i) B_{n-i} p^(n-i) a^i mod p^G for a = 1, ..., p - 1,
-    each by a Horner pass in a.  Cached for the last (p, n, G) only: a scan
-    asks for one key per point, n = k, and visits the points of one (p, k)
-    in an unbroken run, so a larger cache gains no hits."""
+    by the integer kernel padic._horner.  Cached for the last (p, n, G)
+    only: a scan asks for one key per point, n = k, and visits the points of
+    one (p, k) in an unbroken run, so a larger cache gains no hits."""
     mod = p**G
     coeffs = []  # C(n,i) B_{n-i} p^(n-i) mod p^G from i = n down to 0
     for i in range(n, -1, -1):
         c = comb(n, i) * bernoulli_number(n - i) * p ** (n - i)
         coeffs.append(c.numerator * pow(c.denominator, -1, mod) % mod)
-    values = []
-    for a in range(1, p):
-        f = 0
-        for c in coeffs:
-            f = (f * a + c) % mod
-        values.append(f)
-    return tuple(values)
+    return tuple(_horner(coeffs, range(1, p), n, mod))
 
 
 def _zeros_mod_p(p: int) -> list[int]:

@@ -59,6 +59,7 @@ from .padic import (
     PadicContext,
     PadicNumber,
     PrecisionLossError,
+    _horner,
     _teich_unit,
     exp_small,
     log_one_unit,
@@ -197,7 +198,7 @@ def lp_interpolation(n: int, j: int, ctx: PadicContext) -> LValue:
     P = guard.powers
     bn = generalized_bernoulli(n, chi, guard).state
     euler = 1 - p ** (n - 1) if chi.is_trivial else 1
-    value = state_div(P, state_mul(P, bn, state_of_int(P, G, -euler)), state_of_int(P, G, n))
+    value = state_div_int(P, G, state_mul(P, bn, state_of_int(P, G, -euler)), n)
     value = PadicNumber.from_state(ctx, state_normalize(P, N, *value))
     return LValue(value=value, branch=j, argument=1 - n, route="interpolation")
 
@@ -269,28 +270,18 @@ def _horner_sums(P: tuple, N: int, coeffs: list, bases) -> list:
     Each a^(-m) is a unit, so term m keeps c_m's valuation and precision, and
     by the sum rule of eiszeta.padic every sum is known modulo p^A, A the
     least absolute precision of the c_m: the c_m are put over their least
-    valuation once, and each sum, a^(-top) sum_m c_m a^(top - m), is one
-    Horner pass in the integer a with no reduction, then one product by
-    a^(-top) modulo p^(A - low), normalised once."""
+    valuation once, and each sum is the integer kernel padic._horner modulo
+    p^(A - low), normalised once."""
     present = [c for c in coeffs if c is not None]
     A = min(v + r for v, _, r in present)
     low = min([v for v, u, _ in present if u is not None], default=A)
     rel = A - low
     if rel <= 0:  # every c_m is zero, or vanishes, modulo p^A >= p
         return [(A, None, 0)] * len(bases)
-    mod = P[rel]
     ints = [0 if c is None or c[1] is None or c[0] - low >= rel else c[1] * P[c[0] - low]
             for c in coeffs]
-    while len(ints) > 1 and not ints[-1]:
-        ints.pop()
-    top = len(ints) - 1
-    out = []
-    for a in bases:
-        total = 0
-        for c in ints:
-            total = total * a + c
-        out.append(state_normalize(P, N, low, total % mod * pow(a, -top, mod) % mod, rel))
-    return out
+    return [state_normalize(P, N, low, total, rel)
+            for total in _horner(ints, bases, 0, P[rel])]
 
 
 def lp_series(s, j: int, ctx: PadicContext) -> LValue:
@@ -369,12 +360,12 @@ MAX_IRREGULAR_PRIME = primes_up_to(MAX_BERNOULLI_INDEX + 3)[-1]
 
 
 def check_irregular_prime(p: int) -> None:
-    """Reject, before any arithmetic, a prime whose irregular branches would
-    need a Bernoulli number past MAX_BERNOULLI_INDEX."""
+    """Reject, before any arithmetic, a prime whose screen of B_j mod p may
+    name a j past MAX_BERNOULLI_INDEX, where no exact B_j confirms the hit."""
     if p - 3 > MAX_BERNOULLI_INDEX:
         raise ValueError(
-            f"p = {p} needs B_{p - 3}, past the Bernoulli ceiling "
-            f"{MAX_BERNOULLI_INDEX}; the largest supported prime is {MAX_IRREGULAR_PRIME}"
+            f"p = {p} screens B_j mod p up to j = {p - 3}, and a hit past the Bernoulli ceiling "
+            f"{MAX_BERNOULLI_INDEX} has no exact B_j; the largest supported prime is {MAX_IRREGULAR_PRIME}"
         )
 
 

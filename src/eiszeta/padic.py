@@ -440,6 +440,22 @@ def state_dot(P: tuple, N: int, xs, ys) -> tuple:
     return state_normalize(P, N, low, total, rel)
 
 
+def _horner(coeffs: list, bases, top: int, mod: int) -> list:
+    """sum_i c_i a^(top - i) mod `mod` for each int a in bases (prime to mod
+    where a power is negative): one multiply-add by a per Horner step, one
+    reduction at the end, and the trailing zero c_i as one power of a."""
+    head = list(coeffs)
+    while len(head) > 1 and not head[-1]:
+        head.pop()
+    out = []
+    for a in bases:
+        total = 0
+        for c in head:
+            total = total * a + c
+        out.append(total % mod * pow(a, top - len(head) + 1, mod) % mod)
+    return out
+
+
 def state_agreement(P: tuple, a: tuple, b: tuple) -> int:
     """Exponent A such that a == b mod p^A (see :func:`agreement_precision`)."""
     va, ua, ra = a

@@ -472,7 +472,7 @@ SCAN_FAILURES = [
     # also when the primes before it are within the ceiling and the window
     # reaches far beyond it
     (["--p-from", "2011", "--p-to", "2011", "--irregular-only"], 2,
-     "p = 2011 needs B_2008"),
+     "screens B_j mod p up to j = 2008"),
     (["--p-from", "1999", "--p-to", "10000000", "--irregular-only"], 2,
      "the largest supported prime is 2003"),
     (["--p-from", "5", "--p-to", "7", "--k-from", "4", "--k-to", "4",

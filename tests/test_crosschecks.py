@@ -183,3 +183,26 @@ def test_lp_interpolation_digits_survive_a_deeper_rerun():
                 hi = lp_interpolation(n, j, PadicContext(p, N + g))
                 stated = min(lo.precision_achieved, hi.precision_achieved)
                 assert agreement_precision(lo.value, hi.value) >= stated, (p, j, n, N, g)
+
+
+# -- zeta_p(twin), the value the etale verdict reads, against the exact route --
+
+
+@st.composite
+def _critical_points(draw):
+    p = draw(st.sampled_from((3, 5, 7, 11, 13, 23, 37, 59, 101, 157)))
+    k, i = draw(st.sampled_from([(k, i) for k in range(2, 17) for i in range(p - 1)
+                                 if (k - i) % 2 == 0 and (k, i) != (2, 0)]))
+    return p, k, i
+
+
+@given(_critical_points(), st.integers(3, 24))
+@settings(max_examples=60, deadline=None)
+def test_twin_zeta_agrees_with_the_interpolation_route(point, N):
+    # the check of tests/twin_check.py at random points and precisions: mod
+    # p^(m+1) on a nontrivial twin branch, mod p^m after the factor s - 1 on
+    # the trivial one, m fixed by the Bernoulli ceiling
+    from twin_check import twin_agreement
+
+    got, wanted = twin_agreement(*point, N)
+    assert got >= wanted, (point, N)
