@@ -38,7 +38,7 @@ from .qexp import (
     theta_twin_check,
     TwinConventionError,
 )
-from .archorders import ArchOrderQuery, ArchOrder, arch_order, selmer_dims
+from .archorders import arch_order, selmer_dims
 from .analyzer import (
     CriticalPointReport,
     PrecisionBudgetError,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .archorders import selmer_dims
-from .bernoulli import MAX_BERNOULLI_INDEX
+from .bernoulli import check_bernoulli_index
 from .kubota import (
     IrregularScreenError,
     LValue,
@@ -35,8 +35,10 @@ from .padic import (
     PadicContext,
     PadicNumber,
     PrecisionLossError,
-    agreement_precision,
     format_padic,
+    state_agreement,
+    state_mul,
+    state_of_int,
 )
 from .primes import is_prime
 from .qexp import (
@@ -141,12 +143,13 @@ def _check_point(p: int, k: int, i: int, terms: int) -> WeightPoint:
     """The checks a point passes before any arithmetic, in order: p is within
     the Bernoulli ceiling, the truncation reaches every coefficient the
     eigensystem checks read, (p, k, i) is a critical point, and k is within
-    the Bernoulli ceiling, since the interpolation check reads B_(k,eps)."""
+    the Bernoulli ceiling: the interpolation check reads B_(k,eps), which
+    generalized_bernoulli refuses past the ceiling (for a nontrivial eps it
+    reads no B_m past m = N + 1, but the trivial eps reads the exact B_k)."""
     check_irregular_prime(p)
     check_terms(p, terms)
     w = WeightPoint.critical(p, k, i)
-    if k > MAX_BERNOULLI_INDEX:
-        raise ValueError(f"Bernoulli index {k} exceeds the ceiling {MAX_BERNOULLI_INDEX}")
+    check_bernoulli_index(k)
     return w
 
 
@@ -204,11 +207,12 @@ def analyze_point(
         )
     )
     # constant term of the ordinary series against the exact interpolation route
-    interp = lp_interpolation(k, w.branch, ctx)
-    series_2a0 = ordinary.coeff(0) * PadicNumber.from_int(2, ctx)
-    agree = agreement_precision(series_2a0, interp.value)
+    P = ctx.powers
+    interp = lp_interpolation(k, w.branch, ctx).value.state
+    series_2a0 = state_mul(P, ordinary.states[0], state_of_int(P, precision, 2))
+    agree = state_agreement(P, series_2a0, interp)
     # equal when they agree to both absolute precisions, as in padic.state_eq
-    ok = agree >= min(series_2a0.abs_precision, interp.value.abs_precision)
+    ok = agree >= min(series_2a0[0] + series_2a0[2], interp[0] + interp[2])
     checks.append(
         CheckResult(
             "zeta_constant_term",

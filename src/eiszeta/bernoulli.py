@@ -44,6 +44,7 @@ from .padic import PadicContext, PadicNumber, _horner, state_normalize
 __all__ = [
     "bernoulli_number",
     "generalized_bernoulli",
+    "check_bernoulli_index",
     "MAX_BERNOULLI_INDEX",
 ]
 
@@ -58,13 +59,18 @@ _row: list[int] = [1]
 _cache_lock = threading.Lock()
 
 
+def check_bernoulli_index(n: int) -> None:
+    """Refuse, before any arithmetic, an index past MAX_BERNOULLI_INDEX."""
+    if n > MAX_BERNOULLI_INDEX:
+        raise ValueError(f"Bernoulli index {n} exceeds the ceiling {MAX_BERNOULLI_INDEX}")
+
+
 def bernoulli_number(n: int) -> Fraction:
     """B_n as an exact rational (B_1 = -1/2), from the tangent number T_k of
     the last tangent column, memoized."""
     if n < 0:
         raise ValueError("Bernoulli index must be >= 0")
-    if n > MAX_BERNOULLI_INDEX:
-        raise ValueError(f"Bernoulli index {n} exceeds the ceiling {MAX_BERNOULLI_INDEX}")
+    check_bernoulli_index(n)
     with _cache_lock:
         while len(_cache) <= n:
             m = len(_cache)
@@ -93,9 +99,9 @@ def generalized_bernoulli(n: int, chi: TeichCharacter, ctx: PadicContext) -> Pad
     of the defining sum gives
 
         p B_{n,chi} = sum_{a=1}^{p-1} chi(a) f(a),
-        f(a) = sum_{i=0}^{n} C(n,i) B_{n-i} p^(n-i) a^i = p^n B_n(a/p),
+        f(a) = sum_{m=0}^{n} C(n,m) B_m p^m a^(n-m) = p^n B_n(a/p),
 
-    where every coefficient C(n,i) B_{n-i} p^(n-i) is p-integral (von
+    where every coefficient C(n,m) B_m p^m is p-integral (von
     Staudt-Clausen), so p * B_{n,chi} is summed as one integer modulo
     p^(N+1): one guard digit, after which the division by p leaves the value
     known modulo p^N, cut to N relative digits.  f(a) does not depend on chi
@@ -106,6 +112,7 @@ def generalized_bernoulli(n: int, chi: TeichCharacter, ctx: PadicContext) -> Pad
         raise ValueError("generalized Bernoulli numbers need n >= 1")
     if ctx.p != chi.p:
         raise ValueError("context prime differs from character prime")
+    check_bernoulli_index(n)  # _bernoulli_values reads no B_m past m = N + 1
     if chi.is_trivial:
         return PadicNumber.from_rational(Fraction(1, 2) if n == 1 else bernoulli_number(n), ctx)
     p, N = ctx.p, ctx.precision
@@ -122,14 +129,16 @@ BERNOULLI_VALUES_CACHE_SIZE = 1
 
 @lru_cache(maxsize=BERNOULLI_VALUES_CACHE_SIZE)
 def _bernoulli_values(p: int, n: int, G: int) -> tuple:
-    """f(a) = sum_i C(n,i) B_{n-i} p^(n-i) a^i mod p^G for a = 1, ..., p - 1,
-    by the integer kernel padic._horner.  Cached for the last (p, n, G)
+    """f(a) = sum_m C(n,m) B_m p^m a^(n-m) mod p^G for a = 1, ..., p - 1,
+    by the integer kernel padic._horner with top = n.  Term m has valuation
+    at least m + v(B_m) >= m - 1, so it vanishes mod p^G past m = G, and
+    only B_0, ..., B_min(n, G) are read.  Cached for the last (p, n, G)
     only: a scan asks for one key per point, n = k, and visits the points of
     one (p, k) in an unbroken run, so a larger cache gains no hits."""
     mod = p**G
-    coeffs = []  # C(n,i) B_{n-i} p^(n-i) mod p^G from i = n down to 0
-    for i in range(n, -1, -1):
-        c = comb(n, i) * bernoulli_number(n - i) * p ** (n - i)
+    coeffs = []  # C(n,m) B_m p^m mod p^G, the coefficient of a^(n-m)
+    for m in range(min(n, G) + 1):
+        c = comb(n, m) * bernoulli_number(m) * p**m
         coeffs.append(c.numerator * pow(c.denominator, -1, mod) % mod)
     return tuple(_horner(coeffs, range(1, p), n, mod))
 

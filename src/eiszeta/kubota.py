@@ -216,14 +216,19 @@ def _log_gamma_a(p: int, precision: int, a: int) -> PadicNumber:
     return log_one_unit(PadicNumber.from_state(ctx, state_char(ctx.powers, precision, -1, a, 1)))
 
 
-def _as_padic_integer(s, ctx: PadicContext) -> PadicNumber:
+def _one_minus(s, ctx: PadicContext) -> tuple:
+    """The state of t = 1 - s for an L-function argument s, an int, a
+    Fraction or a PadicNumber of ctx that must be a p-adic integer."""
+    P, N = ctx.powers, ctx.precision
     if isinstance(s, (int, Fraction)):
-        s = PadicNumber.from_rational(s, ctx)
-    if s.ctx != ctx:
+        x = state_of_rational(P, N, s)
+    elif s.ctx != ctx:
         raise ValueError("argument carried a different context")
-    if not s.is_zero_to_precision and s.valuation < 0:
+    else:
+        x = s.state
+    if x[1] is not None and x[0] < 0:
         raise ValueError("the L-function argument must be a p-adic integer")
-    return s
+    return state_add(P, N, state_of_int(P, N, 1), state_neg(P, x))
 
 
 LP_TERMS_CACHE_SIZE = 8
@@ -295,10 +300,9 @@ def lp_series(s, j: int, ctx: PadicContext) -> LValue:
     rather than assumed.
     """
     p, N, P = ctx.p, ctx.precision, ctx.powers
-    arg = s
-    t = PadicNumber.from_int(1, ctx) - _as_padic_integer(s, ctx)
+    t = _one_minus(s, ctx)
     j = even_branch(j) % (p - 1)
-    s_minus_1 = state_neg(P, t.state)
+    s_minus_1 = state_neg(P, t)
     if s_minus_1[1] is None:  # s = 1 to precision
         if j == 0:
             if isinstance(s, PadicNumber) or s == 1:
@@ -317,13 +321,13 @@ def lp_series(s, j: int, ctx: PadicContext) -> LValue:
         near = lp_series(1 + p**h, j, ctx)
         # value + O(p^(h+1)): no digit past p^(h+1) is claimed, whatever the valuation
         value = PadicNumber.from_state(ctx, state_add(P, N, near.value.state, state_zero(h + 1)))
-        return LValue(value=value, branch=j, argument=arg, route="series")
+        return LValue(value=value, branch=j, argument=s, route="series")
     row, dlog = _teich_unit(p, N)  # omega^j(a) = row[j * dlog[a] % (p - 1)], a = 1..p-1
     total = state_dot(P, N, [(0, row[j * d % (p - 1)], N) for d in dlog[1:]],
-                      _branch_free_terms(p, N, t.state))
+                      _branch_free_terms(p, N, t))
     denominator = state_mul(P, state_of_int(P, N, p), s_minus_1)  # p (s - 1)
     value = PadicNumber.from_state(ctx, state_div(P, total, denominator))
-    return LValue(value=value, branch=j, argument=arg, route="series")
+    return LValue(value=value, branch=j, argument=s, route="series")
 
 
 def zeta_weight(w: WeightPoint, ctx: PadicContext) -> LValue:

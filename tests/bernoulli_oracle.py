@@ -12,7 +12,8 @@ Run as a script, it compares bernoulli_number(n) with this fill for every
 n <= MAX_BERNOULLI_INDEX, the screen of B_j mod p that names the irregular
 branches with the exact criterion p | numerator(B_j) at every odd prime up
 to 2003, and generalized_bernoulli(n, omega^e) with the power sums for every
-e at p in {3, 5, 7, 23}, n <= 60 and N in {1, 2, 20} (about seven seconds):
+e at p in {3, 5, 7, 23}, n <= 60 and N in {1, 2, 20}, and at p in {5, 7},
+n in {500, 1999} and N in {1, 20} (about seven seconds):
 
     PYTHONPATH=src python3 tests/bernoulli_oracle.py
 """
@@ -40,7 +41,7 @@ def boustrophedon(n: int) -> list[Fraction]:
     return out[: n + 1]
 
 
-def generalized_by_power_sums(n: int, chi, ctx):
+def generalized_by_power_sums(n: int, chi, ctx, B=None):
     """B_{n,chi} in Q_p as a PadicNumber, from the binomial expansion of the
     defining sum over per-exponent twisted power sums,
 
@@ -49,10 +50,12 @@ def generalized_by_power_sums(n: int, chi, ctx):
 
     each chi(a) a^i a running product over i and p * B_{n,chi} one integer
     modulo p^(N+1); B_n(1) (+1/2 at n = 1) for the trivial character.  The
-    B_m come from the boustrophedon."""
+    B_m come from the boustrophedon, or from B, a list of at least B_0..B_n
+    that it gave."""
     from eiszeta.padic import PadicContext, PadicNumber, state_normalize
 
-    B = boustrophedon(n)
+    if B is None:
+        B = boustrophedon(n)
     if chi.is_trivial:
         return PadicNumber.from_rational(Fraction(1, 2) if n == 1 else B[n], ctx)
     p, N = ctx.p, ctx.precision
@@ -101,19 +104,22 @@ def main() -> int:
     print(f"the screen of B_j mod p is the exact criterion at all {len(primes)} odd primes "
           f"up to {MAX_IRREGULAR_PRIME}")
     cases = bad = 0
-    for p in (3, 5, 7, 23):
-        for N in (1, 2, 20):
-            ctx = PadicContext(p, N)
-            for n in range(1, 61):
-                for e in range(p - 1):
-                    chi = TeichCharacter(p, e)
-                    got = generalized_bernoulli(n, chi, ctx)
-                    ref = generalized_by_power_sums(n, chi, ctx)
-                    cases += 1
-                    if (got.ctx, got.state) != (ref.ctx, ref.state):
-                        print(f"generalized_bernoulli differs at p={p} N={N} n={n} e={e}: "
-                              f"{got.state} != {ref.state}")
-                        bad += 1
+    # the small grid, then large n, where _bernoulli_values reads no B_m past
+    # m = N + 1 and the power sums read every B_m up to n
+    grid = [(p, N, range(1, 61)) for p in (3, 5, 7, 23) for N in (1, 2, 20)]
+    grid += [(p, N, (500, 1999)) for p in (5, 7) for N in (1, 20)]
+    for p, N, ns in grid:
+        ctx = PadicContext(p, N)
+        for n in ns:
+            for e in range(p - 1):
+                chi = TeichCharacter(p, e)
+                got = generalized_bernoulli(n, chi, ctx)
+                ref = generalized_by_power_sums(n, chi, ctx, want)
+                cases += 1
+                if (got.ctx, got.state) != (ref.ctx, ref.state):
+                    print(f"generalized_bernoulli differs at p={p} N={N} n={n} e={e}: "
+                          f"{got.state} != {ref.state}")
+                    bad += 1
     if bad:
         return 1
     print(f"generalized_bernoulli matches the power sums in {cases} cases")

@@ -3,52 +3,52 @@ dimensions they reproduce."""
 
 import pytest
 
-from eiszeta.archorders import ArchOrder, ArchOrderQuery, arch_order, selmer_dims
+from eiszeta.archorders import arch_order, selmer_dims
 from eiszeta.kubota import AdmissibilityError
 
 
 def test_nontrivial_even_character_at_2_minus_k():
     for k in range(2, 12):
         parity = 1 if k % 2 == 0 else -1
-        assert arch_order(ArchOrderQuery(parity, False, 2 - k)).order == 1
+        assert arch_order(parity, False, 2 - k) == 1
 
 
 def test_nonvanishing_at_k():
     for k in range(2, 12):
         parity = 1 if k % 2 == 0 else -1
-        assert arch_order(ArchOrderQuery(parity, False, k)).order == 0
+        assert arch_order(parity, False, k) == 0
 
 
 def test_zeta_at_negative_one():
     # zeta(-1) = -1/12 != 0: odd negative integers are not trivial zeros of zeta
-    assert arch_order(ArchOrderQuery(1, True, -1)).order == 0
+    assert arch_order(1, True, -1) == 0
 
 
 def test_zeta_trivial_zeros():
-    assert arch_order(ArchOrderQuery(1, True, -2)).order == 1
-    assert arch_order(ArchOrderQuery(1, True, -4)).order == 1
-    assert arch_order(ArchOrderQuery(1, True, 0)).order == 0  # zeta(0) = -1/2
+    assert arch_order(1, True, -2) == 1
+    assert arch_order(1, True, -4) == 1
+    assert arch_order(1, True, 0) == 0  # zeta(0) = -1/2
 
 
-def test_zeta_pole_flag():
-    r = arch_order(ArchOrderQuery(1, True, 1))
-    assert r == ArchOrder(0, is_pole=True)
-    assert arch_order(ArchOrderQuery(1, True, 2)) == ArchOrder(0, is_pole=False)
+def test_zeta_pole_is_order_minus_one():
+    assert arch_order(1, True, 1) == -1
+    assert arch_order(1, True, 2) == 0
+    assert arch_order(1, False, 1) == 0  # only zeta has the pole
 
 
 def test_even_character_parity_rule():
-    q = lambda s: arch_order(ArchOrderQuery(1, False, s)).order
+    q = lambda s: arch_order(1, False, s)
     assert [q(s) for s in (0, -1, -2, -3, -4)] == [1, 0, 1, 0, 1]
 
 
 def test_odd_character_parity_rule():
-    q = lambda s: arch_order(ArchOrderQuery(-1, False, s)).order
+    q = lambda s: arch_order(-1, False, s)
     assert [q(s) for s in (0, -1, -2, -3, -4)] == [0, 1, 0, 1, 0]
 
 
 def test_negative_control_distinguishes_parities():
     # an even nontrivial character does not vanish at -1
-    assert arch_order(ArchOrderQuery(1, False, -1)).order == 0
+    assert arch_order(1, False, -1) == 0
 
 
 def test_reflection_bookkeeping():
@@ -56,17 +56,20 @@ def test_reflection_bookkeeping():
     # when s0 <= 0 (the reflected point lands in the nonvanishing region)
     for parity in (1, -1):
         for s0 in range(-9, 1):
-            total = (
-                arch_order(ArchOrderQuery(parity, False, s0)).order
-                + arch_order(ArchOrderQuery(parity, False, 1 - s0)).order
-            )
+            total = arch_order(parity, False, s0) + arch_order(parity, False, 1 - s0)
             expected = 1 if (s0 % 2 == 0) == (parity == 1) else 0
             assert total == expected
 
 
 def test_trivial_character_is_even():
-    with pytest.raises(ValueError):
-        ArchOrderQuery(-1, True, 0)
+    with pytest.raises(ValueError, match="the trivial character is even"):
+        arch_order(-1, True, 0)
+
+
+def test_parity_must_be_a_sign():
+    for parity in (0, 2, -2):
+        with pytest.raises(ValueError, match="parity must be"):
+            arch_order(parity, False, 0)
 
 
 class TestSelmerDims:

@@ -222,6 +222,39 @@ class TestGeneralizedBernoulli:
         info = cache.cache_info()
         assert (info.misses, info.hits) == (3, 1)  # f(a) does not depend on chi
 
+    @pytest.mark.parametrize("p, n, G", [(7, 60, 3), (5, 400, 2), (23, 45, 21), (23, 45, 22)])
+    def test_values_past_the_guard_are_the_full_sum(self, p, n, G):
+        # terms m > G of f(a) = sum_m C(n,m) B_m p^m a^(n-m) vanish mod p^G;
+        # at (23, 45, 22), where p - 1 divides G, term m = G does not
+        mod = p**G
+        want = []
+        for a in range(1, p):
+            f = sum(comb(n, m) * bernoulli_number(m) * p**m * a ** (n - m) for m in range(n + 1))
+            want.append(f.numerator * pow(f.denominator, -1, mod) % mod)
+        assert bernoulli._bernoulli_values.__wrapped__(p, n, G) == tuple(want)
+
+    def test_values_read_no_bernoulli_number_past_the_guard(self, monkeypatch):
+        seen = []
+
+        def recorder(m):
+            seen.append(m)
+            return bernoulli_number(m)
+
+        monkeypatch.setattr(bernoulli, "bernoulli_number", recorder)
+        bernoulli._bernoulli_values.__wrapped__(7, 1999, 21)
+        assert seen and max(seen) == 21
+
+    def test_index_past_the_ceiling_is_refused_before_any_arithmetic(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("arithmetic before the ceiling check")
+
+        monkeypatch.setattr(bernoulli, "_bernoulli_values", fail)
+        n = MAX_BERNOULLI_INDEX + 1
+        for e in (0, 1):
+            with pytest.raises(ValueError, match=f"Bernoulli index {n} exceeds the ceiling "
+                                                 f"{MAX_BERNOULLI_INDEX}"):
+                generalized_bernoulli(n, TeichCharacter(7, e), PadicContext(7, 20))
+
     def test_odd_quadratic_at_n1(self):
         # p=7: omega^3 is the quadratic character mod 7; B_{1,chi} = (1/7) sum a*chi(a)
         def legendre7(a):

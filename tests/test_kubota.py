@@ -239,7 +239,9 @@ class TestSeries:
         def reference(s, j):
             if s == 1:  # the neighbour, known to p^(h+1)
                 return reference(1 + p ** (N // 2), j) + ctx.zero(N // 2 + 1)
-            t = PadicNumber.from_int(1, ctx) - kubota._as_padic_integer(s, ctx)
+            if not isinstance(s, PadicNumber):
+                s = PadicNumber.from_rational(s, ctx)
+            t = PadicNumber.from_int(1, ctx) - s
             binom, coeffs = PadicNumber.from_int(1, ctx), []
             for m in range(N + 2):
                 if m:
@@ -278,6 +280,17 @@ class TestSeries:
         assert lv.value.valuation == 0
         with pytest.raises(ValueError):
             lp_series(Fraction(1, 5), 2, ctx)
+
+    def test_argument_refusals(self):
+        ctx = PadicContext(5, 16)
+        for s in (PadicNumber.from_int(3, PadicContext(5, 15)),
+                  PadicNumber.from_int(3, PadicContext(7, 16))):
+            with pytest.raises(ValueError, match="argument carried a different context"):
+                lp_series(s, 2, ctx)
+        for s in (Fraction(1, 5), PadicNumber.from_rational(Fraction(3, 25), ctx)):
+            with pytest.raises(ValueError,
+                               match="the L-function argument must be a p-adic integer"):
+                lp_series(s, 2, ctx)
 
     def test_kummer_congruence_samples(self):
         # fixed nonzero branch: values at n and n + (p-1) agree mod p
