@@ -66,7 +66,6 @@ from .padic import (
     state_add,
     state_char,
     state_div,
-    state_div_int,
     state_dot,
     state_mul,
     state_neg,
@@ -198,7 +197,7 @@ def lp_interpolation(n: int, j: int, ctx: PadicContext) -> LValue:
     P = guard.powers
     bn = generalized_bernoulli(n, chi, guard).state
     euler = 1 - p ** (n - 1) if chi.is_trivial else 1
-    value = state_div_int(P, G, state_mul(P, bn, state_of_int(P, G, -euler)), n)
+    value = state_div(P, state_mul(P, bn, state_of_int(P, G, -euler)), state_of_int(P, G, n))
     value = PadicNumber.from_state(ctx, state_normalize(P, N, *value))
     return LValue(value=value, branch=j, argument=1 - n, route="interpolation")
 
@@ -253,7 +252,7 @@ def _branch_free_terms(p: int, N: int, t: tuple) -> tuple:
     coeffs: list[tuple | None] = [state_of_rational(P, N, bernoulli_number(0))]
     for m in range(1, M + 1):
         factor = state_add(P, N, t, state_of_int(P, N, 1 - m))  # t - (m - 1)
-        binom = state_div_int(P, N, state_mul(P, binom, factor), m)
+        binom = state_div(P, state_mul(P, binom, factor), state_of_int(P, N, m))
         b = bernoulli_number(m)
         if b == 0:
             coeffs.append(None)
@@ -314,9 +313,10 @@ def lp_series(s, j: int, ctx: PadicContext) -> LValue:
         # s = 1 exactly on a nontrivial branch: the series becomes 0/0, but
         # the function is analytic there.  Evaluate nearby and use
         # |L(1 + p^h) - L(1)| <= p^(-h-1); the precision cost is reported.
-        # At N = 1 every 1 + p^h is again s = 1 modulo p^N.
-        if N < 2:
-            raise PrecisionLossError("s = 1 on a nontrivial branch needs precision >= 2")
+        # At N = 1 every 1 + p^h is again s = 1 modulo p^N; at N = 2, h = 1
+        # and the value at 1 + p divides a sum known modulo p^2 by p^2.
+        if N < 3:
+            raise PrecisionLossError("s = 1 on a nontrivial branch needs precision >= 3")
         h = N // 2
         near = lp_series(1 + p**h, j, ctx)
         # value + O(p^(h+1)): no digit past p^(h+1) is claimed, whatever the valuation

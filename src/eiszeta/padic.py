@@ -35,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .primes import require_odd_prime
 
@@ -359,28 +360,6 @@ def state_div(P: tuple, a: tuple, b: tuple) -> tuple:
     return va - vb, ua * pow(ub, -1, mod) % mod, rel
 
 
-RECIPROCAL_CACHE_SIZE = 1024
-
-
-@lru_cache(maxsize=RECIPROCAL_CACHE_SIZE)
-def _reciprocal(p: int, N: int, n: int) -> tuple:
-    """The state of 1/n to N digits for an integer n != 0.  Cached per
-    (p, N, n), least recently used first out beyond RECIPROCAL_CACHE_SIZE =
-    1024 entries: the series of exp_small and log_one_unit and the binomial
-    coefficients of the L-value series divide by n <= 2N + 1, so one (p, N)
-    needs at most 2N + 1 entries."""
-    P = powers(p, N)
-    return state_div(P, state_of_int(P, N, 1), state_of_int(P, N, n))
-
-
-def state_div_int(P: tuple, N: int, a: tuple, n: int) -> tuple:
-    """a / n for an integer n != 0: a times the cached state of 1/n, which
-    gives the state, or raises the exception, of
-    state_div(P, a, state_of_int(P, N, n)) without a modular inverse (a zero
-    a keeps its bound shifted by v(n), or raises PrecisionLossError)."""
-    return state_mul(P, a, _reciprocal(P[1], N, n))
-
-
 def state_neg(P: tuple, a: tuple) -> tuple:
     """-a, to the same precision."""
     v, u, r = a
@@ -407,8 +386,6 @@ def state_add(P: tuple, N: int, a: tuple, b: tuple) -> tuple:
     if va > vb:  # the lower valuation first
         va, ua, vb, ub = vb, ub, va, ua
     rel, gap = absprec - va, vb - va
-    if rel > N:
-        rel = N
     # shifted by gap >= rel digits, the other summand vanishes modulo p^rel
     return state_normalize(P, N, va, ua if gap >= rel else ua + ub * P[gap], rel)
 
@@ -471,8 +448,6 @@ def state_agreement(P: tuple, a: tuple, b: tuple) -> int:
     # a - b = p^va * rep, known modulo p^top with top <= the rel of a; shifted
     # by gap >= top digits, b vanishes modulo p^top
     top, gap = absprec - va, vb - va
-    if top <= 0:
-        return absprec
     rep = (ua if gap >= top else ua - ub * P[gap]) % P[top]
     return absprec if rep == 0 else va + _split(rep, P[1])[0]
 
@@ -601,36 +576,36 @@ def log_one_unit(u: PadicNumber) -> PadicNumber:
 
     Every term keeps rel(z) digits and has valuation at least v(z), so by
     the sum rule (module docstring) the sum is known modulo p^A with
-    A = v(z) + rel(z) <= N; it is summed as one integer over p^v(z).
+    A = v(z) + rel(z) <= N; it is summed as one integer over D = lcm(1..K),
+    K the last index (see _over_denominator).  D divides K! and carries only
+    p^floor(log_p(K)), where K! would carry about K/(p-1) powers of p, so the
+    Horner pass runs modulo a few digits past p^A.
 
     Truncation: term n is z^n/n with valuation >= n*v(z) - floor(log_p(n)),
     which never decreases in n, so the series stops once the next index
     already clears A.  Result has valuation v(z) >= 1.
     """
-    z = u - PadicNumber.from_int(1, u.ctx)
-    if z.is_zero_to_precision:
-        return z
-    if z.valuation < 1:
-        raise ValueError("log_one_unit needs u = 1 mod p")
     ctx = u.ctx
     N, p, P = ctx.precision, ctx.p, ctx.powers
-    vz, uz, rz = z.state
-    A, mod = vz + rz, P[rz]
-    total = zpow = uz  # the terms' units times p^(their valuation - vz)
-    n = 1
-    while True:
-        nxt = n + 1
-        # floor(log_p(nxt)) bounds v_p(m) for every m >= nxt up to the next power
-        if nxt * vz - _floor_log(nxt, p) >= A:
-            break
-        n = nxt
-        zpow = zpow * uz % mod
-        vn, un, _ = _reciprocal(p, N, n)  # 1/n = un * p^vn
-        shift = (n - 1) * vz + vn  # >= 1, as v_p(n) < (n - 1) v(z)
-        if shift < rz:
-            term = zpow * un * P[shift]
-            total = total - term if n % 2 == 0 else total + term
-    return PadicNumber.from_state(ctx, state_normalize(P, N, vz, total, rz))
+    vz, uz, rz = z = state_add(P, N, u.state, state_neg(P, state_of_int(P, N, 1)))
+    if uz is None:
+        return PadicNumber.from_state(ctx, z)
+    if vz < 1:
+        raise ValueError("log_one_unit needs u = 1 mod p")
+    A = vz + rz
+    K = 1
+    # the least K with (K + 1) v(z) - floor(log_p(K + 1)) >= A, where
+    # floor(log_p(n)) bounds v_p(m) for every m >= n up to the next power
+    while (K + 1) * vz - _floor_log(K + 1, p) < A:
+        K += 1
+    D, g = lcm(*range(1, K + 1)), _floor_log(K, p)
+    M, Z = P[A] * P[g], uz * P[vz]
+    total = 0  # sum_(m >= n) (-1)^(m-1) Z^(m-n+1) D/m mod p^(A+g)
+    for n in range(K, 0, -1):
+        c = D // n
+        total = (total + (c if n % 2 else -c)) * Z % M
+    total = _over_denominator(total, D % M, P, A, g)
+    return PadicNumber.from_state(ctx, state_normalize(P, N, vz, total // P[vz], rz))
 
 
 def _floor_log(n: int, p: int) -> int:
@@ -640,13 +615,22 @@ def _floor_log(n: int, p: int) -> int:
     return e
 
 
+def _over_denominator(S: int, D: int, P: tuple, A: int, g: int) -> int:
+    """sum mod p^A from S = D * sum and D = w p^g, both mod p^(A+g), for a
+    sum in Z_p: S is then 0 mod p^g, so S / p^g = w * sum mod p^A, and one
+    product with w^(-1) mod p^A leaves the sum, the exact value of its terms
+    modulo p^A as the sum rule (module docstring) states it."""
+    mod = P[A]
+    return S // P[g] * pow(D // P[g], -1, mod) % mod
+
+
 def exp_small(x: PadicNumber) -> PadicNumber:
     """p-adic exponential for v(x) >= 1 (convergent since p >= 3).
 
     Term 0 is 1, known to N digits, and every later term keeps rel(x) digits
     at valuation at least v(x), so by the sum rule (module docstring) the sum
     is known modulo p^A with A = min(N, v(x) + rel(x)); it is summed as one
-    integer.
+    integer over K!, K the last index (see _over_denominator).
 
     Truncation: term n is x^n/n! with valuation >= n*v(x) - (n-1)/(p-1),
     strictly increasing, so summation stops once the next index clears A.
@@ -659,20 +643,21 @@ def exp_small(x: PadicNumber) -> PadicNumber:
         raise ValueError("exp_small needs v(x) >= 1")
     vx, ux, rx = x.state
     A = vx + rx if vx + rx < N else N
-    mod = P[A]
-    total, val, unit = 1, vx, ux  # term n is unit * p^val
-    n = 1
-    while True:
-        if val < A:
-            total += unit * P[val]
-        nxt = n + 1
-        # (nxt * vx - n/(p-1)) >= A, checked in integers
-        if (nxt * vx) * (p - 1) - n >= A * (p - 1):
-            break
-        n = nxt
-        vn, un, _ = _reciprocal(p, N, n)  # 1/n = un * p^vn
-        unit = unit * ux * un % mod
-        val += vx + vn
+    K = 1
+    # the least K with (K + 1) v(x) - K/(p-1) >= A, checked in integers
+    while (K + 1) * vx * (p - 1) - K < A * (p - 1):
+        K += 1
+    g, q = 0, K  # g = v_p(K!) (Legendre) <= (K - 1)/(p - 1) < A, so P holds p^g
+    while q:
+        q //= p
+        g += q
+    M = P[A] * P[g]
+    X = ux * pow(p, vx, M)
+    total = f = 1  # sum_(m >= n) X^(m-n) K!/m! and K!/n! mod p^(A+g)
+    for n in range(K, 0, -1):
+        f = f * n % M
+        total = (total * X + f) % M
+    total = _over_denominator(total, f, P, A, g)
     return PadicNumber.from_state(ctx, state_normalize(P, N, 0, total, A))
 
 

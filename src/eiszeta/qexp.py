@@ -30,7 +30,7 @@ from .padic import (
     _teich_unit,
     state_add,
     state_char,
-    state_div_int,
+    state_div,
     state_eq,
     state_eq_hecke,
     state_eq_product,
@@ -211,7 +211,7 @@ def eisenstein_ordinary(w: WeightPoint, M: int, ctx: PadicContext) -> QExpansion
     N, P = ctx.precision, ctx.powers
     if w.is_trivial:
         return QExpansion(ctx, 0, 0, (state_of_int(P, N, 1),) + (state_zero(N),) * M)
-    a0 = state_div_int(P, N, zeta_weight(w, ctx).value.state, 2)  # zeta_p(w)/2
+    a0 = state_div(P, zeta_weight(w, ctx).value.state, state_of_int(P, N, 2))  # zeta_p(w)/2
     return QExpansion(ctx, w.k, w.i, _ordinary_states(w, M, ctx, a0))
 
 

@@ -13,13 +13,15 @@ keeps a digit.
 
 Run as a script, it compares exp_small and log_one_unit with their folds on a
 fixed grid: x = u p^v, u every unit class mod p^2, v = 1..N+2, rel 1..N, at
-p in {3, 5, 23} and N in {1, 2, 3, 20}, and for log the one-unit 1 + x; on the
-same grid it compares state_dot and the Horner sums of kubota with their
-folds on sums that cancel, and the fused check state_eq_hecke with the sum
-and products it stands for.  At each (p, N) it also compares every
-Teichmuller lift omega^e(a) that state_char reads from its table, for every
-residue a and exponent e, with a power of a formed by pow.  It exits 1 at
-the first difference:
+p in {3, 5, 23} and N in {1, 2, 3, 20}, and for log the one-unit 1 + x, and on
+a few deep cases, where exp's last index K runs to 266 and v_p(K!) to 65:
+x = u p^v with v in {1, 2} and u a few units to N digits, at p in {5, 101}
+and N in {120, 200}.  On the grid it also compares state_dot and the Horner
+sums of kubota with their folds on sums that cancel, and the fused check
+state_eq_hecke with the sum and products it stands for.  At each (p, N) of
+the grid it compares every Teichmuller lift omega^e(a) that state_char reads
+from its table, for every residue a and exponent e, with a power of a formed
+by pow.  It exits 1 at the first difference:
 
     PYTHONPATH=src python3 tests/padic_oracle.py
 """
@@ -37,7 +39,7 @@ from eiszeta.padic import (
     log_one_unit,
     state_add,
     state_char,
-    state_div_int,
+    state_div,
     state_dot,
     state_eq,
     state_eq_hecke,
@@ -62,7 +64,7 @@ def exp_fold(x: PadicNumber) -> PadicNumber:
     n = 1
     while (n + 1) * vx * (p - 1) - n < N * (p - 1):
         n += 1
-        term = state_div_int(P, N, state_mul(P, term, xs), n)
+        term = state_div(P, state_mul(P, term, xs), state_of_int(P, N, n))
         total = state_add(P, N, total, term)
     return PadicNumber.from_state(ctx, total)
 
@@ -82,7 +84,7 @@ def log_fold(u: PadicNumber) -> PadicNumber:
     while (n + 1) * vz - _floor_log(n + 1, p) < N:
         n += 1
         zpow = state_mul(P, zpow, zs)
-        term = state_div_int(P, N, zpow, n)
+        term = state_div(P, zpow, state_of_int(P, N, n))
         total = state_add(P, N, total, state_neg(P, term) if n % 2 == 0 else term)
     return PadicNumber.from_state(ctx, total)
 
@@ -135,6 +137,32 @@ def grid(p: int, N: int):
                 yield v, u % p**rel, rel
 
 
+def deep_cases():
+    """(ctx, state) of x = u p^v at p in {5, 101}, N in {120, 200} and
+    v in {1, 2}, for a few units u known to all N digits."""
+    for p in (5, 101):
+        for N in (120, 200):
+            mod = p**N
+            for v in (1, 2):
+                for u in (1, 2, p - 1, mod - 1, pow(2, 3 * N + 1, mod), pow(3, 2 * N + 1, mod)):
+                    yield PadicContext(p, N), (v, u, N)
+
+
+def series_mismatch(ctx: PadicContext, s: tuple) -> str | None:
+    """How exp_small(x) and log_one_unit(1 + x) differ from their folds at
+    x of state s, or None when each gives the fold's state or exception."""
+    x = PadicNumber.from_state(ctx, s)
+    u = x + PadicNumber.from_int(1, ctx)
+    for name, got, want in (
+        ("exp_small", lambda: exp_small(x).state, lambda: exp_fold(x).state),
+        ("log_one_unit", lambda: log_one_unit(u).state, lambda: log_fold(u).state),
+    ):
+        if outcome(got) != outcome(want):
+            return (f"{name} at p = {ctx.p}, N = {ctx.precision}, state {s}: "
+                    f"{outcome(got)} != {outcome(want)}")
+    return None
+
+
 def hecke_composed(P: tuple, N: int, c, d, e, x, y) -> bool:
     """state_eq_hecke(P, N, c, d, e, x, y) as the sum and products it fuses."""
     return state_eq(P, state_add(P, N, c, state_mul(P, d, e)), state_mul(P, x, y))
@@ -152,14 +180,9 @@ def sweep(p: int, N: int) -> str | None:
                 return f"state_char at p = {p}, N = {N}, e = {e}, a = {a}"
     minus_one = state_neg(P, one)
     for s in grid(p, N):
-        x = PadicNumber.from_state(ctx, s)
-        u = x + PadicNumber.from_int(1, ctx)
-        for name, got, want in (
-            ("exp_small", lambda: exp_small(x).state, lambda: exp_fold(x).state),
-            ("log_one_unit", lambda: log_one_unit(u).state, lambda: log_fold(u).state),
-        ):
-            if outcome(got) != outcome(want):
-                return f"{name} at p = {p}, N = {N}, state {s}: {outcome(got)} != {outcome(want)}"
+        bad = series_mismatch(ctx, s)
+        if bad:
+            return bad
         # 1/p - 1/p + w, w = u p^-v: the first partial sum cancels to no
         # digit, so the fold raises; the sum is w modulo p^min(0, abs(w))
         c, w = (-1, 1, 1), (-s[0], s[1], s[2])
@@ -203,8 +226,16 @@ def main() -> int:
                 print(f"differs from its oracle: {bad}")
                 return 1
             count += sum(1 for _ in grid(p, N))
+    deep = 0
+    for ctx, s in deep_cases():
+        bad = series_mismatch(ctx, s)
+        if bad:
+            print(f"differs from its oracle: {bad}")
+            return 1
+        deep += 1
     print(f"exp_small, log_one_unit, state_dot, the Horner sums and state_eq_hecke match "
-          f"their oracles on {count} grid states, and every lift its power")
+          f"their oracles on {count} grid states, exp_small and log_one_unit on {deep} "
+          f"deep cases, and every lift its power")
     return 0
 
 

@@ -101,6 +101,20 @@ class TestAnalyzePoint:
         assert "same degree" in r.degree_note
         assert r.galois_local.startswith("extension of eps*u^(-1)")
 
+    def test_twin_on_a_zero_branch_is_zero_to_precision(self):
+        # 37 is irregular with zero branch 32, where the twin of (4, 2) lies;
+        # at N = 2 zeta_p(twin) keeps no digit, so the verdict is the
+        # non-etale candidate of the criterion, and no zero is claimed
+        r = analyze_point(37, 4, 2, precision=2, terms=60)
+        assert r.twin.branch == 32
+        assert r.zeta_twin.value.is_zero_to_precision
+        assert r.verdict_etale.status == "zero_to_precision"
+        assert r.verdict_etale.precision == 1
+        assert r.verdict_etale.detail == (
+            "zeta_p(twin) is indistinguishable from zero at the carried precision; "
+            "no definite zero is claimed")
+        assert len(r.checks) == 4 and r.all_checks_passed
+
     def test_branch_zero_twin_has_pole_valuation(self):
         # k + i = 2 mod (p-1) puts the twin on the trivial branch, where
         # values carry the pole factor: nonzero of valuation -1

@@ -237,9 +237,46 @@ def test_non_positive_count_is_inadmissible_in_every_command(capsys, argv):
 
 
 def test_no_surviving_precision_is_budget_exit_code(capsys):
-    rc = main(["lp", "--p", "5", "--branch", "2", "--s", "1", "--precision", "2"])
+    # s = 1 + p at N = 2: p(s - 1) = p^2 divides a sum known modulo p^2
+    rc = main(["lp", "--p", "5", "--branch", "2", "--s", "6", "--precision", "2"])
     assert rc == 3
     assert "no surviving precision" in _one_line_error(capsys)
+
+
+S_ONE_BELOW_THREE = [
+    ["lp", "--p", "5", "--branch", "2", "--s", "1", "--precision", "1"],
+    ["lp", "--p", "5", "--branch", "2", "--s", "1", "--precision", "2"],
+    # the twin of (5, 2, 2) is s = 1 on branch 2
+    ["analyze", "--p", "5", "--k", "2", "--eps-exponent", "2", "--precision", "2",
+     "--qexp-terms", "20"],
+]
+
+
+@pytest.mark.parametrize("argv", S_ONE_BELOW_THREE)
+def test_s_one_on_a_nontrivial_branch_needs_precision_three(capsys, argv):
+    assert main(argv) == 3
+    assert _one_line_error(capsys) == "error: s = 1 on a nontrivial branch needs precision >= 3"
+
+
+def test_s_one_on_a_nontrivial_branch_answers_at_precision_three(capsys):
+    assert main(["lp", "--p", "5", "--branch", "2", "--s", "1", "--precision", "3"]) == 0
+    assert capsys.readouterr().out == "L_p(1, branch 2) [series] = 2 + O(5^1)  (precision 1)\n"
+
+
+def test_analyze_json_reports_a_zero_to_precision_twin(capsys):
+    # the non-etale candidate: 37's zero branch 32 carries the twin of (4, 2)
+    rc = main(["analyze", "--p", "37", "--k", "4", "--eps-exponent", "2", "--precision", "2",
+               "--qexp-terms", "60", "--format", "json"])
+    assert rc == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["verdict_etale"] == {
+        "status": "zero_to_precision",
+        "precision": 1,
+        "detail": "zeta_p(twin) is indistinguishable from zero at the carried precision; "
+                  "no definite zero is claimed",
+    }
+    assert out["zeta_twin"]["value"] == {"zero_to_precision": 1}
+    assert all(c["passed"] for c in out["checks"].values()) and len(out["checks"]) == 4
 
 
 LOW_PRECISION = [

@@ -2,9 +2,10 @@
 `eiszeta qexp` dumps and a grid of `lp_series` values.  The scan and qexp
 digests were recorded before the q-series of an analysed point was built once
 instead of twice, the `lp_series` digest when an exact s = 1 mod p^N other than
-1 on the trivial branch became a loss of precision instead of a pole, and the
-analyzer grid digest before the theta-twin lift was compared as it is built, and
-the high-precision digest before the state kernels read powers of p from a
+1 on the trivial branch became a loss of precision instead of a pole, the
+analyzer grid digest when s = 1 on a nontrivial branch came to need precision 3
+(38 refusals of twins at s = 1 mod p^N changed their message, nothing else),
+and the high-precision digest before the state kernels read powers of p from a
 table; any change that alters a reported digit, precision, verdict, refusal or
 record layout changes them."""
 
@@ -87,7 +88,7 @@ def test_lp_series_digest():
     assert _sha256("".join(_lp_series_lines())) == LP_SERIES_DIGEST
 
 
-ANALYZE_GRID_DIGEST = "59723c53ceb21afe2e59e16b13f13f33e661785a7fa9582f0c452d3ef27a98d6"
+ANALYZE_GRID_DIGEST = "0c5fd4984106dd5baae592aa0ca5ad9f03c969183ce566932295dfd52f11d911"
 
 
 def _analyze_grid_lines():

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from eiszeta import bernoulli, kubota, padic
-from eiszeta.bernoulli import _zeros_mod_p, bernoulli_number
+from eiszeta.bernoulli import _zeros_mod_p, bernoulli_number, generalized_bernoulli
+from eiszeta.characters import TeichCharacter
 from eiszeta.cli import main
 from eiszeta.kubota import (
     AdmissibilityError,
@@ -31,6 +32,33 @@ from eiszeta.padic import (
     teichmuller,
 )
 from eiszeta.primes import primes_up_to
+from eiszeta.qexp import eisenstein_critical, eisenstein_ordinary, hecke_Tl, theta_pow
+
+
+_C5, _C7 = PadicContext(5, 4), PadicContext(7, 4)
+_W = WeightPoint.critical(5, 4, 2)
+
+# the ValueError of each bad parameter, with the call that raises it
+REFUSALS = [
+    ("interpolation needs n >= 1", lambda: lp_interpolation(0, 2, _C5)),
+    ("truncation order must be >= 1", lambda: eisenstein_critical(5, 4, 2, 0, _C5)),
+    ("l = 4 is not prime", lambda: hecke_Tl(eisenstein_critical(5, 4, 2, 10, _C5), 4)),
+    ("theta power must be >= 0", lambda: theta_pow(eisenstein_critical(5, 4, 2, 10, _C5), -1)),
+    ("context prime differs from p", lambda: eisenstein_critical(5, 4, 2, 10, _C7)),
+    ("context prime differs from p", lambda: irregular_scan(5, _C7)),
+    ("context prime differs from the weight's prime", lambda: eisenstein_ordinary(_W, 10, _C7)),
+    ("context prime differs from the weight's prime", lambda: zeta_weight(_W, _C7)),
+    ("context prime differs from character prime", lambda: TeichCharacter(5, 1).value(2, _C7)),
+    ("context prime differs from character prime",
+     lambda: generalized_bernoulli(2, TeichCharacter(5, 2), _C7)),
+]
+
+
+@pytest.mark.parametrize("message, call", REFUSALS)
+def test_bad_parameters_are_refused_with_their_message(message, call):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
 
 
 class TestWeightPoint:
@@ -168,6 +196,17 @@ class TestSeries:
         # at N = 1 every nearby argument 1 + p^h is again s = 1
         with pytest.raises(padic.PrecisionLossError):
             lp_series(1, 2, PadicContext(5, 1))
+
+    @pytest.mark.parametrize("p", [5, 7, 37])
+    def test_removable_point_needs_precision_three(self, p):
+        # at N = 1 the neighbour 1 + p^h is again s = 1; at N = 2, h = 1 and
+        # p(s - 1) = p^2 divides a sum known modulo p^2, so no digit survives
+        for j in range(2, p - 1, 2):
+            for N in (1, 2):
+                with pytest.raises(PrecisionLossError) as err:
+                    lp_series(1, j, PadicContext(p, N))
+                assert str(err.value) == "s = 1 on a nontrivial branch needs precision >= 3"
+            assert lp_series(1, j, PadicContext(p, 3)).precision_achieved >= 1
 
     def test_removable_point_claims_no_digit_past_its_neighbour_bound(self, monkeypatch):
         # L(1) is read as L(1 + p^h) + O(p^(h+1)); a neighbour value of
