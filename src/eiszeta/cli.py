@@ -24,7 +24,8 @@ from .analyzer import (
     scan_records,
     write_scan,
 )
-from .kubota import IrregularScreenError, WeightPoint, lp_interpolation, lp_series
+from .kubota import (IrregularScreenError, WeightPoint, check_irregular_prime,
+                     lp_interpolation, lp_series)
 from .padic import PadicContext, PrecisionLossError, agreement_precision, format_padic
 from .qexp import (
     TwinConventionError,
@@ -177,6 +178,7 @@ def _write_out(records, path: str) -> int:
 
 def _cmd_lp(args) -> int:
     check_budget(args.precision)
+    check_irregular_prime(args.p)
     ctx = PadicContext(args.p, args.precision)
     s = _parse_s(args.s)
     if args.route != "series" and (not isinstance(s, int) or s > 0):
@@ -197,6 +199,7 @@ def _cmd_lp(args) -> int:
 
 def _cmd_qexp(args) -> int:
     check_budget(args.precision, args.terms)
+    check_irregular_prime(args.p)
     ctx = PadicContext(args.p, args.precision)
     point = (args.p, args.k, args.eps_exponent)
     if args.which == "crit":

@@ -37,9 +37,9 @@ Only omega^j(a) depends on the branch.  With t = 1 - s the series splits as
     L_p(s, branch j) = 1/(p(s-1)) * sum_{a=1}^{p-1} omega^j(a) X_a,
     X_a = <a>^t * sum_{m>=0} C(t, m) B_m (p/a)^m,
 
-and the X_a are built once per (p, N, t) and kept in a bounded cache, so
-every branch at one argument (the admissible i of one (p, k) in a scan, the
-irregular branches at one grid point) pays p - 1 products for its sum.
+and the X_a are built once per (p, N, t), put over their least valuation and
+cached, so every branch at one argument (the admissible i of one (p, k) in a
+scan, the irregular branches at one grid point) pays p - 1 int products.
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ from .padic import (
     state_add,
     state_char,
     state_div,
-    state_dot,
     state_mul,
     state_neg,
     state_normalize,
@@ -239,9 +238,9 @@ def _branch_free_terms(p: int, N: int, t: tuple) -> tuple:
     t = 1 - s (the state of a p-adic integer): every factor of the series
     summand but omega^j(a), shared by all branches at one argument.
 
-    Cached per (p, N, t), least recently used first out beyond
-    LP_TERMS_CACHE_SIZE = 8 entries of p - 1 states each.  Binomial
-    coefficients C(t, m) are built iteratively on int states."""
+    Cached per (p, N, t) as :func:`_over_least` gives them, (A, low, rel) and
+    p - 1 ints, least recently used first out beyond LP_TERMS_CACHE_SIZE = 8
+    entries.  Binomial coefficients C(t, m) are built iteratively on int states."""
     ctx = PadicContext(p, N)
     P = ctx.powers
     t_padic = PadicNumber.from_state(ctx, t)
@@ -264,7 +263,21 @@ def _branch_free_terms(p: int, N: int, t: tuple) -> tuple:
     for a, inner in enumerate(inners, start=1):
         gamma = exp_small(t_padic * _log_gamma_a(p, N, a))  # <a>^t = exp(t log<a>)
         terms.append(state_mul(P, gamma.state, inner))
-    return tuple(terms)
+    return _over_least(P, terms)
+
+
+def _over_least(P: tuple, states) -> tuple:
+    """(A, low, rel, ints) for the states of a sum, not all None (an exact 0),
+    by the sum rule of eiszeta.padic: the sum is p^low sum(ints) modulo p^A,
+    A the least absolute precision, low the least valuation of a unit below
+    A, else A, and rel = A - low (rel = 0 only for the zero to p^A, A >= 1);
+    ints[i] = u_i p^(v_i - low) mod p^rel, 0 for None, a zero or a term past rel."""
+    present = [x for x in states if x is not None]
+    A = min(v + r for v, _, r in present)
+    low = min([v for v, u, _ in present if u is not None and v < A], default=A)
+    rel = A - low
+    return A, low, rel, tuple(0 if x is None or x[1] is None or x[0] - low >= rel
+                              else x[1] * P[x[0] - low] % P[rel] for x in states)
 
 
 def _horner_sums(P: tuple, N: int, coeffs: list, bases) -> list:
@@ -274,16 +287,9 @@ def _horner_sums(P: tuple, N: int, coeffs: list, bases) -> list:
     Each a^(-m) is a unit, so term m keeps c_m's valuation and precision, and
     by the sum rule of eiszeta.padic every sum is known modulo p^A, A the
     least absolute precision of the c_m: the c_m are put over their least
-    valuation once, and each sum is the integer kernel padic._horner modulo
-    p^(A - low), normalised once."""
-    present = [c for c in coeffs if c is not None]
-    A = min(v + r for v, _, r in present)
-    low = min([v for v, u, _ in present if u is not None], default=A)
-    rel = A - low
-    if rel <= 0:  # every c_m is zero, or vanishes, modulo p^A >= p
-        return [(A, None, 0)] * len(bases)
-    ints = [0 if c is None or c[1] is None or c[0] - low >= rel else c[1] * P[c[0] - low]
-            for c in coeffs]
+    valuation once (:func:`_over_least`), and each sum is the integer kernel
+    padic._horner modulo p^(A - low), normalised once."""
+    _, low, rel, ints = _over_least(P, coeffs)
     return [state_normalize(P, N, low, total, rel)
             for total in _horner(ints, bases, 0, P[rel])]
 
@@ -303,8 +309,9 @@ def lp_series(s, j: int, ctx: PadicContext) -> LValue:
     j = even_branch(j) % (p - 1)
     s_minus_1 = state_neg(P, t)
     if s_minus_1[1] is None:  # s = 1 to precision
+        exact = isinstance(s, PadicNumber) or s == 1
         if j == 0:
-            if isinstance(s, PadicNumber) or s == 1:
+            if exact:
                 raise PoleError("the trivial branch has its pole at s = 1")
             raise PrecisionLossError(
                 f"s = {s} is 1 modulo {p}^{N}, so precision {N} cannot tell it from "
@@ -316,15 +323,17 @@ def lp_series(s, j: int, ctx: PadicContext) -> LValue:
         # At N = 1 every 1 + p^h is again s = 1 modulo p^N; at N = 2, h = 1
         # and the value at 1 + p divides a sum known modulo p^2 by p^2.
         if N < 3:
-            raise PrecisionLossError("s = 1 on a nontrivial branch needs precision >= 3")
+            need = "s = 1 on a nontrivial branch needs precision >= 3"
+            raise PrecisionLossError(need if exact else f"s = {s} is 1 modulo {p}^{N}, and {need}")
         h = N // 2
         near = lp_series(1 + p**h, j, ctx)
         # value + O(p^(h+1)): no digit past p^(h+1) is claimed, whatever the valuation
         value = PadicNumber.from_state(ctx, state_add(P, N, near.value.state, state_zero(h + 1)))
         return LValue(value=value, branch=j, argument=s, route="series")
     row, dlog = _teich_unit(p, N)  # omega^j(a) = row[j * dlog[a] % (p - 1)], a = 1..p-1
-    total = state_dot(P, N, [(0, row[j * d % (p - 1)], N) for d in dlog[1:]],
-                      _branch_free_terms(p, N, t))
+    _, low, rel, ints = _branch_free_terms(p, N, t)  # weighted by the units omega^j(a)
+    total = state_normalize(P, N, low, sum(row[j * d % (p - 1)] * x
+                                           for d, x in zip(dlog[1:], ints)), rel)
     denominator = state_mul(P, state_of_int(P, N, p), s_minus_1)  # p (s - 1)
     value = PadicNumber.from_state(ctx, state_div(P, total, denominator))
     return LValue(value=value, branch=j, argument=s, route="series")

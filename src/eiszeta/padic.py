@@ -13,18 +13,18 @@ Precision propagation:
 * add/sub: absolute precisions meet (min); cancellation surfaces as a higher
   valuation with correspondingly fewer unit digits.
 * mul/div: valuations add/subtract, relative precisions meet.
-* sums of many terms (exp_small, log_one_unit, state_dot and the inner sums
-  of the L-value series): the state of a sum is its exact value modulo p^A,
-  where A is the least absolute precision among its terms (a zero term
-  counts with its bound), cut to canonical form once.  This is the state a
-  left fold of add gives whenever the fold keeps a digit at every partial
-  sum: each add keeps its inputs' least absolute precision, and the N-digit
-  cap never binds on a partial sum, because a partial sum's valuation is at
-  least its least term's valuation v, and the term of valuation v keeps at
-  most N digits, so A <= v + N.  So the terms are added as one integer in
-  p^v Z and normalised once; where a fold raises at a partial sum that
-  cancels to no digit, the sum is still known modulo p^A, and only a total
-  that keeps no digit raises.
+* sums of many terms (exp_small, log_one_unit, and the inner and branch
+  sums of the L-value series, through kubota._over_least): the state of a
+  sum is its exact value modulo p^A, where A is the least absolute precision
+  among its terms (a zero term counts with its bound), cut to canonical form
+  once.  This is the state a left fold of add gives whenever the fold keeps
+  a digit at every partial sum: each add keeps its inputs' least absolute
+  precision, and the N-digit cap never binds on a partial sum, because a
+  partial sum's valuation is at least its least term's valuation v, and the
+  term of valuation v keeps at most N digits, so A <= v + N.  So the terms
+  are added as one integer in p^v Z and normalised once; where a fold raises
+  at a partial sum that cancels to no digit, the sum is still known modulo
+  p^A, and only a total that keeps no digit raises.
 
 Relative precision is capped at the context's working precision N, so a unit
 is always reduced modulo p^N at most.
@@ -388,33 +388,6 @@ def state_add(P: tuple, N: int, a: tuple, b: tuple) -> tuple:
     rel, gap = absprec - va, vb - va
     # shifted by gap >= rel digits, the other summand vanishes modulo p^rel
     return state_normalize(P, N, va, ua if gap >= rel else ua + ub * P[gap], rel)
-
-
-def state_dot(P: tuple, N: int, xs, ys) -> tuple:
-    """sum_i x_i * y_i over at least one pair, by the sum rule of the module
-    docstring: each product as state_mul forms it (a zero product that keeps
-    no digit raises PrecisionLossError as there), and their exact sum modulo
-    p^A, A the least absolute precision of the products, normalised once."""
-    A, terms = None, []
-    for (vx, ux, rx), (vy, uy, ry) in zip(xs, ys):
-        v = vx + vy
-        if ux is None or uy is None:
-            if v < 1:
-                raise PrecisionLossError("product has no surviving precision")
-            top = v
-        else:
-            # the unreduced ux * uy agrees with state_mul's unit mod p^rel,
-            # so its term agrees modulo p^(v + rel) >= p^A
-            terms.append((v, ux * uy))
-            top = v + (rx if rx < ry else ry)
-        if A is None or top < A:
-            A = top
-    low = min([v for v, _ in terms], default=A)
-    rel = A - low
-    if rel <= 0:  # every product is zero, or vanishes, modulo p^A >= p
-        return A, None, 0
-    total = sum([u * P[v - low] for v, u in terms if v - low < rel])
-    return state_normalize(P, N, low, total, rel)
 
 
 def _horner(coeffs: list, bases, top: int, mod: int) -> list:

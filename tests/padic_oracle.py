@@ -4,7 +4,8 @@ state_eq_hecke.
 
 exp_small, log_one_unit, the inner sums sum_m c_m a^(-m) of
 kubota._branch_free_terms and the branch sum of lp_series add their terms as
-one integer and normalise once (the sum rule in eiszeta.padic's docstring).
+one integer and normalise once (the sum rule in eiszeta.padic's docstring);
+the last two put their terms over the least valuation by kubota._over_least.
 The folds here add the same terms one state_add at a time, as those functions
 did before, so every partial sum is normalised.  Both give the same state, or
 raise the same exception, except where a fold's partial sum cancels to no
@@ -16,7 +17,8 @@ fixed grid: x = u p^v, u every unit class mod p^2, v = 1..N+2, rel 1..N, at
 p in {3, 5, 23} and N in {1, 2, 3, 20}, and for log the one-unit 1 + x, and on
 a few deep cases, where exp's last index K runs to 266 and v_p(K!) to 65:
 x = u p^v with v in {1, 2} and u a few units to N digits, at p in {5, 101}
-and N in {120, 200}.  On the grid it also compares state_dot and the Horner
+and N in {120, 200}.  On the grid it also compares a unit-weighted sum
+through kubota._over_least, as lp_series forms its branch sum, and the Horner
 sums of kubota with their folds on sums that cancel, and the fused check
 state_eq_hecke with the sum and products it stands for.  At each (p, N) of
 the grid it compares every Teichmuller lift omega^e(a) that state_char reads
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import sys
 
-from eiszeta.kubota import _horner_sums
+from eiszeta.kubota import _horner_sums, _over_least
 from eiszeta.padic import (
     PadicContext,
     PadicNumber,
@@ -40,7 +42,6 @@ from eiszeta.padic import (
     state_add,
     state_char,
     state_div,
-    state_dot,
     state_eq,
     state_eq_hecke,
     state_mul,
@@ -119,6 +120,13 @@ def dot_fold(P: tuple, N: int, xs, ys) -> tuple:
     return total
 
 
+def weighted_sum(P: tuple, N: int, xs, ws) -> tuple:
+    """sum_i w_i x_i for states x_i and units w_i known to N digits, as
+    lp_series forms its branch sum from kubota._over_least(P, xs)."""
+    _, low, rel, ints = _over_least(P, xs)
+    return state_normalize(P, N, low, sum(w * x for w, x in zip(ws, ints)), rel)
+
+
 def outcome(fn):
     """What fn() returns, or the name of the exception it raises."""
     try:
@@ -186,11 +194,12 @@ def sweep(p: int, N: int) -> str | None:
         # 1/p - 1/p + w, w = u p^-v: the first partial sum cancels to no
         # digit, so the fold raises; the sum is w modulo p^min(0, abs(w))
         c, w = (-1, 1, 1), (-s[0], s[1], s[2])
-        xs, ys = [c, state_neg(P, c), w], [one, one, one]
-        got, want = outcome(lambda: state_dot(P, N, xs, ys)), outcome(lambda: dot_fold(P, N, xs, ys))
+        xs = [c, state_neg(P, c), w]
+        got = outcome(lambda: weighted_sum(P, N, xs, [1, 1, 1]))
+        want = outcome(lambda: dot_fold(P, N, xs, [one, one, one]))
         kept = state_normalize(P, N, w[0], w[1], min(0, w[0] + w[2]) - w[0])
         if want != PrecisionLossError.__name__ or got != kept:
-            return f"state_dot at p = {p}, N = {N}, state {w}: {got}, fold {want}"
+            return f"weighted sum at p = {p}, N = {N}, state {w}: {got}, fold {want}"
         coeffs = [one, s, None, state_neg(P, s), s]
         for a in (1, 2, p - 1):
             inv_a = pow(a, -1, P[N])
@@ -233,7 +242,7 @@ def main() -> int:
             print(f"differs from its oracle: {bad}")
             return 1
         deep += 1
-    print(f"exp_small, log_one_unit, state_dot, the Horner sums and state_eq_hecke match "
+    print(f"exp_small, log_one_unit, the weighted and Horner sums and state_eq_hecke match "
           f"their oracles on {count} grid states, exp_small and log_one_unit on {deep} "
           f"deep cases, and every lift its power")
     return 0

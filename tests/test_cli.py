@@ -58,6 +58,32 @@ def test_ceilings_hold_for_qexp_and_lp(capsys, argv):
     assert "exceed ceilings (500, 20000)" in _one_line_error(capsys)
 
 
+PAST_THE_PRIME_CEILING = [
+    ["lp", "--p", "2011", "--branch", "2", "--s", "5", "--precision", "2"],
+    ["qexp", "--p", "2011", "--k", "4", "--eps-exponent", "0", "--which", "crit",
+     "--terms", "20", "--precision", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", PAST_THE_PRIME_CEILING)
+def test_prime_ceiling_holds_for_lp_and_qexp(capsys, monkeypatch, argv):
+    # the same prime ceiling as analyze and scan, refused before any
+    # arithmetic: at p = 2003 the same argv reaches the table of lifts
+    from eiszeta import kubota, padic, qexp
+
+    def no_arithmetic(p, N):
+        raise RuntimeError(f"table of lifts at p = {p}")
+
+    for module in (padic, kubota, qexp):
+        monkeypatch.setattr(module, "_teich_unit", no_arithmetic)
+    assert main(argv) == 2
+    assert _one_line_error(capsys) == (
+        "error: p = 2011 screens B_j mod p up to j = 2008, and a hit past the Bernoulli "
+        "ceiling 2000 has no exact B_j; the largest supported prime is 2003")
+    with pytest.raises(RuntimeError, match="table of lifts at p = 2003"):
+        main([arg.replace("2011", "2003") for arg in argv])
+
+
 def test_lp_series(capsys):
     rc = main(["lp", "--p", "5", "--branch", "2", "--s", "-1", "--precision", "14"])
     assert rc == 0

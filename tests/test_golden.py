@@ -88,7 +88,7 @@ def test_lp_series_digest():
     assert _sha256("".join(_lp_series_lines())) == LP_SERIES_DIGEST
 
 
-ANALYZE_GRID_DIGEST = "0c5fd4984106dd5baae592aa0ca5ad9f03c969183ce566932295dfd52f11d911"
+ANALYZE_GRID_DIGEST = "4403b62c666883d6390588edc9c6f5eadea7467671421fa11c1585172da9b1bc"
 
 
 def _analyze_grid_lines():

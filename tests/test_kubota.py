@@ -208,6 +208,21 @@ class TestSeries:
                 assert str(err.value) == "s = 1 on a nontrivial branch needs precision >= 3"
             assert lp_series(1, j, PadicContext(p, 3)).precision_achieved >= 1
 
+    def test_removable_point_refusal_names_an_s_other_than_one(self):
+        # an int or Fraction s = 1 modulo p^N other than 1 is named; exact
+        # s = 1 and a PadicNumber keep the plain text
+        need = "s = 1 on a nontrivial branch needs precision >= 3"
+        ctx1, ctx2 = PadicContext(5, 1), PadicContext(5, 2)
+        for s, ctx, want in ((6, ctx1, f"s = 6 is 1 modulo 5^1, and {need}"),
+                             (-4, ctx1, f"s = -4 is 1 modulo 5^1, and {need}"),
+                             (Fraction(8, 3), ctx1, f"s = 8/3 is 1 modulo 5^1, and {need}"),
+                             (26, ctx2, f"s = 26 is 1 modulo 5^2, and {need}"),
+                             (Fraction(1), ctx2, need), (True, ctx2, need),
+                             (PadicNumber.from_int(26, ctx2), ctx2, need)):
+            with pytest.raises(PrecisionLossError) as err:
+                lp_series(s, 2, ctx)
+            assert str(err.value) == want, s
+
     def test_removable_point_claims_no_digit_past_its_neighbour_bound(self, monkeypatch):
         # L(1) is read as L(1 + p^h) + O(p^(h+1)); a neighbour value of
         # valuation above h + 1 must not lift the stated precision past h + 1
@@ -249,15 +264,16 @@ class TestSeries:
                                        (7, 2, 1), (5, 0, 1 + 5)])
     def test_summand_is_the_weight_character(self, p, j, s):
         # the summand omega^j(a) <a>^t inner_a splits into omega^j(a) and the
-        # p - 1 branch-free X_a = <a>^t inner_a, t = 1 - s: a cold call builds
-        # them once (also at s = 1, whose value is the one series sum at the
-        # neighbour 1 + p^h), and a second branch at the same argument reads
-        # them back
+        # p - 1 branch-free X_a = <a>^t inner_a, t = 1 - s, kept as p - 1 ints
+        # over their least valuation: a cold call builds them once (also at
+        # s = 1, whose value is the one series sum at the neighbour 1 + p^h),
+        # and a second branch at the same argument reads them back
         N = 8
         ctx = PadicContext(p, N)
         t = PadicNumber.from_int(1, ctx) - (1 + p ** (N // 2) if s == 1 else s)
         cache = kubota._branch_free_terms
-        assert len(cache.__wrapped__(p, N, t.state)) == p - 1
+        ints = cache.__wrapped__(p, N, t.state)[3]
+        assert len(ints) == p - 1 and all(type(x) is int for x in ints)
         cache.cache_clear()
         lp_series(s, j, ctx)
         info = cache.cache_info()

@@ -817,14 +817,18 @@ def _series_case(draw):
 
 
 @st.composite
-def _dot_case(draw):
+def _dot_case(draw, unit_weights=False):
     """(p, N, xs, ys): one to six pairs at valuations down to -3 and up to 700,
     where a later pair often cancels the product of an earlier one; half of
     them start with c * 1 + c * (-1), c known to no digit, at which a fold
-    raises."""
+    raises.  With unit_weights every y is a unit known to N digits, as
+    omega^j(a) weighs X_a in a branch sum of lp_series."""
     p = draw(st.sampled_from(SUM_PRIMES))
     N = draw(st.integers(1, 6) | st.integers(7, 500))
     state = _sum_state(p, N, st.integers(-3, 5) | st.integers(400, 700))
+    weight = state
+    if unit_weights:
+        weight = st.builds(lambda u: (0, u, N), st.integers(1, p**N - 1).filter(lambda u: u % p))
     xs, ys = [], []
     if draw(st.booleans()):
         v = draw(st.integers(-3, -1))
@@ -838,11 +842,11 @@ def _dot_case(draw):
             v, u, r = ys[k]
             y = (v, None if u is None else p**r - u, r)
             xs.append(xs[k])
-            ys.append(y if u is None else state_normalize(powers(p, N), N, v, y[1],
-                                                           draw(st.integers(1, r))))
+            ys.append(y if u is None or unit_weights else
+                      state_normalize(powers(p, N), N, v, y[1], draw(st.integers(1, r))))
         else:
             xs.append(draw(state))
-            ys.append(draw(state))
+            ys.append(draw(weight))
     return p, N, xs, ys
 
 
@@ -903,18 +907,19 @@ class TestIntegerSums:
         assert len(cases) == 24
         assert [series_mismatch(ctx, s) for ctx, s in cases] == [None] * len(cases)
 
-    @given(_dot_case())
+    @given(_dot_case(unit_weights=True))
     @example((5, 4, [(-1, 1, 1), (-1, 1, 1), (-2, 2, 1)], [(0, 1, 4), (0, 4, 4), (0, 1, 4)]))
     @settings(max_examples=400, deadline=None)
     def test_dot_is_the_sum_rule_and_the_fold(self, case):
-        # in the example 1/5 + 4/5 cancels to no digit modulo 5^0, so the fold
-        # raises, while the sum 1 + 2/25 is known modulo 5^-1: (-2, 2, 1)
-        from eiszeta.padic import state_dot
-        from padic_oracle import dot_fold
+        # the branch sum of lp_series: the states put over their least
+        # valuation by kubota._over_least, weighted by units.  In the example
+        # 1/5 + 4/5 cancels to no digit modulo 5^0, so the fold raises, while
+        # the sum 1 + 2/25 is known modulo 5^-1: (-2, 2, 1)
+        from padic_oracle import dot_fold, weighted_sum
 
         p, N, xs, ys = case
         P = powers(p, N)
-        _assert_sum(_outcome(lambda: state_dot(P, N, xs, ys)),
+        _assert_sum(_outcome(lambda: weighted_sum(P, N, xs, [u for _, u, _ in ys])),
                     _outcome(lambda: dot_fold(P, N, xs, ys)), _sum_rule_by_hand(p, xs, ys))
 
     @given(_dot_case(), st.data())
