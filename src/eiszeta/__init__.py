@@ -31,8 +31,6 @@ from .qexp import (
     QExpansion,
     eisenstein_critical,
     eisenstein_ordinary,
-    hecke_Tl,
-    hecke_Up,
     theta_pow,
     verify_eigensystem,
     theta_twin_check,

@@ -37,6 +37,7 @@ from .padic import (
     PrecisionLossError,
     format_padic,
     state_agreement,
+    state_eq,
     state_mul,
     state_of_int,
 )
@@ -211,8 +212,7 @@ def analyze_point(
     interp = lp_interpolation(k, w.branch, ctx).value.state
     series_2a0 = state_mul(P, ordinary.states[0], state_of_int(P, precision, 2))
     agree = state_agreement(P, series_2a0, interp)
-    # equal when they agree to both absolute precisions, as in padic.state_eq
-    ok = agree >= min(series_2a0[0] + series_2a0[2], interp[0] + interp[2])
+    ok = state_eq(P, series_2a0, interp)
     checks.append(
         CheckResult(
             "zeta_constant_term",

@@ -234,9 +234,8 @@ def agreement_precision(a: PadicNumber, b: PadicNumber) -> int:
 
 
 def _shared_powers(a, b) -> tuple:
-    """The power tuple that reaches the digits of both a and b (PadicNumbers
-    or q-expansions), which may carry different precisions but must share
-    the prime."""
+    """The power tuple that reaches the digits of both PadicNumbers a and b,
+    which may carry different precisions but must share the prime."""
     if a.ctx.p != b.ctx.p:
         raise ContextMismatchError("agreement requires the same prime")
     return (a if a.ctx.precision >= b.ctx.precision else b).ctx.powers

@@ -1,5 +1,5 @@
-"""Truncated q-expansions with Hecke operators, the theta operator, and the
-critical / ordinary Eisenstein families.
+"""Truncated q-expansions, the theta operator, the critical / ordinary
+Eisenstein families and the check that they are Hecke eigenforms.
 
 A critical Eisenstein series of weight k and character eps = omega^i has
 a_0 = 0, a_p = p^(k-1) and a_l = eps(l) + l^(k-1) for primes l != p; the
@@ -26,7 +26,6 @@ from .kubota import WeightPoint, zeta_weight
 from .padic import (
     PadicContext,
     PadicNumber,
-    _shared_powers,
     _teich_unit,
     state_add,
     state_char,
@@ -40,14 +39,12 @@ from .padic import (
     state_zero,
     powers,
 )
-from .primes import is_prime, primes_up_to, smallest_prime_factors
+from .primes import primes_up_to, smallest_prime_factors
 
 __all__ = [
     "QExpansion",
     "eisenstein_critical",
     "eisenstein_ordinary",
-    "hecke_Tl",
-    "hecke_Up",
     "theta_pow",
     "verify_eigensystem",
     "check_terms",
@@ -94,14 +91,6 @@ class QExpansion:
 
     def coeff(self, n: int) -> PadicNumber:
         return PadicNumber.from_state(self.ctx, self.states[n])
-
-    def first_mismatch(self, other: "QExpansion") -> int | None:
-        """Smallest index where the two expansions disagree at the carried
-        precision, over the common truncation; None when they agree.  The
-        two must share the prime (ContextMismatchError otherwise)."""
-        P = _shared_powers(self, other)
-        return next(compress(count(), map(not_, map(state_eq, repeat(P), self.states,
-                                                     other.states))), None)
 
 
 def _eigenstates(ctx, M, a0, a_p, ea, beta):
@@ -223,26 +212,7 @@ def _ordinary_states(w: WeightPoint, M: int, ctx: PadicContext, a0: tuple):
     return _eigenstates(ctx, M, a0, one, 0, (w.i, w.k - 1))
 
 
-# -- operators ---------------------------------------------------------------
-
-
-def hecke_Tl(f: QExpansion, l: int) -> QExpansion:
-    """T_l for a prime l != p: a_n -> a_(nl) + eps(l) l^(k-1) a_(n/l)."""
-    if not is_prime(l):
-        raise ValueError(f"l = {l} is not prime")
-    if l == f.ctx.p:
-        raise ValueError("T_l is not defined at l = p; use hecke_Up")
-    P, N, a = f.ctx.powers, f.ctx.precision, f.states
-    back = state_char(P, N, f.char_exponent, l, f.weight - 1)  # eps(l) l^(k-1)
-    states = list(a[::l])
-    for n in range(0, len(states), l):  # includes n = 0
-        states[n] = state_add(P, N, states[n], state_mul(P, back, a[n // l]))
-    return QExpansion(f.ctx, f.weight, f.char_exponent, states)
-
-
-def hecke_Up(f: QExpansion) -> QExpansion:
-    """U_p: a_n -> a_(np)."""
-    return QExpansion(f.ctx, f.weight, f.char_exponent, f.states[::f.ctx.p])
+# -- theta -------------------------------------------------------------------
 
 
 def theta_pow(f: QExpansion, r: int) -> QExpansion:
@@ -295,28 +265,24 @@ def verify_eigensystem(f: QExpansion) -> EigenReport:
     """Check T_l f = a_l f for primes l <= PRIMES_BOUND (l != p) and
     U_p f = a_p f, coefficientwise on the truncation of the image, each in
     one pass over n in index order that builds no image: the first n whose
-    comparison fails or raises decides.  T_l compares a_(nl) with a_l a_n
-    where l does not divide n, and a_(nl) + eps(l) l^(k-1) a_(n/l) with it
-    where l does (state_eq_hecke)."""
+    comparison fails or raises decides.  Each compares a_(nl) with a_l a_n,
+    except that T_l compares a_(nl) + eps(l) l^(k-1) a_(n/l) with it where
+    l divides n (state_eq_hecke)."""
     p, N, P, a = f.ctx.p, f.ctx.precision, f.ctx.powers, f.states
     check_terms(p, f.truncation)
     if not state_eq(P, a[1], state_of_int(P, N, 1)):
         raise ValueError("eigensystem verification expects a normalized expansion (a_1 = 1)")
     checks = []
-    for l in CHECK_PRIMES:
-        if l == p:
-            continue
-        back = state_char(P, N, f.char_exponent, l, f.weight - 1)  # eps(l) l^(k-1)
+    for l in [l for l in CHECK_PRIMES if l != p] + [p]:
+        if l != p:  # U_p has no second image term
+            back = state_char(P, N, f.char_exponent, l, f.weight - 1)  # eps(l) l^(k-1)
         al, bad = a[l], None
         for n, c in enumerate(a[::l]):
-            if not (state_eq_hecke(P, N, c, back, a[n // l], al, a[n]) if n % l == 0
+            if not (state_eq_hecke(P, N, c, back, a[n // l], al, a[n]) if l != p and n % l == 0
                     else state_eq_product(P, c, al, a[n])):
                 bad = n
                 break
-        checks.append(OperatorCheck(f"T_{l}", bad is None, bad))
-    bad = next(compress(count(), map(not_, map(state_eq_product, repeat(P), a[::p],
-                                               repeat(a[p]), a))), None)
-    checks.append(OperatorCheck(f"U_{p}", bad is None, bad))
+        checks.append(OperatorCheck(f"{'U' if l == p else 'T'}_{l}", bad is None, bad))
     return EigenReport(all(c.passed for c in checks), tuple(checks))
 
 

@@ -1,14 +1,18 @@
-"""An index-order reference for eiszeta.qexp.verify_eigensystem, built from
-state_add, state_mul and state_agreement only, with no fused kernel.
+"""The Hecke operators T_l and U_p and an index-order reference for
+eiszeta.qexp.verify_eigensystem, built from state_add, state_mul and
+state_agreement only, with no fused kernel.
+
+image_terms yields the terms of T_l f (a prime l != p) or U_p f (l = p) in
+index order: a_(nl), plus eps(l) l^(k-1) a_(n/l) where l != p divides n.
+eps(l) l^(k-1) is one power of l formed by pow (omega(l) = l^(p^(N-1)) mod
+p^N), not a lift read from the table of eiszeta.padic.  hecke builds the
+image and first_mismatch compares two series, for the tests.
 
 verify_eigensystem checks T_l f = a_l f for each prime l <= 20 but p, then
 U_p f = a_p f, each in one pass over n in index order, and the first index
 whose comparison fails or raises decides.  index_order_report does the same
-the plain way: at each n it forms the image term, a_(nl) plus
-eps(l) l^(k-1) a_(n/l) where l != p divides n, then the product a_l a_n,
-and compares the two by the agreement exponent.  eps(l) l^(k-1) is one
-power of l formed by pow (omega(l) = l^(p^(N-1)) mod p^N), not a lift read
-from the table of eiszeta.padic.
+the plain way: at each n it forms the image term, then the product a_l a_n,
+and compares the two by the agreement exponent.
 
 Run as a script, it compares verify_eigensystem with index_order_report,
 the same report or the same exception and message, on a fixed grid: the
@@ -45,6 +49,31 @@ def _agree(P: tuple, a: tuple, b: tuple) -> bool:
     return state_agreement(P, a, b) >= min(a[0] + a[2], b[0] + b[2])
 
 
+def image_terms(f: QExpansion, l: int):
+    """The terms of T_l f for a prime l != p, or of U_p f for l = p, in
+    index order: a_(nl), plus eps(l) l^(k-1) a_(n/l) where l != p divides n."""
+    p, N, P, a = f.ctx.p, f.ctx.precision, f.ctx.powers, f.states
+    if l != p:  # eps(l) l^(k-1) = omega(l)^i l^(k-1), omega(l) = l^(p^(N-1)) mod p^N
+        back = 0, pow(l, f.char_exponent * p ** (N - 1) + f.weight - 1, P[N]), N
+    for n in range(f.truncation // l + 1):
+        image = a[n * l]
+        if l != p and n % l == 0:
+            image = state_add(P, N, image, state_mul(P, back, a[n // l]))
+        yield image
+
+
+def hecke(f: QExpansion, l: int) -> QExpansion:
+    """T_l f for a prime l != p, U_p f for l = p."""
+    return QExpansion(f.ctx, f.weight, f.char_exponent, image_terms(f, l))
+
+
+def first_mismatch(f: QExpansion, g: QExpansion) -> int | None:
+    """The first index, over the common truncation, where f and g disagree
+    to the lower of their precisions, or None; as for coefficients, the two
+    must share the prime (ContextMismatchError otherwise)."""
+    return next((n for n, (x, y) in enumerate(zip(f.coeffs, g.coeffs)) if x != y), None)
+
+
 def index_order_report(f: QExpansion) -> EigenReport:
     """verify_eigensystem's report for f, or its exception, by the
     index-order rule: for each operator, the first n whose image term or
@@ -55,16 +84,8 @@ def index_order_report(f: QExpansion) -> EigenReport:
         raise ValueError("eigensystem verification expects a normalized expansion (a_1 = 1)")
     checks = []
     for l in [l for l in CHECK_PRIMES if l != p] + [p]:
-        if l != p:  # eps(l) l^(k-1) = omega(l)^i l^(k-1), omega(l) = l^(p^(N-1)) mod p^N
-            back = 0, pow(l, f.char_exponent * p ** (N - 1) + f.weight - 1, P[N]), N
-        bad = None
-        for n in range(f.truncation // l + 1):
-            image = a[n * l]
-            if l != p and n % l == 0:
-                image = state_add(P, N, image, state_mul(P, back, a[n // l]))
-            if not _agree(P, image, state_mul(P, a[l], a[n])):
-                bad = n
-                break
+        bad = next((n for n, image in enumerate(image_terms(f, l))
+                    if not _agree(P, image, state_mul(P, a[l], a[n]))), None)
         checks.append(OperatorCheck(f"{'U' if l == p else 'T'}_{l}", bad is None, bad))
     return EigenReport(all(c.passed for c in checks), tuple(checks))
 

@@ -40,3 +40,26 @@ def test_every_imported_name_is_used_or_exported():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused = imported - used - set(getattr(mod, "__all__", ()))
         assert not unused, (mod.__name__, sorted(unused))
+
+
+def test_exports_are_the_kept_list():
+    # every name here has a reader in a command, an acceptance test, the
+    # benchmark or another module; one that loses its reader leaves this list
+    exported = set().union(*(getattr(mod, "__all__", ()) for mod in MODULES))
+    assert exported == {
+        "CheckResult", "CriticalPointReport", "EtaleVerdict", "MAX_PRECISION", "MAX_TERMS",
+        "PrecisionBudgetError", "analyze_point", "check_budget", "padic_to_dict",
+        "render_text", "report_to_dict", "scan_records", "write_scan",
+        "arch_order", "selmer_dims",
+        "MAX_BERNOULLI_INDEX", "bernoulli_number", "check_bernoulli_index",
+        "generalized_bernoulli",
+        "TeichCharacter",
+        "AdmissibilityError", "IrregularScreenError", "LValue", "PoleError", "WeightPoint",
+        "ZeroWitness", "check_irregular_prime", "even_branch", "irregular_branches",
+        "irregular_scan", "lp_interpolation", "lp_series", "zeta_weight",
+        "ContextMismatchError", "PadicContext", "PadicNumber", "PrecisionLossError",
+        "agreement_precision", "exp_small", "format_padic", "log_one_unit", "teichmuller",
+        "EigenReport", "OperatorCheck", "QExpansion", "TwinCheckReport", "TwinConventionError",
+        "check_terms", "dump_lines", "eisenstein_critical", "eisenstein_ordinary",
+        "theta_pow", "theta_twin_check", "verify_eigensystem",
+    }, sorted(exported)

@@ -32,7 +32,7 @@ from eiszeta.padic import (
     teichmuller,
 )
 from eiszeta.primes import primes_up_to
-from eiszeta.qexp import eisenstein_critical, eisenstein_ordinary, hecke_Tl, theta_pow
+from eiszeta.qexp import eisenstein_critical, eisenstein_ordinary, theta_pow
 
 
 _C5, _C7 = PadicContext(5, 4), PadicContext(7, 4)
@@ -42,7 +42,6 @@ _W = WeightPoint.critical(5, 4, 2)
 REFUSALS = [
     ("interpolation needs n >= 1", lambda: lp_interpolation(0, 2, _C5)),
     ("truncation order must be >= 1", lambda: eisenstein_critical(5, 4, 2, 0, _C5)),
-    ("l = 4 is not prime", lambda: hecke_Tl(eisenstein_critical(5, 4, 2, 10, _C5), 4)),
     ("theta power must be >= 0", lambda: theta_pow(eisenstein_critical(5, 4, 2, 10, _C5), -1)),
     ("context prime differs from p", lambda: eisenstein_critical(5, 4, 2, 10, _C7)),
     ("context prime differs from p", lambda: irregular_scan(5, _C7)),

@@ -36,8 +36,10 @@ def test_tracer_installs_over_every_name_it_wraps():
 
 # PREDICTED in perfbench/run.py requires these route counts to be nonzero on
 # the traced zero_locus and scan_window runs: padic.exp_small and padic.mul
-# calls from the L-value series, TeichCharacter.value calls from the
-# q-series, and lp_series itself; one small call of each kind reaches them
+# calls from the L-value series, TeichCharacter.value calls from
+# generalized_bernoulli under lp_interpolation (the constant-term check; the
+# q-series read the Teichmuller lifts directly), and lp_series itself; one
+# small call of each kind reaches them
 ROUTES = """
 import json, sys
 sys.path.insert(0, "perfbench")
