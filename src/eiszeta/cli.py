@@ -42,11 +42,13 @@ EXIT_INTERNAL = 4
 
 def _parse_s(text: str) -> object:
     try:
-        return Fraction(text) if "/" in text else int(text)
+        s = Fraction(text) if "/" in text else int(text)
     except ZeroDivisionError:
         raise ValueError(f"--s {text} has a zero denominator") from None
     except ValueError:
         raise ValueError(f"--s {text} is not an integer or a fraction a/b") from None
+    # an integer written a/1 is an integer on every route
+    return s.numerator if s.denominator == 1 else s
 
 
 class _Parser(argparse.ArgumentParser):

@@ -99,6 +99,15 @@ def test_lp_both_routes(capsys):
     assert "routes agree modulo 5^" in out
 
 
+def test_lp_reads_an_integer_written_as_a_fraction(capsys):
+    # the interpolation route answers s = -4/2 as it answers s = -2
+    argv = ["lp", "--p", "5", "--branch", "2", "--precision", "6", "--route", "both"]
+    assert main(argv + ["--s=-2"]) == 0
+    want = capsys.readouterr().out
+    assert main(argv + ["--s=-4/2"]) == 0
+    assert capsys.readouterr().out == want.replace("L_p(-2,", "L_p(-4/2,")
+
+
 def test_lp_interpolation_keeps_the_digit_of_a_unit_value(capsys):
     # the value is a unit, so one digit survives at precision 1
     rc = main(["lp", "--p", "5", "--branch", "2", "--s", "0", "--precision", "1",
